@@ -3,11 +3,14 @@
 Closed forms for the noiseless asynchronous/synchronized cases, a
 soft-indicator maximum-likelihood estimator for Gaussian errors, and the
 unknown-association variant whose per-observer permutation sum is a matrix
-permanent of soft-indicator matrices.
+permanent of soft-indicator matrices.  One kernel, ``permanent``, computes
+the permanents of a whole stack of matrices; the hard-indicator search
+scores every candidate of an observer in one call to it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -21,7 +24,7 @@ from .likelihood import ErrorModel, OptimizerConfig, maximize_2d
 _C = SPEED_OF_LIGHT
 _D_FLOOR = 1e-6     # m; keeps the 1/d^K envelope finite when all factors stay positive
 
-PERMUTATION_CAP = 8  # exact permanents up to 8x8 (40320 terms via Ryser)
+PERMUTATION_CAP = 8  # exact permanents up to 8x8 (128 Gray-code Ryser steps)
 
 
 def _log0(values: np.ndarray) -> np.ndarray:
@@ -130,7 +133,7 @@ def loglik_known_assoc(diffs: DelayDiffSet, model: ErrorModel, d, eps):
     if model.kind == "none":
         factors = (np.abs(x) <= half).astype(float)
     else:
-        sig = np.broadcast_to(model.sigma_per_mpc, delta.shape)
+        sig = model.sigmas(delta.size)
         factors = ndtr((x + half) / sig) - ndtr((x - half) / sig)
     ll = -delta.size * np.log(np.maximum(dd, _D_FLOOR))
     ll = ll + _log0(factors).sum(axis=1)
@@ -184,48 +187,54 @@ def mle_async_gaussian(diffs: DelayDiffSet, model: ErrorModel,
 
 # --- permanents ---------------------------------------------------------
 
-def permanent(mat: np.ndarray) -> float:
-    """Exact permanent of a square matrix.
-
-    Direct permutation enumeration up to 6x6, Ryser's inclusion-exclusion
-    formula beyond.
-    """
-    mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise InvalidParams("permanent needs a square matrix")
-    if n <= 6:
-        rows = range(n)
-        return float(sum(np.prod(mat[rows, cols]) for cols in itertools.permutations(rows)))
-    return float(_permanents_stack(mat[None, :, :])[0])
+@functools.lru_cache(maxsize=None)
+def _permutation_index(n: int) -> np.ndarray:
+    """All permutations of range(n) as a read-only (n!, n) index array."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    perms.flags.writeable = False
+    return perms
 
 
-def _permanents_stack(mats: np.ndarray) -> np.ndarray:
-    """Permanents over the last two axes of ``mats`` (..., n, n).
+def permanent(mats):
+    """Exact permanents over the last two axes of ``mats`` (..., n, n).
 
     Direct permutation enumeration up to 6x6 (no cancellation, exact for
-    the tiny indicator products the likelihood produces), Ryser beyond.
+    the tiny indicator products the likelihood produces); beyond, Ryser's
+    formula in the Gray-code form of Nijenhuis & Wilf, where each step adds
+    or subtracts one column from the running row sums.  Both are exact on
+    0/1 matrices.  A 2-D input returns a float.
     """
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim < 2 or mats.shape[-2] != mats.shape[-1]:
+        raise InvalidParams("permanent needs square matrices over the last two axes")
     n = mats.shape[-1]
     if n <= 6:
-        perms = np.array(list(itertools.permutations(range(n))))   # (n!, n)
-        gathered = mats[..., np.arange(n)[None, :], perms]         # (..., n!, n)
-        return gathered.prod(axis=-1).sum(axis=-1)
-    total = np.zeros(mats.shape[:-2])
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if (mask >> j) & 1]
-        rowsums = mats[..., cols].sum(axis=-1)
-        total += (-1) ** len(cols) * np.prod(rowsums, axis=-1)
-    return (-1) ** n * total
+        out = mats[..., np.arange(n)[None, :], _permutation_index(n)].prod(axis=-1).sum(axis=-1)
+    else:
+        cols = np.ascontiguousarray(np.moveaxis(mats, -1, 0))      # (n, ..., n)
+        rowsums = cols[n - 1] - mats.sum(axis=-1) / 2.0            # subsets of the first n-1 columns
+        out = rowsums.prod(axis=-1)
+        for k in range(1, 1 << (n - 1)):
+            j = (k & -k).bit_length() - 1                          # the column that flips
+            rowsums += cols[j] if (k ^ (k >> 1)) >> j & 1 else -cols[j]
+            out += (-1) ** k * rowsums.prod(axis=-1)               # (-1)^(subset size)
+        out = (-1) ** (n - 1) * 2.0 * out
+    return float(out) if mats.ndim == 2 else out
 
 
 def _cross_diffs(tau_a_groups, tau_b_groups):
+    if len(tau_a_groups) != len(tau_b_groups):
+        raise InvalidParams("A and B need the same number of observer groups")
     mats = []
     for ta, tb in zip(tau_a_groups, tau_b_groups):
         ta = np.atleast_1d(np.asarray(ta, dtype=float))
         tb = np.atleast_1d(np.asarray(tb, dtype=float))
         if ta.size != tb.size:
             raise InvalidParams("per-observer A and B counts must match")
+        if ta.size == 0:
+            raise InvalidParams("every observer needs at least one MPC")
+        if not (np.isfinite(ta).all() and np.isfinite(tb).all()):
+            raise InvalidParams("delays must be finite")
         if ta.size > PERMUTATION_CAP:
             raise PermutationCapExceeded(
                 f"K_o = {ta.size} exceeds the exact permanent cap {PERMUTATION_CAP}"
@@ -240,30 +249,27 @@ def loglik_no_assoc(tau_a_groups, tau_b_groups, model: ErrorModel, d, eps):
     Per observer the likelihood factor is the permanent of the matrix of
     soft indicators over all A-to-B pairings; the total carries the same
     1/d^K envelope as the known-association case.  Broadcasts over ``d``
-    and ``eps``.
+    and ``eps``, with one ``permanent`` call per observer.
     """
     cross = _cross_diffs(tau_a_groups, tau_b_groups)
     k_total = sum(m.shape[0] for m in cross)
+    sig = model.sigmas(k_total) if model.kind == "gaussian" else None
     d = np.asarray(d, dtype=float)
     eps = np.asarray(eps, dtype=float)
     shape = np.broadcast_shapes(d.shape, eps.shape)
     dd = np.broadcast_to(d, shape).ravel()
     ee = np.broadcast_to(eps, shape).ravel()
-    half = np.maximum(dd, _D_FLOOR) / _C
+    half = np.maximum(dd, _D_FLOOR)[:, None, None] / _C
     ll = -k_total * np.log(np.maximum(dd, _D_FLOOR))
     row = 0
     for mat in cross:
         x = mat[None, :, :] - ee[:, None, None]
-        if model.kind == "none":
-            factors = (np.abs(x) <= half[:, None, None]).astype(float)
+        if sig is None:
+            factors = (np.abs(x) <= half).astype(float)
         else:
-            sig = np.asarray(
-                [model.sigma_for(row + k) for k in range(mat.shape[0])], dtype=float
-            )[None, :, None]
-            factors = (ndtr((x + half[:, None, None]) / sig)
-                       - ndtr((x - half[:, None, None]) / sig))
-        perms = _permanents_stack(np.clip(factors, 0.0, 1.0))
-        ll = ll + _log0(perms)
+            s = sig[row:row + mat.shape[0], None]  # one sigma per A-side MPC (row)
+            factors = ndtr((x + half) / s) - ndtr((x - half) / s)
+        ll = ll + _log0(permanent(np.clip(factors, 0.0, 1.0)))
         row += mat.shape[0]
     out = ll.reshape(shape)
     return out if out.ndim else float(out)
@@ -282,35 +288,31 @@ def _noassoc_candidates(cross):
     return d_cand, e_cand
 
 
-def _noassoc_enumerate(tau_a_groups, tau_b_groups):
+def _noassoc_enumerate(cross):
     """Exact hard-indicator ML over the finite candidate set.
 
-    Candidates are ranked by (number of observers with a feasible
-    permutation, then likelihood, then smallest d); when no candidate is
-    feasible for every observer the least-infeasible one is returned.
+    Each observer's feasibility matrices at every candidate are stacked and
+    scored in one ``permanent`` call.  Candidates are ranked by (number of
+    observers with a feasible permutation, then likelihood, then smallest
+    d), the first one winning a tie; when no candidate is feasible for
+    every observer the least-infeasible one is returned.
     """
-    cross = _cross_diffs(tau_a_groups, tau_b_groups)
     k_total = sum(m.shape[0] for m in cross)
     d_cand, e_cand = _noassoc_candidates(cross)
-    tol = 1e-9 * np.maximum(d_cand, 1.0)  # border candidates sit exactly on wedge edges
-
-    best = None
-    for d, e, t in zip(d_cand, e_cand, tol):
-        n_feas = 0
-        log_terms = 0.0
-        for mat in cross:
-            feas = (np.abs(_C * (mat - e)) <= d + t).astype(float)
-            p = permanent(feas)
-            if p > 0:
-                n_feas += 1
-                log_terms += np.log(p)
-        value = -k_total * np.log(max(d, _D_FLOOR)) + log_terms
-        key = (n_feas, value, -d)
-        if best is None or key > best[0]:
-            best = (key, float(d), float(e))
-    _, d_hat, eps_hat = best
-    feasible = best[0][0] == len(cross)
-    return d_hat, eps_hat, best[0][1], feasible
+    reach = d_cand + 1e-9 * np.maximum(d_cand, 1.0)  # border candidates sit exactly on wedge edges
+    n_feas = np.zeros(d_cand.size, dtype=int)
+    log_terms = np.zeros(d_cand.size)
+    for mat in cross:  # observer by observer, so log_terms adds up in a fixed order
+        feas = np.abs(_C * (mat[None, :, :] - e_cand[:, None, None])) <= reach[:, None, None]
+        p = permanent(feas.astype(float))
+        n_feas += p > 0
+        log_terms += np.log(np.where(p > 0, p, 1.0))  # an infeasible observer adds log 1 = 0
+    value = -k_total * np.log(np.maximum(d_cand, _D_FLOOR)) + log_terms
+    best = n_feas == n_feas.max()
+    best &= value == value[best].max()
+    best &= d_cand == d_cand[best].min()
+    i = int(np.argmax(best))  # the first candidate with the largest (n_feas, value, -d)
+    return float(d_cand[i]), float(e_cand[i]), float(value[i]), bool(n_feas[i] == len(cross))
 
 
 def mle_async_noassoc(tau_a_groups, tau_b_groups, model: ErrorModel,
@@ -320,32 +322,31 @@ def mle_async_noassoc(tau_a_groups, tau_b_groups, model: ErrorModel,
     Gaussian errors: numerical maximization of the permanent-based
     likelihood, seeded from the coarse grid plus the best hard-indicator
     candidates.  Error model ``none``: exact enumeration over the finite
-    candidate set of wedge apexes and border intersections.
+    candidate set of wedge apexes and border intersections.  Bad delays
+    raise InvalidParams on entry.
     """
-    cross = _cross_diffs(tau_a_groups, tau_b_groups)
-    deltas = np.concatenate([m.ravel() for m in cross])
+    deltas = np.concatenate([m.ravel() for m in _cross_diffs(tau_a_groups, tau_b_groups)])
     mid = (float(deltas.max()) + float(deltas.min())) / 2.0
     ta_c = [np.atleast_1d(np.asarray(t, dtype=float)) for t in tau_a_groups]
     tb_c = [np.atleast_1d(np.asarray(t, dtype=float)) - mid for t in tau_b_groups]
+    cross = [tb[None, :] - ta[:, None] for ta, tb in zip(ta_c, tb_c)]  # midrange-centered
 
     if model.kind == "none":
-        d_hat, eps_hat, value, feasible = _noassoc_enumerate(ta_c, tb_c)
+        d_hat, eps_hat, value, feasible = _noassoc_enumerate(cross)
         return DistanceEstimate(
             d_hat=d_hat, eps_hat=eps_hat + mid, method="mle_async_noassoc",
             diagnostics={"loglik": value, "feasible": feasible},
         )
 
-    centered = np.concatenate([(tb[None, :] - ta[:, None]).ravel()
-                               for ta, tb in zip(ta_c, tb_c)])
     if cfg is None:
-        cfg = _default_config(centered)
+        cfg = _default_config(np.concatenate([m.ravel() for m in cross]))
 
     def objective(d, eps):
         return loglik_no_assoc(ta_c, tb_c, model, d, eps)
 
     # hard-indicator candidates pre-scored on the smooth objective make
     # good starts: the gaussian peaks sit near wedge apexes/intersections
-    d_cand, e_cand = _noassoc_candidates(_cross_diffs(ta_c, tb_c))
+    d_cand, e_cand = _noassoc_candidates(cross)
     scores = objective(d_cand, e_cand)
     top = np.argsort(scores)[::-1][: max(2, cfg.multistart_count // 2)]
     extra = [(max(float(d_cand[i]), _D_FLOOR), float(e_cand[i])) for i in top]

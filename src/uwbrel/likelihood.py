@@ -39,6 +39,13 @@ class ErrorModel:
         sig = self.sigma_per_mpc
         return float(sig[index]) if sig.size > 1 else float(sig[0])
 
+    def sigmas(self, k: int) -> np.ndarray:
+        """The sigmas of ``k`` MPCs: a scalar sigma repeated, or one per MPC."""
+        sig = self.sigma_per_mpc
+        if sig.size not in (1, k):
+            raise InvalidParams(f"sigma_per_mpc has {sig.size} entries for {k} MPCs")
+        return np.broadcast_to(sig, (k,))
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:

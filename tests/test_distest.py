@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from uwbrel.distest import (
     mvue_sync,
     permanent,
 )
-from uwbrel.errors import InsufficientMpcs, PermutationCapExceeded
+from uwbrel.errors import InsufficientMpcs, InvalidParams, PermutationCapExceeded
 from uwbrel.geom import SPEED_OF_LIGHT as C
 from uwbrel.likelihood import ErrorModel, OptimizerConfig
 
@@ -170,6 +171,32 @@ class TestPermanent:
         assert permanent(np.eye(4)) == pytest.approx(1.0)
         assert permanent(np.ones((4, 4))) == pytest.approx(24.0)
 
+    @staticmethod
+    def _brute(m):
+        n = m.shape[0]
+        perms = np.array(list(itertools.permutations(range(n))))
+        return math.fsum(m[np.arange(n)[None, :], perms].prod(axis=1))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stack_vs_enumeration(self, n):
+        rng = np.random.default_rng(90 + n)
+        zero_one = (rng.uniform(size=(3, 2, n, n)) < 0.6).astype(float)
+        floats = rng.uniform(0.0, 1.0, (3, 2, n, n))
+        got01, got = permanent(zero_one), permanent(floats)
+        assert got01.shape == got.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            assert got01[idx] == self._brute(zero_one[idx])
+            assert got[idx] == pytest.approx(self._brute(floats[idx]), rel=1e-12)
+
+    def test_2d_returns_float(self):
+        assert type(permanent(np.ones((7, 7)))) is float
+        assert permanent(np.ones((7, 7))) == 5040.0
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (5,), ()])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(InvalidParams):
+            permanent(np.ones(shape))
+
 
 class TestNoAssoc:
     def _brute_loglik(self, tau_a, tau_b, sigma, d, eps):
@@ -247,3 +274,47 @@ class TestNoAssoc:
             mle_async_noassoc([np.arange(PERMUTATION_CAP + 1) * 1e-9],
                               [np.arange(PERMUTATION_CAP + 1) * 1e-9],
                               ErrorModel(kind="none"))
+
+
+class TestInputChecks:
+    """Bad delays and sigma arrays raise InvalidParams where they enter."""
+
+    def _groups(self):
+        rng = np.random.default_rng(14)
+        tau_a = [rng.uniform(20e-9, 80e-9, 3) for _ in range(2)]
+        return tau_a, [ta + 4e-9 for ta in tau_a]
+
+    def test_nan_delay_hard_indicator(self):
+        tau_a, tau_b = self._groups()
+        tau_b[1][0] = np.nan
+        with pytest.raises(InvalidParams, match="finite"):
+            mle_async_noassoc(tau_a, tau_b, ErrorModel(kind="none"))
+
+    def test_nan_delay_gaussian(self):
+        tau_a, tau_b = self._groups()
+        tau_a[0][2] = np.nan
+        with pytest.raises(InvalidParams, match="finite"):
+            mle_async_noassoc(tau_a, tau_b,
+                              ErrorModel(kind="gaussian", sigma_per_mpc=0.2e-9))
+
+    def test_empty_observer_group(self):
+        tau_a, tau_b = self._groups()
+        with pytest.raises(InvalidParams, match="at least one MPC"):
+            loglik_no_assoc(tau_a + [[]], tau_b + [[]],
+                            ErrorModel(kind="gaussian", sigma_per_mpc=0.2e-9), 2.0, 0.0)
+
+    def test_observer_count_mismatch(self):
+        tau_a, tau_b = self._groups()
+        with pytest.raises(InvalidParams, match="number of observer groups"):
+            mle_async_noassoc(tau_a, tau_b[:1], ErrorModel(kind="none"))
+
+    def test_short_sigma_no_assoc(self):
+        tau_a, tau_b = self._groups()
+        model = ErrorModel(kind="gaussian", sigma_per_mpc=[0.2e-9, 0.3e-9])
+        with pytest.raises(InvalidParams, match="2 entries for 6 MPCs"):
+            mle_async_noassoc(tau_a, tau_b, model)
+
+    def test_short_sigma_known_assoc(self):
+        model = ErrorModel(kind="gaussian", sigma_per_mpc=[0.2e-9, 0.3e-9])
+        with pytest.raises(InvalidParams, match="2 entries for 3 MPCs"):
+            loglik_known_assoc(dd([1e-9, 2e-9, 3e-9]), model, 2.0, 0.0)
