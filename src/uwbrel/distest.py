@@ -5,7 +5,11 @@ soft-indicator maximum-likelihood estimator for Gaussian errors, and the
 unknown-association variant whose per-observer permutation sum is a matrix
 permanent of soft-indicator matrices.  One kernel, ``permanent``, computes
 the permanents of a whole stack of matrices; the hard-indicator search
-scores every candidate of an observer in one call to it.
+scores every candidate of an observer in one call to it.  The
+unknown-association likelihood has one body, ``_noassoc_kernel``: it is
+compiled once per estimate from the cross differences and evaluates its
+(d, eps) points in fixed-size blocks; ``loglik_no_assoc`` validates the
+delays and delegates to it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ _C = SPEED_OF_LIGHT
 _D_FLOOR = 1e-6     # m; keeps the 1/d^K envelope finite when all factors stay positive
 
 PERMUTATION_CAP = 8  # exact permanents up to 8x8 (128 Gray-code Ryser steps)
+_BLOCK = 1024        # likelihood points per block; bounds the (n_obs, n, n, points) temporaries
 
 
 def _log0(values: np.ndarray) -> np.ndarray:
@@ -43,6 +48,8 @@ class DelayDiffSet:
         groups = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in self.diffs)
         if not groups or any(g.size == 0 for g in groups):
             raise InvalidParams("every observer group needs at least one diff")
+        if not all(np.isfinite(g).all() for g in groups):
+            raise InvalidParams("delay differences must be finite")
         object.__setattr__(self, "diffs", groups)
 
     @classmethod
@@ -189,28 +196,37 @@ def mle_async_gaussian(diffs: DelayDiffSet, model: ErrorModel,
 
 @functools.lru_cache(maxsize=None)
 def _permutation_index(n: int) -> np.ndarray:
-    """All permutations of range(n) as a read-only (n!, n) index array."""
+    """Flat positions ``i*n + p[i]`` of every permutation p of range(n), as a
+    read-only (n!, n) index into a matrix's n*n entries."""
     perms = np.array(list(itertools.permutations(range(n))))
-    perms.flags.writeable = False
-    return perms
+    flat = np.arange(n) * n + perms
+    flat.flags.writeable = False
+    return flat
 
 
 def permanent(mats):
     """Exact permanents over the last two axes of ``mats`` (..., n, n).
 
     Direct permutation enumeration up to 6x6 (no cancellation, exact for
-    the tiny indicator products the likelihood produces); beyond, Ryser's
-    formula in the Gray-code form of Nijenhuis & Wilf, where each step adds
-    or subtracts one column from the running row sums.  Both are exact on
-    0/1 matrices.  A 2-D input returns a float.
+    the tiny indicator products the likelihood produces).  The entries are
+    gathered through a cached index into (..., n!, n, last batch axis), so
+    numpy multiplies each permutation's n entries and adds the n! products
+    in order, element by element along the last batch axis (a lone matrix
+    sums its products pairwise).  Beyond 6x6, Ryser's formula in the
+    Gray-code form of Nijenhuis & Wilf, where each step adds or subtracts
+    one column from the running row sums.  Both are exact on 0/1 matrices.
+    A 2-D input returns a float.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim < 2 or mats.shape[-2] != mats.shape[-1]:
         raise InvalidParams("permanent needs square matrices over the last two axes")
     n = mats.shape[-1]
     if n <= 6:
-        out = mats[..., np.arange(n)[None, :], _permutation_index(n)].prod(axis=-1).sum(axis=-1)
+        rows = mats.reshape((mats.shape[:-2] or (1,)) + (n * n,))
+        entries = np.swapaxes(rows, -1, -2)                        # (..., n*n, last batch axis)
+        out = np.take(entries, _permutation_index(n), axis=-2).prod(axis=-2).sum(axis=-2)
     else:
+        mats = np.ascontiguousarray(mats)                          # strided rows of 8 sum in another order
         cols = np.ascontiguousarray(np.moveaxis(mats, -1, 0))      # (n, ..., n)
         rowsums = cols[n - 1] - mats.sum(axis=-1) / 2.0            # subsets of the first n-1 columns
         out = rowsums.prod(axis=-1)
@@ -219,7 +235,7 @@ def permanent(mats):
             rowsums += cols[j] if (k ^ (k >> 1)) >> j & 1 else -cols[j]
             out += (-1) ** k * rowsums.prod(axis=-1)               # (-1)^(subset size)
         out = (-1) ** (n - 1) * 2.0 * out
-    return float(out) if mats.ndim == 2 else out
+    return float(out.reshape(())) if mats.ndim == 2 else out
 
 
 def _cross_diffs(tau_a_groups, tau_b_groups):
@@ -243,36 +259,63 @@ def _cross_diffs(tau_a_groups, tau_b_groups):
     return mats
 
 
+def _noassoc_kernel(cross, model: ErrorModel):
+    """The association-free log-likelihood of fixed cross differences, as a
+    function ``loglik(d, eps)`` that broadcasts over ``d`` and ``eps``.
+
+    Observers of equal size share one (n_obs, n, n) cross-difference stack
+    and one (n_obs, n) sigma stack, both built here once.  Points are
+    evaluated ``_BLOCK`` at a time in a batch-last (n_obs, n, n, points)
+    layout, with one ``permanent`` call per size; the per-observer log
+    terms are added in observer order.
+    """
+    sizes = [m.shape[0] for m in cross]
+    k_total = sum(sizes)
+    sig = model.sigmas(k_total) if model.kind == "gaussian" else None
+    first_row = np.cumsum([0] + sizes)
+    groups = []  # (observer indices, (n_obs, n, n, 1) cross, (n_obs, n, 1, 1) sigma or None)
+    for n in sorted(set(sizes)):
+        obs = [o for o, size in enumerate(sizes) if size == n]
+        stack = np.stack([cross[o] for o in obs])[..., None]
+        s = None if sig is None else np.stack(
+            [sig[first_row[o]:first_row[o] + n] for o in obs])[:, :, None, None]
+        groups.append((obs, stack, s))
+
+    def block(dd, ee):
+        half = np.maximum(dd, _D_FLOOR) / _C
+        permanents = np.empty((len(cross), dd.size))
+        for obs, stack, s in groups:
+            x = stack - ee  # [o, k, l, p] = tau_b[l] - tau_a[k] - eps_p
+            if s is None:
+                factors = (np.abs(x) <= half).astype(float)
+            else:  # one sigma per A-side MPC (row)
+                factors = np.clip(ndtr((x + half) / s) - ndtr((x - half) / s), 0.0, 1.0)
+            permanents[obs] = permanent(factors.transpose(0, 3, 1, 2))
+        ll = -k_total * np.log(np.maximum(dd, _D_FLOOR))
+        for term in _log0(permanents):  # observer by observer, in order
+            ll = ll + term
+        return ll
+
+    def loglik(d, eps):
+        d, eps = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(eps, dtype=float))
+        dd, ee = d.ravel(), eps.ravel()
+        out = np.empty(dd.size)
+        for i in range(0, dd.size, _BLOCK):
+            out[i:i + _BLOCK] = block(dd[i:i + _BLOCK], ee[i:i + _BLOCK])
+        return out.reshape(d.shape) if d.ndim else float(out[0])
+
+    return loglik
+
+
 def loglik_no_assoc(tau_a_groups, tau_b_groups, model: ErrorModel, d, eps):
     """Log of the association-free likelihood.
 
     Per observer the likelihood factor is the permanent of the matrix of
     soft indicators over all A-to-B pairings; the total carries the same
     1/d^K envelope as the known-association case.  Broadcasts over ``d``
-    and ``eps``, with one ``permanent`` call per observer.
+    and ``eps``.  Bad delays or sigmas raise InvalidParams.
     """
-    cross = _cross_diffs(tau_a_groups, tau_b_groups)
-    k_total = sum(m.shape[0] for m in cross)
-    sig = model.sigmas(k_total) if model.kind == "gaussian" else None
-    d = np.asarray(d, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    shape = np.broadcast_shapes(d.shape, eps.shape)
-    dd = np.broadcast_to(d, shape).ravel()
-    ee = np.broadcast_to(eps, shape).ravel()
-    half = np.maximum(dd, _D_FLOOR)[:, None, None] / _C
-    ll = -k_total * np.log(np.maximum(dd, _D_FLOOR))
-    row = 0
-    for mat in cross:
-        x = mat[None, :, :] - ee[:, None, None]
-        if sig is None:
-            factors = (np.abs(x) <= half).astype(float)
-        else:
-            s = sig[row:row + mat.shape[0], None]  # one sigma per A-side MPC (row)
-            factors = ndtr((x + half) / s) - ndtr((x - half) / s)
-        ll = ll + _log0(permanent(np.clip(factors, 0.0, 1.0)))
-        row += mat.shape[0]
-    out = ll.reshape(shape)
-    return out if out.ndim else float(out)
+    return _noassoc_kernel(_cross_diffs(tau_a_groups, tau_b_groups), model)(d, eps)
 
 
 def _noassoc_candidates(cross):
@@ -341,8 +384,7 @@ def mle_async_noassoc(tau_a_groups, tau_b_groups, model: ErrorModel,
     if cfg is None:
         cfg = _default_config(np.concatenate([m.ravel() for m in cross]))
 
-    def objective(d, eps):
-        return loglik_no_assoc(ta_c, tb_c, model, d, eps)
+    objective = _noassoc_kernel(cross, model)
 
     # hard-indicator candidates pre-scored on the smooth objective make
     # good starts: the gaussian peaks sit near wedge apexes/intersections

@@ -36,8 +36,13 @@ class ErrorModel:
             object.__setattr__(self, "sigma_per_mpc", sig)
 
     def sigma_for(self, index: int) -> float:
+        """The sigma of MPC ``index``: a scalar sigma, or that MPC's entry."""
         sig = self.sigma_per_mpc
-        return float(sig[index]) if sig.size > 1 else float(sig[0])
+        if sig.size == 1:
+            return float(sig[0])
+        if not 0 <= index < sig.size:
+            raise InvalidParams(f"sigma_per_mpc has {sig.size} entries, none for MPC {index}")
+        return float(sig[index])
 
     def sigmas(self, k: int) -> np.ndarray:
         """The sigmas of ``k`` MPCs: a scalar sigma repeated, or one per MPC."""

@@ -314,6 +314,15 @@ class TestInputChecks:
         with pytest.raises(InvalidParams, match="2 entries for 6 MPCs"):
             mle_async_noassoc(tau_a, tau_b, model)
 
+    def test_nan_diff_rejected(self):
+        with pytest.raises(InvalidParams, match="finite"):
+            dd([1e-9, np.nan, 3e-9])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_diff_rejected(self, bad):
+        with pytest.raises(InvalidParams, match="finite"):
+            dd([1e-9, 2e-9], [bad])
+
     def test_short_sigma_known_assoc(self):
         model = ErrorModel(kind="gaussian", sigma_per_mpc=[0.2e-9, 0.3e-9])
         with pytest.raises(InvalidParams, match="2 entries for 3 MPCs"):

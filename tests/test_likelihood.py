@@ -51,6 +51,14 @@ class TestSoftIndicator:
         with pytest.raises(InvalidParams):
             ErrorModel(kind="weird")
 
+    def test_mpc_index_out_of_range(self):
+        model = ErrorModel(sigma_per_mpc=[1e-9, 2e-9])
+        assert soft_indicator(1e-9, 2.0, model, mpc_index=1) == soft_indicator(
+            1e-9, 2.0, ErrorModel(sigma_per_mpc=2e-9))
+        for index in (2, 5, -1):
+            with pytest.raises(InvalidParams, match=f"2 entries, none for MPC {index}"):
+                soft_indicator(1e-9, 2.0, model, mpc_index=index)
+
 
 class TestMaximize2d:
     def test_quadratic_optimum(self):
