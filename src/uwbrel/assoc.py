@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .chansim import join_sides
 from .errors import InvalidParams
+from .geom import group_by_observer
 
 DEFAULT_SIGMA_TAU = 26.3e-9  # indoor RMS delay spread used for the default weight
 NO_MATCH_COST = 1e9          # finite stand-in for gated pairs; also the padding cost
@@ -70,13 +72,6 @@ def pair_cost(a, b, cfg: AssocConfig, mu_a: float, mu_b: float) -> float:
     return chord2 + cfg.lambda_ ** 2 * delay * delay
 
 
-def _group_by_observer(observations) -> dict:
-    groups: dict = {}
-    for ob in observations:
-        groups.setdefault(ob.observer_id, []).append(ob)
-    return groups
-
-
 def _cost_matrix(group_a, group_b, cfg: AssocConfig) -> np.ndarray:
     mu_a = float(np.mean([ob.tau_a_meas for ob in group_a]))
     mu_b = float(np.mean([ob.tau_b_meas for ob in group_b]))
@@ -97,8 +92,8 @@ def associate(obs_a, obs_b, cfg: AssocConfig = None, force_full: bool = False) -
     matched (complete permutations, as an evaluation pipeline may require).
     """
     cfg = cfg or AssocConfig()
-    groups_a = _group_by_observer(obs_a)
-    groups_b = _group_by_observer(obs_b)
+    groups_a = group_by_observer(obs_a)
+    groups_b = group_by_observer(obs_b)
     if set(groups_a) != set(groups_b):
         raise InvalidParams("A and B sides must cover the same observers")
 
@@ -128,8 +123,8 @@ def associate(obs_a, obs_b, cfg: AssocConfig = None, force_full: bool = False) -
 
 def associate_by_sorting(obs_a, obs_b) -> Assignment:
     """Rank-pair the delays per observer: i-th smallest A to i-th smallest B."""
-    groups_a = _group_by_observer(obs_a)
-    groups_b = _group_by_observer(obs_b)
+    groups_a = group_by_observer(obs_a)
+    groups_b = group_by_observer(obs_b)
     if set(groups_a) != set(groups_b):
         raise InvalidParams("A and B sides must cover the same observers")
 
@@ -151,22 +146,7 @@ def apply_assignment(obs_a, obs_b, assignment: Assignment) -> list:
     """Merge matched pairs into observations carrying A-side fields from
     ``obs_a`` and B-side fields from the assigned partner in ``obs_b``.
     Unmatched A-side MPCs are dropped."""
-    from .chansim import MpcObservation
-
-    groups_a = _group_by_observer(obs_a)
-    groups_b = _group_by_observer(obs_b)
-    out = []
-    for o, perm in assignment.permutation.items():
-        ga, gb = groups_a[o], groups_b[o]
-        for k, l in enumerate(perm):
-            if l < 0:
-                continue
-            out.append(MpcObservation(
-                tau_a_meas=ga[k].tau_a_meas,
-                tau_b_meas=gb[l].tau_b_meas,
-                dir_a_meas=ga[k].dir_a_meas,
-                dir_b_meas=gb[l].dir_b_meas,
-                observer_id=o,
-                mpc_id=ga[k].mpc_id,
-            ))
-    return out
+    groups_a = group_by_observer(obs_a)
+    groups_b = group_by_observer(obs_b)
+    return [join_sides(groups_a[o][k], groups_b[o][l])
+            for o, perm in assignment.permutation.items() for k, l in enumerate(perm) if l >= 0]

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateGeometry, InvalidParams
-from .geom import SPEED_OF_LIGHT, MpcTrue, Scenario, complete_mpc, is_unit
+from .geom import SPEED_OF_LIGHT, MpcTrue, Scenario, complete_mpc, group_by_observer, is_unit
 
 # Calibrated shape fractions (in units of cluster_mean / ray_mean):
 # dominant-cluster onset = floor + exponential tail; the follow-up cluster
@@ -92,7 +93,11 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class MpcObservation:
-    """Measured delays and directions of one MPC at both nodes."""
+    """Measured delays and directions of one MPC at both nodes.
+
+    Delays must be finite; zero and negative values are accepted, since a
+    measured delay carries an arbitrary clock offset.
+    """
 
     tau_a_meas: float
     tau_b_meas: float
@@ -104,8 +109,23 @@ class MpcObservation:
     def __post_init__(self):
         object.__setattr__(self, "dir_a_meas", np.asarray(self.dir_a_meas, dtype=float))
         object.__setattr__(self, "dir_b_meas", np.asarray(self.dir_b_meas, dtype=float))
+        if not (math.isfinite(self.tau_a_meas) and math.isfinite(self.tau_b_meas)):
+            raise InvalidParams("measured delays must be finite")
         if not (is_unit(self.dir_a_meas) and is_unit(self.dir_b_meas)):
             raise InvalidParams("measured directions must be unit vectors")
+
+
+def join_sides(a_side: MpcObservation, b_side: MpcObservation) -> MpcObservation:
+    """The A-side delay and direction of ``a_side`` paired with the B-side
+    delay and direction of ``b_side``, under ``a_side``'s observer and MPC ids."""
+    return MpcObservation(
+        tau_a_meas=a_side.tau_a_meas,
+        tau_b_meas=b_side.tau_b_meas,
+        dir_a_meas=a_side.dir_a_meas,
+        dir_b_meas=b_side.dir_b_meas,
+        observer_id=a_side.observer_id,
+        mpc_id=a_side.mpc_id,
+    )
 
 
 def sample_excess_delays(params: SvParams, count: int, rng_seed) -> np.ndarray:
@@ -236,26 +256,13 @@ def scramble_association(observations, rng_seed):
     scoring reconstructed associations against the truth.
     """
     rng = _as_rng(rng_seed)
-    groups: dict = {}
-    for i, ob in enumerate(observations):
-        groups.setdefault(ob.observer_id, []).append(i)
-
-    scrambled = list(observations)
-    perms = {}
-    for o, idxs in groups.items():
-        perm = rng.permutation(len(idxs))
+    joined, perms = {}, {}
+    for o, group in group_by_observer(observations).items():
+        perm = rng.permutation(len(group))
         perms[o] = perm
-        for slot, src in enumerate(perm):
-            a_side = observations[idxs[slot]]
-            b_side = observations[idxs[src]]
-            scrambled[idxs[slot]] = MpcObservation(
-                tau_a_meas=a_side.tau_a_meas,
-                tau_b_meas=b_side.tau_b_meas,
-                dir_a_meas=a_side.dir_a_meas,
-                dir_b_meas=b_side.dir_b_meas,
-                observer_id=a_side.observer_id,
-                mpc_id=a_side.mpc_id,
-            )
+        joined[o] = iter([join_sides(a_side, group[src]) for a_side, src in zip(group, perm)])
+    # the i-th joined row of an observer goes where its i-th input row was
+    scrambled = [next(joined[ob.observer_id]) for ob in observations]
     return scrambled, perms
 
 

@@ -19,10 +19,9 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InsufficientMpcs, InvalidParams, PermutationCapExceeded
-from .geom import SPEED_OF_LIGHT
+from .geom import SPEED_OF_LIGHT, group_by_observer
 from .likelihood import ErrorModel, OptimizerConfig, maximize_2d
 
 _C = SPEED_OF_LIGHT
@@ -54,10 +53,8 @@ class DelayDiffSet:
 
     @classmethod
     def from_observations(cls, observations) -> "DelayDiffSet":
-        groups: dict = {}
-        for ob in observations:
-            groups.setdefault(ob.observer_id, []).append(ob.tau_b_meas - ob.tau_a_meas)
-        return cls(diffs=tuple(np.asarray(v) for v in groups.values()))
+        return cls(diffs=tuple(np.asarray([ob.tau_b_meas - ob.tau_a_meas for ob in g])
+                               for g in group_by_observer(observations).values()))
 
     @property
     def stacked(self) -> np.ndarray:
@@ -76,52 +73,44 @@ class DistanceEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _async_range(diffs: DelayDiffSet):
+    """K, the spread max - min and the midrange of the diffs (K >= 2)."""
+    delta = diffs.stacked
+    if delta.size < 2:
+        raise InsufficientMpcs("asynchronous estimators need K >= 2")
+    return delta.size, float(delta.max() - delta.min()), float(delta.max() + delta.min()) / 2.0
+
+
+def _sync_range(diffs: DelayDiffSet):
+    """K and the largest |delta| of the diffs."""
+    delta = diffs.stacked
+    return delta.size, float(np.abs(delta).max())
+
+
 def mvue_async(diffs: DelayDiffSet) -> DistanceEstimate:
     """Bias-corrected range estimate: (K+1)/(K-1) * (c/2) * (max - min)."""
-    delta = diffs.stacked
-    k = delta.size
-    if k < 2:
-        raise InsufficientMpcs("asynchronous estimators need K >= 2")
-    spread = float(delta.max() - delta.min())
-    return DistanceEstimate(
-        d_hat=(k + 1) / (k - 1) * (_C / 2.0) * spread,
-        eps_hat=float(delta.max() + delta.min()) / 2.0,
-        method="mvue_async",
-    )
+    k, spread, mid = _async_range(diffs)
+    return DistanceEstimate(d_hat=(k + 1) / (k - 1) * (_C / 2.0) * spread, eps_hat=mid,
+                            method="mvue_async")
 
 
 def mle_async_noiseless(diffs: DelayDiffSet) -> DistanceEstimate:
     """Uncorrected ML range: (c/2) * (max - min); underestimates w.p. 1."""
-    delta = diffs.stacked
-    k = delta.size
-    if k < 2:
-        raise InsufficientMpcs("asynchronous estimators need K >= 2")
-    return DistanceEstimate(
-        d_hat=(_C / 2.0) * float(delta.max() - delta.min()),
-        eps_hat=float(delta.max() + delta.min()) / 2.0,
-        method="mle_async_noiseless",
-    )
+    _, spread, mid = _async_range(diffs)
+    return DistanceEstimate(d_hat=(_C / 2.0) * spread, eps_hat=mid,
+                            method="mle_async_noiseless")
 
 
 def mle_sync(diffs: DelayDiffSet) -> DistanceEstimate:
     """Synchronized-clock ML range: c * max|delta| (caller asserts eps = 0)."""
-    delta = diffs.stacked
-    return DistanceEstimate(
-        d_hat=_C * float(np.abs(delta).max()),
-        eps_hat=0.0,
-        method="mle_sync",
-    )
+    _, peak = _sync_range(diffs)
+    return DistanceEstimate(d_hat=_C * peak, eps_hat=0.0, method="mle_sync")
 
 
 def mvue_sync(diffs: DelayDiffSet) -> DistanceEstimate:
     """Bias-corrected synchronized range: (K+1)/K * c * max|delta|."""
-    delta = diffs.stacked
-    k = delta.size
-    return DistanceEstimate(
-        d_hat=(k + 1) / k * _C * float(np.abs(delta).max()),
-        eps_hat=0.0,
-        method="mvue_sync",
-    )
+    k, peak = _sync_range(diffs)
+    return DistanceEstimate(d_hat=(k + 1) / k * _C * peak, eps_hat=0.0, method="mvue_sync")
 
 
 def loglik_known_assoc(diffs: DelayDiffSet, model: ErrorModel, d, eps):
@@ -137,11 +126,7 @@ def loglik_known_assoc(diffs: DelayDiffSet, model: ErrorModel, d, eps):
     ee = np.broadcast_to(eps, shape).ravel()
     half = np.maximum(dd, _D_FLOOR)[:, None] / _C
     x = delta[None, :] - ee[:, None]
-    if model.kind == "none":
-        factors = (np.abs(x) <= half).astype(float)
-    else:
-        sig = model.sigmas(delta.size)
-        factors = ndtr((x + half) / sig) - ndtr((x - half) / sig)
+    factors = model.factors(x, half, model.sigmas(delta.size) if model.kind == "gaussian" else None)
     ll = -delta.size * np.log(np.maximum(dd, _D_FLOOR))
     ll = ll + _log0(factors).sum(axis=1)
     out = ll.reshape(shape)
@@ -166,13 +151,9 @@ def mle_async_gaussian(diffs: DelayDiffSet, model: ErrorModel,
     Internally the diffs are midrange-centered so the estimate is exactly
     shift-equivariant.
     """
-    if diffs.k_total < 2:
-        raise InsufficientMpcs("asynchronous estimators need K >= 2")
+    _, _, mid = _async_range(diffs)
     if model.kind != "gaussian":
         raise InvalidParams("mle_async_gaussian needs a gaussian error model")
-
-    delta = diffs.stacked
-    mid = (float(delta.max()) + float(delta.min())) / 2.0
     centered = DelayDiffSet(diffs=tuple(g - mid for g in diffs.diffs))
     if cfg is None:
         cfg = _default_config(centered.stacked)
@@ -286,10 +267,7 @@ def _noassoc_kernel(cross, model: ErrorModel):
         permanents = np.empty((len(cross), dd.size))
         for obs, stack, s in groups:
             x = stack - ee  # [o, k, l, p] = tau_b[l] - tau_a[k] - eps_p
-            if s is None:
-                factors = (np.abs(x) <= half).astype(float)
-            else:  # one sigma per A-side MPC (row)
-                factors = np.clip(ndtr((x + half) / s) - ndtr((x - half) / s), 0.0, 1.0)
+            factors = model.factors(x, half, s)  # s: one sigma per A-side MPC (row)
             permanents[obs] = permanent(factors.transpose(0, 3, 1, 2))
         ll = -k_total * np.log(np.maximum(dd, _D_FLOOR))
         for term in _log0(permanents):  # observer by observer, in order

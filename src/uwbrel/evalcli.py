@@ -18,13 +18,12 @@ import numpy as np
 
 from . import assoc, chansim, distest, posest
 from .errors import ConfigError, InvalidParams, UwbrelError
-from .geom import SPEED_OF_LIGHT, Scenario, complete_mpc
+from .geom import SPEED_OF_LIGHT, Scenario, complete_mpc, group_by_observer
 from .likelihood import ErrorModel
 
 _C = SPEED_OF_LIGHT
 
 ESTIMATOR_TAGS = ("MV", "NA", "SO", "DD", "PWA", "DDN", "TAU", "TNA")
-_POSITION_TAGS = {"DD", "PWA", "DDN", "TAU", "TNA"}
 _SCRAMBLED_TAGS = {"NA", "SO", "DDN", "TNA"}
 
 CAL_TARGET_MEAN = 40.5e-9
@@ -103,56 +102,53 @@ def _trial_rng(seed: int, point: int, trial: int, stream: int) -> np.random.Gene
     return np.random.default_rng([seed, point, trial, stream])
 
 
-def _groups(observations):
-    out: dict = {}
-    for ob in observations:
-        out.setdefault(ob.observer_id, []).append(ob)
-    return out
+def _error_model(sigma: float) -> ErrorModel:
+    """Gaussian delay-difference errors of std ``sigma``, or none when it is 0."""
+    return (ErrorModel(kind="gaussian", sigma_per_mpc=sigma)
+            if sigma > 0 else ErrorModel(kind="none"))
+
+
+def _delay_groups(observations):
+    """Per-observer A-side and B-side delay lists, observers in order."""
+    groups = group_by_observer(observations).values()
+    return ([[ob.tau_a_meas for ob in g] for g in groups],
+            [[ob.tau_b_meas for ob in g] for g in groups])
+
+
+# Each tag's estimator on its (associated) observations.  The estimators are
+# looked up on their modules at every call, never bound here, so a patched
+# module attribute (as a tracer installs) is the function that runs.
+_ESTIMATORS = {
+    "MV": lambda obs, cfg: distest.mvue_async(distest.DelayDiffSet.from_observations(obs)),
+    "NA": lambda obs, cfg: distest.mle_async_noassoc(*_delay_groups(obs),
+                                                     _error_model(cfg.sigma)),
+    "DD": lambda obs, cfg: posest.lse_by_delta(obs),
+    "PWA": lambda obs, cfg: posest.lse_by_delta_pwa(obs),
+    "TAU": lambda obs, cfg: posest.lse_by_tau(obs),
+}
+_ESTIMATORS.update(SO=_ESTIMATORS["MV"], DDN=_ESTIMATORS["DD"], TNA=_ESTIMATORS["TAU"])
 
 
 def _run_estimator(tag: str, scenario: Scenario, observations, scrambled,
                    cfg: ExperimentConfig):
     """One estimator on one trial; returns the error scalar (distance) or
     Euclidean norm (position).  Raises UwbrelError subclasses on failure."""
-    d_true = scenario.d
-    d_vec_true = scenario.d_vec
-
-    if tag == "MV":
-        est = distest.mvue_async(distest.DelayDiffSet.from_observations(observations))
-        return est.d_hat - d_true
-    if tag == "SO":
-        pairing = assoc.associate_by_sorting(scrambled, scrambled)
-        paired = assoc.apply_assignment(scrambled, scrambled, pairing)
-        est = distest.mvue_async(distest.DelayDiffSet.from_observations(paired))
-        return est.d_hat - d_true
-    if tag == "NA":
-        groups = _groups(scrambled)
-        tau_a = [[ob.tau_a_meas for ob in g] for g in groups.values()]
-        tau_b = [[ob.tau_b_meas for ob in g] for g in groups.values()]
-        model = (ErrorModel(kind="gaussian", sigma_per_mpc=cfg.sigma)
-                 if cfg.sigma > 0 else ErrorModel(kind="none"))
-        est = distest.mle_async_noassoc(tau_a, tau_b, model)
-        return est.d_hat - d_true
-
-    if tag in ("DDN", "TNA"):
-        # complete permutations: gated pairs stay in (their errors are part
-        # of the association-quality measurement, not excluded trials)
-        pairing = assoc.associate(scrambled, scrambled, force_full=True)
-        inputs = assoc.apply_assignment(scrambled, scrambled, pairing)
-    else:
-        inputs = observations
-
-    if tag in ("DD", "DDN"):
-        est = posest.lse_by_delta(inputs)
-    elif tag == "PWA":
-        est = posest.lse_by_delta_pwa(inputs)
-    else:  # TAU, TNA
-        est = posest.lse_by_tau(inputs)
+    inputs = scrambled if tag in _SCRAMBLED_TAGS else observations
+    if tag in ("SO", "DDN", "TNA"):
+        # DDN/TNA take complete permutations: gated pairs stay in (their
+        # errors are part of the association-quality measurement, not
+        # excluded trials)
+        pairing = (assoc.associate_by_sorting(inputs, inputs) if tag == "SO"
+                   else assoc.associate(inputs, inputs, force_full=True))
+        inputs = assoc.apply_assignment(inputs, inputs, pairing)
+    est = _ESTIMATORS[tag](inputs, cfg)
+    if isinstance(est, distest.DistanceEstimate):
+        return est.d_hat - scenario.d
     if est.condition_number > cfg.cond_gate:
         raise posest.RankDeficient(
             f"condition {est.condition_number:.3g} above the harness gate"
         )
-    return float(np.linalg.norm(est.d_vec - d_vec_true))
+    return float(np.linalg.norm(est.d_vec - scenario.d_vec))
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -257,9 +253,7 @@ def dump_surface(cfg: ExperimentConfig) -> str:
     noise = chansim.NoiseParams(sigma=cfg.sigma, eps=cfg.eps)
     observations = chansim.observe(scenario, noise,
                                    np.random.default_rng([cfg.seed, 1]))
-    model = (ErrorModel(kind="gaussian", sigma_per_mpc=cfg.sigma)
-             if cfg.sigma > 0 else ErrorModel(kind="none"))
-
+    model = _error_model(cfg.sigma)
     diffs = distest.DelayDiffSet.from_observations(observations)
     delta = diffs.stacked
     d_max = max(4.0 * _C * float(np.abs(delta).max()), 1e-3)
@@ -275,10 +269,7 @@ def dump_surface(cfg: ExperimentConfig) -> str:
         vals = distest.loglik_known_assoc(diffs, model,
                                           d_grid[:, None], e_grid[None, :])
     else:
-        groups = _groups(observations)
-        tau_a = [[ob.tau_a_meas for ob in g] for g in groups.values()]
-        tau_b = [[ob.tau_b_meas for ob in g] for g in groups.values()]
-        vals = distest.loglik_no_assoc(tau_a, tau_b, model,
+        vals = distest.loglik_no_assoc(*_delay_groups(observations), model,
                                        d_grid[:, None], e_grid[None, :])
 
     buf = io.StringIO()

@@ -8,6 +8,11 @@ toward the receiving node, which is the sign convention under which
     d = c*tau_b*dir_b - c*tau_a*dir_a
 
 holds exactly for the relative position d = pos_b - pos_a.
+
+MPCs and their observations are grouped by observer in one place,
+``group_by_observer``: observers come in order of first appearance, and
+every per-observer loop in the library (association, delay differences,
+the raw-delay system's offset columns, scrambling) walks them in that order.
 """
 
 from __future__ import annotations
@@ -36,6 +41,15 @@ def unit(v) -> np.ndarray:
 def is_unit(v, tol: float = _UNIT_TOL) -> bool:
     """Whether ``v`` has Euclidean norm 1 within ``tol``."""
     return abs(np.linalg.norm(np.asarray(v, dtype=float)) - 1.0) <= tol
+
+
+def group_by_observer(items) -> dict:
+    """Items (MPCs or observations) grouped by ``observer_id``: a dict of
+    lists, observers in order of first appearance, items in input order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(item.observer_id, []).append(item)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -94,17 +108,10 @@ class Scenario:
 
     @property
     def observer_ids(self) -> list:
-        seen = []
-        for m in self.mpcs:
-            if m.observer_id not in seen:
-                seen.append(m.observer_id)
-        return seen
+        return list(group_by_observer(self.mpcs))
 
     def k_per_observer(self) -> dict:
-        counts: dict = {}
-        for m in self.mpcs:
-            counts[m.observer_id] = counts.get(m.observer_id, 0) + 1
-        return counts
+        return {o: len(g) for o, g in group_by_observer(self.mpcs).items()}
 
     def validate(self, tol: float = 1e-9) -> None:
         """Check every MPC against the vector identity and the delay bound."""

@@ -4,7 +4,8 @@ The distance estimators score a hypothesis (d, eps) by how well every
 delay difference fits the admissible band [-d/c, d/c] after removing the
 clock offset.  The per-MPC factor is F(x + d/c) - F(x - d/c) with F the
 CDF of the measurement error; with no error it degenerates to a hard
-set-membership indicator.
+set-membership indicator.  That factor has one body, ``ErrorModel.factors``,
+which ``soft_indicator`` and both likelihoods in ``distest`` evaluate.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ class ErrorModel:
             raise InvalidParams(f"sigma_per_mpc has {sig.size} entries for {k} MPCs")
         return np.broadcast_to(sig, (k,))
 
+    def factors(self, x, half, sigma=None) -> np.ndarray:
+        """Per-MPC factor of residuals ``x`` for half-widths ``half`` = d/c:
+        ``F(x + half) - F(x - half)`` with F the normal CDF of std ``sigma``
+        (broadcasting), clipped to [0, 1] because ``ndtr`` is not monotone in
+        its last bits; for ``none`` the hard indicator ``|x| <= half``."""
+        if self.kind == "none":
+            return (np.abs(x) <= half).astype(float)
+        return np.clip(ndtr((x + half) / sigma) - ndtr((x - half) / sigma), 0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -76,16 +86,12 @@ def soft_indicator(x: float, d_hyp: float, model: ErrorModel, mpc_index: int = 0
     a node distance ``d_hyp``.
 
     Gaussian model: ``F(x + d_hyp/c) - F(x - d_hyp/c)``; ``none``: the hard
-    indicator of ``|c*x| <= d_hyp``.  Accepts numpy broadcasting in ``x``
-    and ``d_hyp``.
+    indicator of ``|c*x| <= d_hyp`` (both from ``ErrorModel.factors``).
+    Accepts numpy broadcasting in ``x`` and ``d_hyp``.
     """
     x = np.asarray(x, dtype=float)
     half = np.asarray(d_hyp, dtype=float) / SPEED_OF_LIGHT
-    if model.kind == "none":
-        out = (np.abs(x) <= half).astype(float)
-    else:
-        s = model.sigma_for(mpc_index)
-        out = ndtr((x + half) / s) - ndtr((x - half) / s)
+    out = model.factors(x, half, model.sigma_for(mpc_index) if model.kind == "gaussian" else None)
     return out if out.ndim else float(out)
 
 

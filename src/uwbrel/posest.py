@@ -3,6 +3,10 @@
 All solvers work in length units internally (clock unknowns scaled by c)
 so the stacked systems stay well-conditioned, use orthogonal-factorization
 least squares, and report the condition number of their normal matrix.
+The three delay-difference estimators (``lse_by_delta``, ``lse_by_delta_pwa``,
+``gls_by_delta``) are fixed modes of one solver, ``_solve_by_delta``; it and
+``lse_by_tau`` turn their solution into a ``PositionEstimate`` through one
+builder, ``_estimate``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntiparallelDirections, InvalidParams, NotPositiveDefinite, RankDeficient
-from .geom import SPEED_OF_LIGHT
+from .geom import SPEED_OF_LIGHT, group_by_observer
 
 _C = SPEED_OF_LIGHT
 _ANTIPARALLEL_EPS = 1e-6
@@ -93,32 +97,56 @@ def _lstsq_checked(A: np.ndarray, b: np.ndarray, cond_limit: float):
     return x, cond
 
 
+def _estimate(x: np.ndarray, cond: float, method: str) -> PositionEstimate:
+    """Position, A-B offset and any per-observer offsets from a solution in
+    length units, [d; c*eps; c*eps_a...]."""
+    return PositionEstimate(
+        d_vec=x[:3], eps_hat=float(x[3]) / _C,
+        eps_a_hats=tuple(float(v) / _C for v in x[4:]),
+        method=method, condition_number=cond,
+    )
+
+
+def _solve_by_delta(observations, method: str, cond_limit: float,
+                    error_mean=None, error_cov=None) -> PositionEstimate:
+    """The delay-difference solver behind ``method``: ``lse_by_delta``,
+    ``lse_by_delta_pwa`` (s_k = dir_a) or ``gls_by_delta`` (diffs less
+    ``error_mean``, both sides whitened by the Cholesky factor of
+    ``error_cov``)."""
+    gls = method == "gls_by_delta"
+    if len(observations) < 4:
+        raise RankDeficient(f"delay-difference {'GLS' if gls else 'LSE'} needs K >= 4")
+    sys_ = build_diff_system(observations, pwa=method == "lse_by_delta_pwa")
+    A, b = sys_.E.T, _C * sys_.delta
+    if gls:
+        k = sys_.delta.size
+        mu = np.broadcast_to(np.asarray(error_mean, dtype=float), (k,))
+        cov = np.asarray(error_cov, dtype=float)
+        if cov.shape != (k, k):
+            raise InvalidParams("error_cov must be K x K")
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite("error covariance is not positive definite") from exc
+        # whiten: solve L^-1 applied to both sides
+        A = np.linalg.solve(chol, A)
+        b = np.linalg.solve(chol, _C * (sys_.delta - mu))
+    x, cond = _lstsq_checked(A, b, cond_limit)
+    return _estimate(x, cond, method)
+
+
 def lse_by_delta(observations, cond_limit: float = COND_LIMIT) -> PositionEstimate:
     """Least-squares relative position from delay differences.
 
     Solves [d; c*eps] against c*delta over columns [s_k; 1].  Needs K >= 4;
     exact on noise-free consistent data.
     """
-    if len(observations) < 4:
-        raise RankDeficient("delay-difference LSE needs K >= 4")
-    sys_ = build_diff_system(observations, pwa=False)
-    x, cond = _lstsq_checked(sys_.E.T, _C * sys_.delta, cond_limit)
-    return PositionEstimate(
-        d_vec=x[:3], eps_hat=float(x[3]) / _C,
-        method="lse_by_delta", condition_number=cond,
-    )
+    return _solve_by_delta(observations, "lse_by_delta", cond_limit)
 
 
 def lse_by_delta_pwa(observations, cond_limit: float = COND_LIMIT) -> PositionEstimate:
     """Delay-difference LSE under the plane-wave assumption (s_k = dir_a)."""
-    if len(observations) < 4:
-        raise RankDeficient("delay-difference LSE needs K >= 4")
-    sys_ = build_diff_system(observations, pwa=True)
-    x, cond = _lstsq_checked(sys_.E.T, _C * sys_.delta, cond_limit)
-    return PositionEstimate(
-        d_vec=x[:3], eps_hat=float(x[3]) / _C,
-        method="lse_by_delta_pwa", condition_number=cond,
-    )
+    return _solve_by_delta(observations, "lse_by_delta_pwa", cond_limit)
 
 
 def gls_by_delta(observations, error_mean, error_cov,
@@ -129,38 +157,15 @@ def gls_by_delta(observations, error_mean, error_cov,
     ``error_cov`` (seconds^2, K x K, positive definite) whitens them; with
     isotropic covariance and zero mean this reduces exactly to lse_by_delta.
     """
-    if len(observations) < 4:
-        raise RankDeficient("delay-difference GLS needs K >= 4")
-    sys_ = build_diff_system(observations, pwa=False)
-    k = sys_.delta.size
-    mu = np.broadcast_to(np.asarray(error_mean, dtype=float), (k,))
-    cov = np.asarray(error_cov, dtype=float)
-    if cov.shape != (k, k):
-        raise InvalidParams("error_cov must be K x K")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("error covariance is not positive definite") from exc
-    # whiten: solve L^-1 applied to both sides
-    A = np.linalg.solve(chol, sys_.E.T)
-    b = np.linalg.solve(chol, _C * (sys_.delta - mu))
-    x, cond = _lstsq_checked(A, b, cond_limit)
-    return PositionEstimate(
-        d_vec=x[:3], eps_hat=float(x[3]) / _C,
-        method="gls_by_delta", condition_number=cond,
-    )
+    return _solve_by_delta(observations, "gls_by_delta", cond_limit, error_mean, error_cov)
 
 
 def build_tau_system(observations) -> StackedTauSystem:
     """Stack the raw-delay system with shared and per-observer offset columns."""
     if not observations:
         raise InvalidParams("no observations")
-    observers = []
-    for ob in observations:
-        if ob.observer_id not in observers:
-            observers.append(ob.observer_id)
-    m = len(observers)
-    col_of = {o: i for i, o in enumerate(observers)}
+    col_of = {o: i for i, o in enumerate(group_by_observer(observations))}
+    m = len(col_of)
     k = len(observations)
     G = np.zeros((3 * k, 4 + m))
     t = np.zeros(3 * k)
@@ -181,15 +186,10 @@ def lse_by_tau(observations, cond_limit: float = COND_LIMIT) -> PositionEstimate
     direction errors through the (dir_b - dir_a) columns.
     """
     sys_ = build_tau_system(observations)
-    m = sys_.G.shape[1] - 4
     if sys_.G.shape[0] < sys_.G.shape[1]:
         raise RankDeficient("raw-delay LSE needs 3K >= 4 + M")
     x, cond = _lstsq_checked(sys_.G, sys_.t, cond_limit)
-    return PositionEstimate(
-        d_vec=x[:3], eps_hat=float(x[3]) / _C,
-        eps_a_hats=tuple(float(v) / _C for v in x[4:4 + m]),
-        method="lse_by_tau", condition_number=cond,
-    )
+    return _estimate(x, cond, "lse_by_tau")
 
 
 def lse_by_tau_sync(observations) -> PositionEstimate:

@@ -168,6 +168,33 @@ class TestScramble:
             assert c / n == pytest.approx(1 / 6, abs=0.02 / 6 + 3 * np.sqrt(5 / 36 / n))
 
 
+    def test_interleaved_observers_keep_their_positions(self):
+        obs = self._obs([3, 3])
+        interleaved = [obs[i] for i in (0, 3, 1, 4, 2, 5)]
+        scrambled, perms = scramble_association(interleaved, 11)
+        groups = {0: interleaved[0::2], 1: interleaved[1::2]}
+        for i, ob in enumerate(scrambled):
+            o, slot = interleaved[i].observer_id, i // 2
+            assert (ob.observer_id, ob.mpc_id) == (o, interleaved[i].mpc_id)
+            assert ob.tau_a_meas == interleaved[i].tau_a_meas
+            assert ob.tau_b_meas == groups[o][perms[o][slot]].tau_b_meas
+
+
+class TestObservationInput:
+    @pytest.mark.parametrize("side", ["tau_a_meas", "tau_b_meas"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delay_rejected(self, side, bad):
+        delays = {"tau_a_meas": 20e-9, "tau_b_meas": 21e-9, side: bad}
+        with pytest.raises(InvalidParams, match="finite"):
+            MpcObservation(dir_a_meas=[1.0, 0.0, 0.0], dir_b_meas=[0.0, 1.0, 0.0], **delays)
+
+    @pytest.mark.parametrize("tau", [0.0, -35e-9])
+    def test_zero_and_negative_delays_accepted(self, tau):
+        ob = MpcObservation(tau_a_meas=tau, tau_b_meas=tau, dir_a_meas=[1.0, 0.0, 0.0],
+                            dir_b_meas=[0.0, 1.0, 0.0])
+        assert ob.tau_a_meas == ob.tau_b_meas == tau
+
+
 class TestCsv:
     def test_header_and_rows(self):
         s = sample_scenario(2.0, SvParams(), 2, [2, 2], 0)

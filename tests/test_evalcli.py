@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from uwbrel import distest, posest
 from uwbrel.errors import ConfigError
 from uwbrel.evalcli import (
     ExperimentConfig,
@@ -72,6 +73,26 @@ class TestRunSweep:
         quiet = run_sweep(tiny_cfg(sigma=0.0, trials=300, estimators=("MV",)))
         loud = run_sweep(tiny_cfg(sigma=1e-9, trials=300, estimators=("MV",)))
         assert quiet.lookup(2.0, "MV")["rmse_m"] < loud.lookup(2.0, "MV")["rmse_m"]
+
+
+    def test_estimators_looked_up_at_each_call(self, monkeypatch):
+        # a tracer patches module attributes: the sweep must call whatever
+        # the attribute holds when the trial runs, not a function bound at import
+        calls = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(posest, "lse_by_delta")
+        counting(posest, "lse_by_tau")
+        counting(distest, "mvue_async")
+        run_sweep(tiny_cfg(trials=3, estimators=("MV", "SO", "DD", "DDN", "TAU", "TNA")))
+        assert calls == {"mvue_async": 6, "lse_by_delta": 6, "lse_by_tau": 6}
 
 
 class TestSurface:

@@ -14,10 +14,14 @@ import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
 
+from uwbrel import assoc, chansim, distest, posest
+from uwbrel.errors import UwbrelError
 from uwbrel.evalcli import (ExperimentConfig, _calibrate_csv, calibrate, dump_surface,
                             main, run_sweep)
+from uwbrel.likelihood import ErrorModel, soft_indicator
 
 
 def _sha(text: str) -> str:
@@ -35,6 +39,61 @@ def _cli_stdout(argv):
     with contextlib.redirect_stdout(buf):
         assert main(argv) == 0
     return buf.getvalue()
+
+
+def _outcome(fn, *args, **kwargs) -> str:
+    """``repr`` of a result (arrays as lists, so every bit shows), or the
+    name of the library error it raised."""
+    try:
+        out = fn(*args, **kwargs)
+    except UwbrelError as exc:
+        return type(exc).__name__
+    if isinstance(out, posest.PositionEstimate):
+        return repr((out.d_vec.tolist(), out.eps_hat, out.eps_a_hats, out.method,
+                     out.condition_number))
+    if isinstance(out, np.ndarray):
+        return repr(out.tolist())
+    return repr(out)
+
+
+def _library_results() -> str:
+    """Public functions that no CLI run reaches, at fixed seeds."""
+    lines = []
+    sigma = 0.2e-9
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 7])
+        scenario = chansim.sample_scenario(2.0, chansim.SvParams(), 3, [4, 4, 4], rng)
+        noise = chansim.NoiseParams(sigma=sigma, sigma_dir=np.radians(2.0), eps=5e-9,
+                                    eps_a_per_observer=(10e-9, 40e-9, 70e-9))
+        obs = chansim.observe(scenario, noise, rng)
+        scrambled, _ = chansim.scramble_association(obs, rng)
+        diffs = distest.DelayDiffSet.from_observations(obs)
+        per_mpc = ErrorModel(sigma_per_mpc=sigma * (1.0 + 0.1 * np.arange(12)))
+        k = len(obs)
+        cov_root = rng.normal(size=(k, k)) * 1e-10
+        cov = cov_root @ cov_root.T + np.eye(k) * sigma ** 2
+        cfg = assoc.AssocConfig()
+        mu_a = float(np.mean([ob.tau_a_meas for ob in obs[:4]]))
+        mu_b = float(np.mean([ob.tau_b_meas for ob in obs[:4]]))
+        x = rng.normal(size=7) * 1e-9
+        lines += [
+            _outcome(distest.mle_async_noiseless, diffs),
+            _outcome(distest.mle_sync, diffs),
+            _outcome(distest.mvue_sync, diffs),
+            _outcome(distest.mle_async_gaussian, diffs, ErrorModel(sigma_per_mpc=sigma)),
+            _outcome(distest.mle_async_gaussian, diffs, per_mpc),
+            _outcome(posest.gls_by_delta, obs, rng.normal(size=k) * 1e-10, cov),
+            _outcome(posest.lse_by_tau_sync, obs),
+            *(_outcome(assoc.pair_cost, obs[i], scrambled[j], cfg, mu_a, mu_b)
+              for i in range(4) for j in range(4)),
+            _outcome(lambda: assoc.associate(scrambled, scrambled).total_cost),
+            _outcome(lambda: assoc.associate(scrambled, scrambled, force_full=True).total_cost),
+            _outcome(soft_indicator, x, 0.5, ErrorModel(sigma_per_mpc=sigma)),
+            _outcome(soft_indicator, x, np.linspace(0.0, 3.0, 7), per_mpc, mpc_index=seed),
+            _outcome(soft_indicator, x, 0.3, ErrorModel(kind="none")),
+            _outcome(soft_indicator, float(x[0]), 0.3, ErrorModel(sigma_per_mpc=sigma)),
+        ]
+    return "\n".join(lines) + "\n"
 
 
 RUNS = {
@@ -66,18 +125,29 @@ RUNS = {
         ["scenario-dump", "--d", "3", "--sigma-dir-deg", "5", "--seed", "4"]),
     "calibrate_small": lambda: _calibrate_csv(calibrate(ExperimentConfig(
         sweep="calibrate", calib_samples=4000, seed=6))),
+    "mpc_count_sweep": lambda: run_sweep(ExperimentConfig(
+        sweep="mpc_count", d=(2.0,), sigma=0.2e-9, m_observers=1,
+        k_per_observer=(2, 3, 4, 5, 6), trials=15, seed=8,
+        estimators=("MV", "DD", "TAU"))).to_csv(),
+    "surface_known_hard": lambda: dump_surface(ExperimentConfig(
+        sweep="surface", d=(2.5,), sigma=0.0, surface_kind="known",
+        surface_scenario="canonical", grid_steps=60)),
+    "library_results": _library_results,
 }
 
 GOLDEN = {
     "calibrate_small": "dce4bd4e81a7dea24e83c9c1d941d0c5e3c7c0c94cc23e6ebace17fb9b2dcf1d",
     "direction_error_sweep": "d1a70e60d09c253db172cb7850e59fd7ddfedb0d6ccb1203e1b6aae25697478f",
     "distance_closed_forms": "64941fb25159d9ebfc84924344ccd0f3b1af32546963140c06a46d38aa92a4cb",
+    "library_results": "dca451941369485fba2ee10261bfc3efee12345a2380d643a086a0ef462d8440",
+    "mpc_count_sweep": "3f0a097d7ba1136f2b9465d61f96d1141b7f65cbbcbc657fcb063bc23f9da2b3",
     "na_gaussian_3x4": "f92ae017a046f00e53f027fcbf7f5239d514b4617cf9bdcf8c89008a7c8d8e09",
     "na_hard_k7_seed0": "b571d1835fcb939eeea31acc8616f8c2a5c9a4a33d51e9c3fd3a21baafe56098",
     "na_hard_k7_seed1": "4d7a3f9e19df77afbc24cf35e10b925fbcb0e7722be5cf3610a4c50913208178",
     "na_hard_k7_seed2": "50511a07277787badff8354214c8e4af2c25025318186b2d1c294cd7458866d4",
     "scenario_dump_direction_noise": "4af44246542465bddec507cd99f79d507b714a64af3ea7a132cb1bdd77574207",
     "surface_known_gaussian": "455f180792292ea5be1b6169757e1c3405f70b79b16b79d4b532fce6e6ace55f",
+    "surface_known_hard": "c3ad0dad123389653bf9a892143dd905283e7a52521f7956038665f82265fd51",
     "surface_noassoc_gaussian": "cba59922c7101955a2a58f8f3f695a6b6d625ca2c53089308060826ac2e06740",
     "surface_noassoc_hard": "64e2a0a56dc664f3bbd9e5f1674b15b9098fda8fd1f9a87551e7d6244c4d74f5",
 }
