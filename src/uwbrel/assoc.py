@@ -145,8 +145,12 @@ def associate_by_sorting(obs_a, obs_b) -> Assignment:
 def apply_assignment(obs_a, obs_b, assignment: Assignment) -> list:
     """Merge matched pairs into observations carrying A-side fields from
     ``obs_a`` and B-side fields from the assigned partner in ``obs_b``.
-    Unmatched A-side MPCs are dropped."""
+    Unmatched A-side MPCs are dropped.  An assignment naming an observer
+    that either side lacks raises InvalidParams."""
     groups_a = group_by_observer(obs_a)
     groups_b = group_by_observer(obs_b)
+    missing = [o for o in assignment.permutation if o not in groups_a or o not in groups_b]
+    if missing:
+        raise InvalidParams(f"assignment names observers {missing} that obs_a or obs_b lacks")
     return [join_sides(groups_a[o][k], groups_b[o][l])
             for o, perm in assignment.permutation.items() for k, l in enumerate(perm) if l >= 0]

@@ -9,7 +9,9 @@ scores every candidate of an observer in one call to it.  The
 unknown-association likelihood has one body, ``_noassoc_kernel``: it is
 compiled once per estimate from the cross differences and evaluates its
 (d, eps) points in fixed-size blocks; ``loglik_no_assoc`` validates the
-delays and delegates to it.
+delays and delegates to it.  The grid scan evaluates it batch-last; the
+simplex refinement evaluates its points through the kernel's pointwise
+form, which sums every point's permanents as if it were evaluated alone.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ def _permutation_index(n: int) -> np.ndarray:
     return flat
 
 
-def permanent(mats):
+def permanent(mats, pointwise=False):
     """Exact permanents over the last two axes of ``mats`` (..., n, n).
 
     Direct permutation enumeration up to 6x6 (no cancellation, exact for
@@ -193,16 +195,22 @@ def permanent(mats):
     gathered through a cached index into (..., n!, n, last batch axis), so
     numpy multiplies each permutation's n entries and adds the n! products
     in order, element by element along the last batch axis (a lone matrix
-    sums its products pairwise).  Beyond 6x6, Ryser's formula in the
+    sums its products pairwise).  With ``pointwise`` the gather is
+    (..., n!, n) and every matrix sums its products pairwise, as a lone
+    matrix does, whatever the batch.  Beyond 6x6, Ryser's formula in the
     Gray-code form of Nijenhuis & Wilf, where each step adds or subtracts
-    one column from the running row sums.  Both are exact on 0/1 matrices.
-    A 2-D input returns a float.
+    one column from the running row sums; it gives every matrix the bits
+    of the lone matrix either way.  Both are exact on 0/1 matrices.  A 2-D
+    input returns a float.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim < 2 or mats.shape[-2] != mats.shape[-1]:
         raise InvalidParams("permanent needs square matrices over the last two axes")
     n = mats.shape[-1]
-    if n <= 6:
+    if n <= 6 and pointwise:
+        rows = np.ascontiguousarray(mats).reshape(mats.shape[:-2] + (n * n,))
+        out = np.take(rows, _permutation_index(n), axis=-1).prod(axis=-1).sum(axis=-1)
+    elif n <= 6:
         rows = mats.reshape((mats.shape[:-2] or (1,)) + (n * n,))
         entries = np.swapaxes(rows, -1, -2)                        # (..., n*n, last batch axis)
         out = np.take(entries, _permutation_index(n), axis=-2).prod(axis=-2).sum(axis=-2)
@@ -241,14 +249,18 @@ def _cross_diffs(tau_a_groups, tau_b_groups):
 
 
 def _noassoc_kernel(cross, model: ErrorModel):
-    """The association-free log-likelihood of fixed cross differences, as a
-    function ``loglik(d, eps)`` that broadcasts over ``d`` and ``eps``.
+    """The association-free log-likelihood of fixed cross differences, as
+    two functions of (d, eps): ``loglik``, which broadcasts over ``d`` and
+    ``eps``, and ``each``, which takes 1-D points and gives every one the
+    bits ``loglik`` gives it alone.
 
     Observers of equal size share one (n_obs, n, n) cross-difference stack
     and one (n_obs, n) sigma stack, both built here once.  Points are
     evaluated ``_BLOCK`` at a time in a batch-last (n_obs, n, n, points)
     layout, with one ``permanent`` call per size; the per-observer log
-    terms are added in observer order.
+    terms are added in observer order.  The batch-last permanent adds the
+    n! products of many points in another order than those of one point,
+    so ``each`` asks it for pointwise sums.
     """
     sizes = [m.shape[0] for m in cross]
     k_total = sum(sizes)
@@ -262,27 +274,27 @@ def _noassoc_kernel(cross, model: ErrorModel):
             [sig[first_row[o]:first_row[o] + n] for o in obs])[:, :, None, None]
         groups.append((obs, stack, s))
 
-    def block(dd, ee):
+    def block(dd, ee, pointwise):
         half = np.maximum(dd, _D_FLOOR) / _C
         permanents = np.empty((len(cross), dd.size))
         for obs, stack, s in groups:
             x = stack - ee  # [o, k, l, p] = tau_b[l] - tau_a[k] - eps_p
             factors = model.factors(x, half, s)  # s: one sigma per A-side MPC (row)
-            permanents[obs] = permanent(factors.transpose(0, 3, 1, 2))
+            permanents[obs] = permanent(factors.transpose(0, 3, 1, 2), pointwise=pointwise)
         ll = -k_total * np.log(np.maximum(dd, _D_FLOOR))
         for term in _log0(permanents):  # observer by observer, in order
             ll = ll + term
         return ll
 
-    def loglik(d, eps):
+    def loglik(d, eps, pointwise=False):
         d, eps = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(eps, dtype=float))
         dd, ee = d.ravel(), eps.ravel()
         out = np.empty(dd.size)
         for i in range(0, dd.size, _BLOCK):
-            out[i:i + _BLOCK] = block(dd[i:i + _BLOCK], ee[i:i + _BLOCK])
+            out[i:i + _BLOCK] = block(dd[i:i + _BLOCK], ee[i:i + _BLOCK], pointwise)
         return out.reshape(d.shape) if d.ndim else float(out[0])
 
-    return loglik
+    return loglik, functools.partial(loglik, pointwise=True)
 
 
 def loglik_no_assoc(tau_a_groups, tau_b_groups, model: ErrorModel, d, eps):
@@ -293,7 +305,8 @@ def loglik_no_assoc(tau_a_groups, tau_b_groups, model: ErrorModel, d, eps):
     1/d^K envelope as the known-association case.  Broadcasts over ``d``
     and ``eps``.  Bad delays or sigmas raise InvalidParams.
     """
-    return _noassoc_kernel(_cross_diffs(tau_a_groups, tau_b_groups), model)(d, eps)
+    loglik, _ = _noassoc_kernel(_cross_diffs(tau_a_groups, tau_b_groups), model)
+    return loglik(d, eps)
 
 
 def _noassoc_candidates(cross):
@@ -362,7 +375,7 @@ def mle_async_noassoc(tau_a_groups, tau_b_groups, model: ErrorModel,
     if cfg is None:
         cfg = _default_config(np.concatenate([m.ravel() for m in cross]))
 
-    objective = _noassoc_kernel(cross, model)
+    objective, each = _noassoc_kernel(cross, model)
 
     # hard-indicator candidates pre-scored on the smooth objective make
     # good starts: the gaussian peaks sit near wedge apexes/intersections
@@ -371,7 +384,7 @@ def mle_async_noassoc(tau_a_groups, tau_b_groups, model: ErrorModel,
     top = np.argsort(scores)[::-1][: max(2, cfg.multistart_count // 2)]
     extra = [(max(float(d_cand[i]), _D_FLOOR), float(e_cand[i])) for i in top]
 
-    d_hat, eps_hat, value = maximize_2d(objective, cfg, extra_starts=extra)
+    d_hat, eps_hat, value = maximize_2d(objective, cfg, extra_starts=extra, each=each)
     return DistanceEstimate(
         d_hat=max(d_hat, 0.0), eps_hat=eps_hat + mid, method="mle_async_noassoc",
         diagnostics={"loglik": value},

@@ -5,7 +5,14 @@ delay difference fits the admissible band [-d/c, d/c] after removing the
 clock offset.  The per-MPC factor is F(x + d/c) - F(x - d/c) with F the
 CDF of the measurement error; with no error it degenerates to a hard
 set-membership indicator.  That factor has one body, ``ErrorModel.factors``,
-which ``soft_indicator`` and both likelihoods in ``distest`` evaluate.
+which ``soft_indicator`` and both likelihoods in ``distest`` evaluate; it
+calls ``ndtr`` only where the result is not already fixed at 0 or 1.
+
+``maximize_2d`` scans a grid and refines its best cells with Nelder-Mead.
+All starts advance in lockstep, so every phase of the simplex method costs
+one objective call for all of them; the steps are those of scipy's
+``minimize(method="Nelder-Mead")``, so the result is the one a loop of
+scipy runs gives.
 """
 
 from __future__ import annotations
@@ -13,11 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import ndtr
 
 from .errors import DegenerateObjective, InvalidParams
 from .geom import SPEED_OF_LIGHT
+
+# Saturation of scipy's ndtr in float64: ndtr(z) == 1.0 for every z >= 8.29237,
+# ndtr(z) == 0.0 for every z <= -37.677 and 1.0 - ndtr(z) == 1.0 for every
+# z <= -8.29236.  The bounds below keep a margin from those edges.
+_Z_HI = 8.5
+_Z_LO = -38.0
 
 
 @dataclass(frozen=True)
@@ -32,8 +44,10 @@ class ErrorModel:
             raise InvalidParams(f"unknown error model kind {self.kind!r}")
         if self.kind == "gaussian":
             sig = np.atleast_1d(np.asarray(self.sigma_per_mpc, dtype=float))
-            if np.any(sig <= 0) or sig.size == 0:
-                raise InvalidParams("gaussian model needs positive sigma_per_mpc")
+            if sig.ndim != 1:
+                raise InvalidParams(f"sigma_per_mpc must be scalar or 1-D, not shape {sig.shape}")
+            if sig.size == 0 or not np.all(np.isfinite(sig)) or np.any(sig <= 0):
+                raise InvalidParams("gaussian model needs positive finite sigma_per_mpc")
             object.__setattr__(self, "sigma_per_mpc", sig)
 
     def sigma_for(self, index: int) -> float:
@@ -56,10 +70,24 @@ class ErrorModel:
         """Per-MPC factor of residuals ``x`` for half-widths ``half`` = d/c:
         ``F(x + half) - F(x - half)`` with F the normal CDF of std ``sigma``
         (broadcasting), clipped to [0, 1] because ``ndtr`` is not monotone in
-        its last bits; for ``none`` the hard indicator ``|x| <= half``."""
+        its last bits; for ``none`` the hard indicator ``|x| <= half``.
+
+        Entries whose arguments lie where ``ndtr`` saturates are set without
+        calling it, to the value the full expression gives there: 0 when
+        the lower end rounds to 1 or the upper one to 0, 1 when the upper
+        end rounds to 1 and the lower one to less than 1's last bit.  An
+        entry with a NaN end goes through ``ndtr`` and stays NaN."""
         if self.kind == "none":
             return (np.abs(x) <= half).astype(float)
-        return np.clip(ndtr((x + half) / sigma) - ndtr((x - half) / sigma), 0.0, 1.0)
+        zp = np.asarray((x + half) / sigma)
+        zm = np.asarray((x - half) / sigma)
+        one = (zp >= _Z_HI) & (zm <= -_Z_HI)
+        zero = ((zm >= _Z_HI) | (zp <= _Z_LO)) & ~np.isnan(zp + zm)
+        out = np.where(one, 1.0, 0.0)
+        live = np.flatnonzero(~(one | zero))
+        np.put(out, live, np.clip(ndtr(zp.ravel().take(live)) - ndtr(zm.ravel().take(live)),
+                                  0.0, 1.0))
+        return out
 
 
 @dataclass(frozen=True)
@@ -95,13 +123,88 @@ def soft_indicator(x: float, d_hyp: float, model: ErrorModel, mpc_index: int = 0
     return out if out.ndim else float(out)
 
 
-def maximize_2d(objective, cfg: OptimizerConfig, extra_starts=()):
+def _nelder_mead(fun, x0, maxiter: int, xatol: float, fatol: float):
+    """Minimize from every row of ``x0`` (S, N) at once by the simplex method
+    of scipy 1.17's ``minimize(method="Nelder-Mead")`` with only ``maxiter``,
+    ``xatol`` and ``fatol`` set (no bounds, not adaptive).
+
+    Each start takes the same steps, comparisons and arithmetic as its own
+    scipy run, so it ends on the same bits; the starts advance in lockstep
+    and ``fun`` maps the (P, N) points of one phase (initial simplex,
+    reflection, second point, shrink) for every start that needs one to a
+    (P,) float array of their values.  Returns the best vertex (S, N), its
+    value (S,) and the number of points evaluated per start (S,).
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n_starts, n = x0.shape
+    sim = np.repeat(np.asarray(x0, dtype=float)[:, None, :], n + 1, axis=1)
+    for k in range(n):
+        y = sim[:, k + 1, k]
+        sim[:, k + 1, k] = np.where(y != 0, (1 + 0.05) * y, 0.00025)
+    fsim = fun(sim.reshape(-1, n)).reshape(n_starts, n + 1)
+    nfev = np.full(n_starts, n + 1)
+    active = np.ones(n_starts, dtype=bool)
+    for _ in range(2):  # scipy sorts the first simplex twice
+        ind = np.argsort(fsim, axis=1)
+        sim, fsim = np.take_along_axis(sim, ind[..., None], 1), np.take_along_axis(fsim, ind, 1)
+
+    iterations = 1
+    while iterations < maxiter:
+        active &= ~((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+                    & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
+        a = np.flatnonzero(active)
+        if a.size == 0:
+            break
+        s, f = sim[a], fsim[a]
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = fun(xr)
+        expand = fxr < f[:, 0]
+        accept = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~accept & (fxr < f[:, -1])
+        inside = ~(expand | accept | outside)
+        x2 = np.where(expand[:, None], (1 + rho * chi) * xbar - rho * chi * worst,
+                      np.where(outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst,
+                               (1 - psi) * xbar + psi * worst))
+        f2 = np.full(a.size, np.nan)
+        if not accept.all():
+            f2[~accept] = fun(x2[~accept])
+        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f[:, -1]))
+        take_r = accept | (expand & ~take2)
+        shrink = (outside | inside) & ~take2
+        s[:, -1] = np.where(take2[:, None], x2, np.where(take_r[:, None], xr, worst))
+        f[:, -1] = np.where(take2, f2, np.where(take_r, fxr, f[:, -1]))
+        if shrink.any():
+            shrunk = s[shrink, :1] + sigma * (s[shrink, 1:] - s[shrink, :1])
+            s[shrink, 1:] = shrunk
+            f[shrink, 1:] = fun(shrunk.reshape(-1, n)).reshape(-1, n)
+        nfev[a] += 1 + ~accept + n * shrink
+        iterations += 1
+        ind = np.argsort(f, axis=1)
+        sim[a], fsim[a] = np.take_along_axis(s, ind[..., None], 1), np.take_along_axis(f, ind, 1)
+    return sim[:, 0], fsim.min(axis=1), nfev
+
+
+def maximize_2d(objective, cfg: OptimizerConfig, extra_starts=(), each=None):
     """Maximize ``objective(d, eps)`` by coarse grid scan plus simplex refinement.
 
     The objective must accept numpy-broadcast arrays.  Refinement starts
-    from the best ``multistart_count`` grid cells plus any ``extra_starts``
-    (d, eps) pairs; the result never falls below the best grid value.  Ties
-    break toward the lowest d, then the lowest eps.
+    from any ``extra_starts`` (d, eps) pairs plus the best
+    ``multistart_count`` grid cells; the result never falls below the best
+    grid value.  Ties break toward the lowest d, then the lowest eps, and
+    between refined starts toward the earlier one.
+
+    Each start is refined by Nelder-Mead on (d, eps / eps span) with
+    ``maxiter = refine_iters``, ``xatol = tolerance / 10`` and
+    ``fatol = 1e-12``, minimizing the negated objective (1e300 where it is
+    not finite).  The starts advance in lockstep, and each phase evaluates
+    its points through one call of ``each(d, eps)`` on 1-D arrays
+    (default: ``objective``).  When every point of such a call gets the
+    bits ``objective`` gives it alone, each start ends where
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` on the scalar
+    objective ends; an objective whose arithmetic depends on the batch
+    passes an ``each`` that keeps that promise.
 
     Returns ``(d, eps, value)``.  Raises DegenerateObjective when every grid
     cell evaluates to zero probability (-inf log-likelihood).
@@ -125,24 +228,22 @@ def maximize_2d(objective, cfg: OptimizerConfig, extra_starts=()):
     best_idx = int(np.argmax(flat))
     best = (float(d_grid[best_idx // len(e_grid)]), float(e_grid[best_idx % len(e_grid)]),
             float(flat[best_idx]))
+    if not starts:
+        return best
 
     # refine on a conditioned scale: eps in units of the grid span
     e_span = max(e_hi - e_lo, 1e-12)
+    evaluate = objective if each is None else each
 
     def neg(z):
-        v = objective(float(z[0]), float(z[1]) * e_span)
-        return -float(v) if np.isfinite(v) else 1e300
+        v = np.asarray(evaluate(z[:, 0], z[:, 1] * e_span), dtype=float)
+        return np.where(np.isfinite(v), -v, 1e300)
 
-    for d0, e0 in starts:
-        res = minimize(
-            neg, [d0, e0 / e_span], method="Nelder-Mead",
-            options={
-                "maxiter": int(cfg.refine_iters),
-                "xatol": cfg.tolerance / 10.0,
-                "fatol": 1e-12,
-            },
-        )
-        cand = (float(res.x[0]), float(res.x[1]) * e_span, float(-res.fun))
+    x0 = np.array(starts, dtype=float)
+    x0[:, 1] /= e_span
+    xs, funs, _ = _nelder_mead(neg, x0, int(cfg.refine_iters), cfg.tolerance / 10.0, 1e-12)
+    for (d, e), fun in zip(xs, funs):
+        cand = (float(d), float(e) * e_span, float(-fun))
         if cand[2] > best[2]:
             best = cand
     return best

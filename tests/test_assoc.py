@@ -188,3 +188,13 @@ class TestApplyAssignment:
         for row, (k, l) in zip(merged, out.pairs(0)):
             assert row.tau_a_meas == ga[k].tau_a_meas
             assert row.tau_b_meas == gb[l].tau_b_meas
+
+    def test_observer_missing_from_a_side_raises(self):
+        rng = np.random.default_rng(13)
+        both = sample_scenario(2.0, SvParams(), 2, [3, 3], rng)
+        full = observe(both, NoiseParams(sigma=0.2e-9), rng)
+        assignment = associate(full, full)
+        for obs_a, obs_b in ((full, full[:3]), (full[:3], full)):
+            with pytest.raises(InvalidParams, match="obs_a or obs_b lacks"):
+                apply_assignment(obs_a, obs_b, assignment)
+        assert len(apply_assignment(full, full, assignment)) == 6

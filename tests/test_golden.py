@@ -19,8 +19,8 @@ import pytest
 
 from uwbrel import assoc, chansim, distest, posest
 from uwbrel.errors import UwbrelError
-from uwbrel.evalcli import (ExperimentConfig, _calibrate_csv, calibrate, dump_surface,
-                            main, run_sweep)
+from uwbrel.evalcli import (ExperimentConfig, _calibrate_csv, _delay_groups, calibrate,
+                            dump_surface, main, run_sweep)
 from uwbrel.likelihood import ErrorModel, soft_indicator
 
 
@@ -96,6 +96,25 @@ def _library_results() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _na_gaussian_wide_sigma() -> str:
+    """Gaussian NA on two 3 x 4 trials with errors as wide as the delay
+    spread.  Most of each permanent's n! products are then neither 0 nor 1,
+    so a change in the order they are summed moves the last bits of the
+    refined log-likelihood, which the full ``repr`` shows and a CSV's nine
+    digits do not."""
+    sigma = 2e-9
+    lines = []
+    for trial in range(2):
+        rng = np.random.default_rng([trial, 11])
+        scenario = chansim.sample_scenario(2.0, chansim.SvParams(), 3, [4, 4, 4], rng)
+        obs = chansim.observe(scenario, chansim.NoiseParams(sigma=sigma, eps=5e-9), rng)
+        scrambled, _ = chansim.scramble_association(obs, rng)
+        tau_a, tau_b = _delay_groups(scrambled)
+        lines.append(_outcome(distest.mle_async_noassoc, tau_a, tau_b,
+                              ErrorModel(sigma_per_mpc=sigma)))
+    return "\n".join(lines) + "\n"
+
+
 RUNS = {
     "na_hard_k7_seed0": lambda: run_sweep(_na_hard_k7(0)).to_csv(),
     "na_hard_k7_seed1": lambda: run_sweep(_na_hard_k7(1)).to_csv(),
@@ -133,6 +152,7 @@ RUNS = {
         sweep="surface", d=(2.5,), sigma=0.0, surface_kind="known",
         surface_scenario="canonical", grid_steps=60)),
     "library_results": _library_results,
+    "na_gaussian_3x4_wide_sigma": _na_gaussian_wide_sigma,
 }
 
 GOLDEN = {
@@ -142,6 +162,7 @@ GOLDEN = {
     "library_results": "dca451941369485fba2ee10261bfc3efee12345a2380d643a086a0ef462d8440",
     "mpc_count_sweep": "3f0a097d7ba1136f2b9465d61f96d1141b7f65cbbcbc657fcb063bc23f9da2b3",
     "na_gaussian_3x4": "f92ae017a046f00e53f027fcbf7f5239d514b4617cf9bdcf8c89008a7c8d8e09",
+    "na_gaussian_3x4_wide_sigma": "fa989047876bf1e6abae3a0aa0a5190fd5100a2816114c4c46be5c3719c086a0",
     "na_hard_k7_seed0": "b571d1835fcb939eeea31acc8616f8c2a5c9a4a33d51e9c3fd3a21baafe56098",
     "na_hard_k7_seed1": "4d7a3f9e19df77afbc24cf35e10b925fbcb0e7722be5cf3610a4c50913208178",
     "na_hard_k7_seed2": "50511a07277787badff8354214c8e4af2c25025318186b2d1c294cd7458866d4",

@@ -51,6 +51,15 @@ class TestSoftIndicator:
         with pytest.raises(InvalidParams):
             ErrorModel(kind="weird")
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, [1e-9, np.nan], None])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidParams, match="finite"):
+            ErrorModel(sigma_per_mpc=sigma)
+
+    def test_sigma_of_two_dimensions_rejected(self):
+        with pytest.raises(InvalidParams, match=r"shape \(2, 3\)"):
+            ErrorModel(sigma_per_mpc=np.full((2, 3), 1e-9))
+
     def test_mpc_index_out_of_range(self):
         model = ErrorModel(sigma_per_mpc=[1e-9, 2e-9])
         assert soft_indicator(1e-9, 2.0, model, mpc_index=1) == soft_indicator(
