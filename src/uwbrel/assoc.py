@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .chansim import join_sides
+from .chansim import Observations
 from .errors import InvalidParams
 from .geom import group_by_observer
 
@@ -57,29 +57,29 @@ class Assignment:
         return [(k, int(l)) for k, l in enumerate(perm) if l >= 0]
 
 
-def pair_cost(a, b, cfg: AssocConfig, mu_a: float, mu_b: float) -> float:
-    """Cost of pairing A-side MPC ``a`` with B-side MPC ``b``.
+def pair_cost(a_set, b_set, cfg: AssocConfig, mu_a, mu_b) -> np.ndarray:
+    """Costs of pairing every A-side MPC of ``a_set`` (rows) with every
+    B-side MPC of ``b_set`` (columns), both ``Observations``.
 
-    ``mu_a``/``mu_b`` are the per-observer mean delays; centering by them
-    removes the unknown clock offsets from the delay term.  Returns inf
-    when the direction angle exceeds the gate.
+    ``mu_a``/``mu_b`` are the mean delays of each MPC's observer (scalars,
+    or one per row of the set); centering by them removes the unknown clock
+    offsets from the delay term.  A pair whose direction angle exceeds the
+    gate costs inf.
     """
-    cos_angle = float(np.dot(a.dir_a_meas, b.dir_b_meas))
-    if cos_angle < np.cos(cfg.angle_gate):
-        return float("inf")
-    chord2 = float(np.sum((b.dir_b_meas - a.dir_a_meas) ** 2))
-    delay = (b.tau_b_meas - mu_b) - (a.tau_a_meas - mu_a)
-    return chord2 + cfg.lambda_ ** 2 * delay * delay
-
-
-def _cost_matrix(group_a, group_b, cfg: AssocConfig) -> np.ndarray:
-    mu_a = float(np.mean([ob.tau_a_meas for ob in group_a]))
-    mu_b = float(np.mean([ob.tau_b_meas for ob in group_b]))
-    cost = np.empty((len(group_a), len(group_b)))
-    for k, a in enumerate(group_a):
-        for l, b in enumerate(group_b):
-            cost[k, l] = pair_cost(a, b, cfg, mu_a, mu_b)
+    chord2 = ((b_set.dir_b[None] - a_set.dir_a[:, None]) ** 2).sum(-1)
+    delay = (b_set.tau_b - mu_b)[None, :] - (a_set.tau_a - mu_a)[:, None]
+    cost = chord2 + cfg.lambda_ ** 2 * delay * delay
+    cost[a_set.dir_a @ b_set.dir_b.T < np.cos(cfg.angle_gate)] = np.inf
     return cost
+
+
+def _observer_groups(obs_a, obs_b):
+    """Each side's row indices per observer; both must cover the same observers."""
+    groups_a = group_by_observer(obs_a.observer)
+    groups_b = group_by_observer(obs_b.observer)
+    if set(groups_a) != set(groups_b):
+        raise InvalidParams("A and B sides must cover the same observers")
+    return groups_a, groups_b
 
 
 def associate(obs_a, obs_b, cfg: AssocConfig = None, force_full: bool = False) -> Assignment:
@@ -92,26 +92,27 @@ def associate(obs_a, obs_b, cfg: AssocConfig = None, force_full: bool = False) -
     matched (complete permutations, as an evaluation pipeline may require).
     """
     cfg = cfg or AssocConfig()
-    groups_a = group_by_observer(obs_a)
-    groups_b = group_by_observer(obs_b)
-    if set(groups_a) != set(groups_b):
-        raise InvalidParams("A and B sides must cover the same observers")
-
+    groups_a, groups_b = _observer_groups(obs_a, obs_b)
+    mu_a, mu_b = np.empty(len(obs_a)), np.empty(len(obs_b))
+    for o, rows in groups_a.items():
+        mu_a[rows] = np.mean(obs_a.tau_a[rows])
+        mu_b[groups_b[o]] = np.mean(obs_b.tau_b[groups_b[o]])
+    costs = pair_cost(obs_a, obs_b, cfg, mu_a, mu_b)  # pairs across observers go unused
     permutation, matched = {}, {}
     total = 0.0
     for o in groups_a:
-        ga, gb = groups_a[o], groups_b[o]
-        n = max(len(ga), len(gb))
-        raw = _cost_matrix(ga, gb, cfg)
+        raw = costs[np.ix_(groups_a[o], groups_b[o])]
+        n_a, n_b = raw.shape
+        n = max(n_a, n_b)
         finite = raw[np.isfinite(raw)]
         no_match = max(NO_MATCH_COST, 10.0 * n * float(finite.max()) if finite.size else 0.0)
         cost = np.full((n, n), no_match)
-        cost[: len(ga), : len(gb)] = np.where(np.isfinite(raw), raw, no_match)
+        cost[:n_a, :n_b] = np.where(np.isfinite(raw), raw, no_match)
         rows, cols = linear_sum_assignment(cost)
-        perm = np.full(len(ga), -1, dtype=int)
-        flags = np.zeros(len(ga), dtype=bool)
+        perm = np.full(n_a, -1, dtype=int)
+        flags = np.zeros(n_a, dtype=bool)
         for r, c in zip(rows, cols):
-            if r < len(ga) and c < len(gb) and (force_full or np.isfinite(raw[r, c])):
+            if r < n_a and c < n_b and (force_full or np.isfinite(raw[r, c])):
                 perm[r] = c
                 flags[r] = True
                 if np.isfinite(raw[r, c]):
@@ -123,34 +124,36 @@ def associate(obs_a, obs_b, cfg: AssocConfig = None, force_full: bool = False) -
 
 def associate_by_sorting(obs_a, obs_b) -> Assignment:
     """Rank-pair the delays per observer: i-th smallest A to i-th smallest B."""
-    groups_a = group_by_observer(obs_a)
-    groups_b = group_by_observer(obs_b)
-    if set(groups_a) != set(groups_b):
-        raise InvalidParams("A and B sides must cover the same observers")
-
+    groups_a, groups_b = _observer_groups(obs_a, obs_b)
     permutation, matched = {}, {}
     for o in groups_a:
-        ga, gb = groups_a[o], groups_b[o]
-        if len(ga) != len(gb):
+        tau_a, tau_b = obs_a.tau_a[groups_a[o]], obs_b.tau_b[groups_b[o]]
+        if tau_a.size != tau_b.size:
             raise InvalidParams("sorting association needs equal per-observer counts")
-        rank_a = np.argsort([ob.tau_a_meas for ob in ga], kind="stable")
-        rank_b = np.argsort([ob.tau_b_meas for ob in gb], kind="stable")
-        perm = np.empty(len(ga), dtype=int)
-        perm[rank_a] = rank_b
+        perm = np.empty(tau_a.size, dtype=int)
+        perm[np.argsort(tau_a, kind="stable")] = np.argsort(tau_b, kind="stable")
         permutation[o] = perm
-        matched[o] = np.ones(len(ga), dtype=bool)
+        matched[o] = np.ones(tau_a.size, dtype=bool)
     return Assignment(permutation=permutation, matched=matched, total_cost=0.0)
 
 
-def apply_assignment(obs_a, obs_b, assignment: Assignment) -> list:
-    """Merge matched pairs into observations carrying A-side fields from
-    ``obs_a`` and B-side fields from the assigned partner in ``obs_b``.
-    Unmatched A-side MPCs are dropped.  An assignment naming an observer
-    that either side lacks raises InvalidParams."""
-    groups_a = group_by_observer(obs_a)
-    groups_b = group_by_observer(obs_b)
+def apply_assignment(obs_a, obs_b, assignment: Assignment) -> Observations:
+    """Merge matched pairs into observations carrying A-side columns from
+    ``obs_a`` and B-side columns from the assigned partner in ``obs_b``,
+    observer by observer in the assignment's order.  Unmatched A-side MPCs
+    are dropped.  An assignment naming an observer that either side lacks
+    raises InvalidParams."""
+    groups_a = group_by_observer(obs_a.observer)
+    groups_b = group_by_observer(obs_b.observer)
     missing = [o for o in assignment.permutation if o not in groups_a or o not in groups_b]
     if missing:
         raise InvalidParams(f"assignment names observers {missing} that obs_a or obs_b lacks")
-    return [join_sides(groups_a[o][k], groups_b[o][l])
-            for o, perm in assignment.permutation.items() for k, l in enumerate(perm) if l >= 0]
+    rows_a, rows_b = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for o, perm in assignment.permutation.items():
+        perm = np.asarray(perm, dtype=int)
+        rows_a.append(groups_a[o][perm >= 0])
+        rows_b.append(groups_b[o][perm[perm >= 0]])
+    rows_a, rows_b = np.concatenate(rows_a), np.concatenate(rows_b)
+    return Observations(tau_a=obs_a.tau_a[rows_a], tau_b=obs_b.tau_b[rows_b],
+                        dir_a=obs_a.dir_a[rows_a], dir_b=obs_b.dir_b[rows_b],
+                        observer=obs_a.observer[rows_a])

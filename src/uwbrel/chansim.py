@@ -10,19 +10,23 @@ later.  The fractions below are calibrated so the sampled profile
 reproduces the standard dense-indoor statistics of roughly 40 ns mean
 excess delay and 26 ns RMS delay spread for the default parameters
 (20 ns cluster scale, 10 ns ray scale, 60 ns / 20 ns power decays).
+
+What the nodes measure is one ``Observations`` set: five columns, one row
+per MPC, checked where the set is built.  Per-observer work (clock offsets,
+scrambling) reads those columns through ``geom.group_by_observer``'s index
+arrays, observers in order of first appearance.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DegenerateGeometry, InvalidParams
-from .geom import SPEED_OF_LIGHT, MpcTrue, Scenario, complete_mpc, group_by_observer, is_unit
+from .geom import SPEED_OF_LIGHT, UNIT_TOL, Scenario, complete_mpc, group_by_observer, norms
 
 # Calibrated shape fractions (in units of cluster_mean / ray_mean):
 # dominant-cluster onset = floor + exponential tail; the follow-up cluster
@@ -86,46 +90,52 @@ class NoiseParams:
     eps_a_per_observer: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.sigma < 0 or self.sigma_dir < 0:
-            raise InvalidParams("noise std devs must be nonnegative")
+        if not (0.0 <= self.sigma < np.inf and 0.0 <= self.sigma_dir < np.inf):
+            raise InvalidParams("noise std devs must be finite and nonnegative")
         object.__setattr__(self, "eps_a_per_observer", tuple(self.eps_a_per_observer))
 
 
 @dataclass(frozen=True)
-class MpcObservation:
-    """Measured delays and directions of one MPC at both nodes.
+class Observations:
+    """Measured delays and directions of K MPCs at both nodes, as columns.
 
-    Delays must be finite; zero and negative values are accepted, since a
-    measured delay carries an arbitrary clock offset.
+    ``tau_a``, ``tau_b`` (K,): the delays in seconds that A and B measure;
+    ``dir_a``, ``dir_b`` (K, 3): the unit directions; ``observer`` (K,): the
+    integer id of each MPC's observer.  Construction checks the columns and
+    keeps read-only copies: delays must be finite (zero and negative values
+    are accepted, since a measured delay carries an arbitrary clock offset)
+    and directions unit vectors.  A slice, index array or mask selects rows.
     """
 
-    tau_a_meas: float
-    tau_b_meas: float
-    dir_a_meas: np.ndarray
-    dir_b_meas: np.ndarray
-    observer_id: int = 0
-    mpc_id: int = 0
+    tau_a: np.ndarray
+    tau_b: np.ndarray
+    dir_a: np.ndarray
+    dir_b: np.ndarray
+    observer: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dir_a_meas", np.asarray(self.dir_a_meas, dtype=float))
-        object.__setattr__(self, "dir_b_meas", np.asarray(self.dir_b_meas, dtype=float))
-        if not (math.isfinite(self.tau_a_meas) and math.isfinite(self.tau_b_meas)):
+        if np.size(self.observer) and np.asarray(self.observer).dtype.kind not in "iu":
+            raise InvalidParams("observer ids must be integers")
+        for name in ("tau_a", "tau_b", "dir_a", "dir_b", "observer"):
+            column = np.array(getattr(self, name), int if name == "observer" else float, order="C")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        k = self.observer.shape
+        if (len(k) != 1 or self.tau_a.shape != k or self.tau_b.shape != k
+                or self.dir_a.shape != k + (3,) or self.dir_b.shape != k + (3,)):
+            raise InvalidParams("delays and observer ids need shape (K,), directions (K, 3)")
+        if not (np.isfinite(self.tau_a).all() and np.isfinite(self.tau_b).all()):
             raise InvalidParams("measured delays must be finite")
-        if not (is_unit(self.dir_a_meas) and is_unit(self.dir_b_meas)):
+        if not (np.abs(norms(np.concatenate([self.dir_a, self.dir_b])) - 1.0) <= UNIT_TOL).all():
             raise InvalidParams("measured directions must be unit vectors")
 
+    def __len__(self) -> int:
+        return self.observer.size
 
-def join_sides(a_side: MpcObservation, b_side: MpcObservation) -> MpcObservation:
-    """The A-side delay and direction of ``a_side`` paired with the B-side
-    delay and direction of ``b_side``, under ``a_side``'s observer and MPC ids."""
-    return MpcObservation(
-        tau_a_meas=a_side.tau_a_meas,
-        tau_b_meas=b_side.tau_b_meas,
-        dir_a_meas=a_side.dir_a_meas,
-        dir_b_meas=b_side.dir_b_meas,
-        observer_id=a_side.observer_id,
-        mpc_id=a_side.mpc_id,
-    )
+    def __getitem__(self, rows) -> "Observations":
+        return Observations(tau_a=self.tau_a[rows], tau_b=self.tau_b[rows],
+                            dir_a=self.dir_a[rows], dir_b=self.dir_b[rows],
+                            observer=self.observer[rows])
 
 
 def sample_excess_delays(params: SvParams, count: int, rng_seed) -> np.ndarray:
@@ -163,8 +173,8 @@ def sample_scenario(d: float, params: SvParams, m_observers: int,
     follow from the virtual-source geometry.  Degenerate draws (virtual
     source on node B) are resampled up to 100 times.
     """
-    if d < 0:
-        raise InvalidParams("d must be nonnegative")
+    if not 0.0 <= d < np.inf:
+        raise InvalidParams("d must be finite and nonnegative")
     if m_observers < 1:
         raise InvalidParams("m_observers must be >= 1")
     if np.isscalar(k_per_observer):
@@ -197,24 +207,21 @@ def sample_scenario(d: float, params: SvParams, m_observers: int,
     return Scenario(pos_a=pos_a, pos_b=pos_b, mpcs=tuple(mpcs), c=c)
 
 
-def perturb_direction(rng, direction: np.ndarray, sigma_dir: float) -> np.ndarray:
-    """Rotate ``direction`` by an angle ~ N(0, sigma_dir^2) about a uniformly
-    random in-plane axis (uniform on the error cone)."""
-    if sigma_dir == 0.0:
-        return np.array(direction, dtype=float)
-    u = np.asarray(direction, dtype=float)
-    alpha = rng.normal(0.0, sigma_dir)
-    helper = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+def perturb_direction(directions, alpha, phi) -> np.ndarray:
+    """Rotate every row of ``directions`` (K, 3) by the angle ``alpha[k]``
+    about the in-plane axis at azimuth ``phi[k]``; with alpha ~ N(0,
+    sigma_dir^2) and phi ~ U(0, 2 pi) the result is uniform on the error cone."""
+    u = np.asarray(directions, dtype=float)
+    helper = np.where(np.abs(u[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     e1 = np.cross(u, helper)
-    e1 /= np.linalg.norm(e1)
+    e1 /= norms(e1)[:, None]
     e2 = np.cross(u, e1)
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    axis = np.cos(phi) * e1 + np.sin(phi) * e2
-    out = np.cos(alpha) * u + np.sin(alpha) * axis
-    return out / np.linalg.norm(out)
+    axis = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+    out = np.cos(alpha)[:, None] * u + np.sin(alpha)[:, None] * axis
+    return out / norms(out)[:, None]
 
 
-def observe(scenario: Scenario, noise: NoiseParams, rng_seed) -> list:
+def observe(scenario: Scenario, noise: NoiseParams, rng_seed) -> Observations:
     """Apply the measurement model to a scenario.
 
     Per side, delays get N(0, sigma^2/2) noise plus the relevant clock
@@ -222,48 +229,54 @@ def observe(scenario: Scenario, noise: NoiseParams, rng_seed) -> list:
     are cone-perturbed by sigma_dir.  Association order is preserved.
     """
     rng = _as_rng(rng_seed)
-    m = len(scenario.observer_ids)
-    eps_a = noise.eps_a_per_observer
-    if len(eps_a) == 0:
-        eps_a = (0.0,) * m
-    if len(eps_a) != m:
+    mpcs = scenario.mpcs
+    observer = [m.observer_id for m in mpcs]
+    groups = group_by_observer(observer)
+    eps_a = noise.eps_a_per_observer or (0.0,) * len(groups)
+    if len(eps_a) != len(groups):
         raise InvalidParams("eps_a_per_observer length must equal the observer count")
-    eps_a_by_id = dict(zip(scenario.observer_ids, eps_a))
+    e_a = np.empty(scenario.k_total)
+    for e, rows in zip(eps_a, groups.values()):
+        e_a[rows] = e
 
+    # the scalars are drawn MPC by MPC in the stream's fixed order: tau_a
+    # noise, tau_b noise, then (alpha, phi) for dir_a and for dir_b
     side_sigma = noise.sigma / np.sqrt(2.0)
-    out = []
-    for mpc in scenario.mpcs:
-        e_a = eps_a_by_id[mpc.observer_id]
-        e_b = e_a + noise.eps
-        tau_a = mpc.tau_a + (rng.normal(0.0, side_sigma) if side_sigma > 0 else 0.0) + e_a
-        tau_b = mpc.tau_b + (rng.normal(0.0, side_sigma) if side_sigma > 0 else 0.0) + e_b
-        out.append(MpcObservation(
-            tau_a_meas=tau_a,
-            tau_b_meas=tau_b,
-            dir_a_meas=perturb_direction(rng, mpc.dir_a, noise.sigma_dir),
-            dir_b_meas=perturb_direction(rng, mpc.dir_b, noise.sigma_dir),
-            observer_id=mpc.observer_id,
-            mpc_id=mpc.mpc_id,
-        ))
-    return out
+    draws = np.zeros((scenario.k_total, 6))
+    for row in draws:
+        if side_sigma > 0:
+            row[:2] = rng.normal(0.0, side_sigma), rng.normal(0.0, side_sigma)
+        if noise.sigma_dir > 0:
+            for j in (2, 4):
+                row[j:j + 2] = rng.normal(0.0, noise.sigma_dir), rng.uniform(0.0, 2.0 * np.pi)
+
+    dir_a = np.array([m.dir_a for m in mpcs])
+    dir_b = np.array([m.dir_b for m in mpcs])
+    if noise.sigma_dir > 0:
+        dir_a = perturb_direction(dir_a, draws[:, 2], draws[:, 3])
+        dir_b = perturb_direction(dir_b, draws[:, 4], draws[:, 5])
+    return Observations(
+        tau_a=np.array([m.tau_a for m in mpcs]) + draws[:, 0] + e_a,
+        tau_b=np.array([m.tau_b for m in mpcs]) + draws[:, 1] + (e_a + noise.eps),
+        dir_a=dir_a, dir_b=dir_b, observer=observer,
+    )
 
 
-def scramble_association(observations, rng_seed):
-    """Permute the B-side fields uniformly at random within each observer.
+def scramble_association(observations: Observations, rng_seed):
+    """Permute the B-side columns uniformly at random within each observer.
 
     Returns ``(scrambled, perms)`` where ``perms[o]`` maps scrambled index i
     to the original index ``perms[o][i]`` within observer o's group, for
     scoring reconstructed associations against the truth.
     """
     rng = _as_rng(rng_seed)
-    joined, perms = {}, {}
-    for o, group in group_by_observer(observations).items():
-        perm = rng.permutation(len(group))
-        perms[o] = perm
-        joined[o] = iter([join_sides(a_side, group[src]) for a_side, src in zip(group, perm)])
-    # the i-th joined row of an observer goes where its i-th input row was
-    scrambled = [next(joined[ob.observer_id]) for ob in observations]
-    return scrambled, perms
+    source = np.arange(len(observations))
+    perms = {}
+    for o, rows in group_by_observer(observations.observer).items():
+        perms[o] = rng.permutation(rows.size)
+        source[rows] = rows[perms[o]]
+    return replace(observations, tau_b=observations.tau_b[source],
+                   dir_b=observations.dir_b[source]), perms
 
 
 _CSV_COLUMNS = [
@@ -274,23 +287,18 @@ _CSV_COLUMNS = [
 ]
 
 
-def scenario_csv(scenario: Scenario, observations) -> str:
+def scenario_csv(scenario: Scenario, observations: Observations) -> str:
     """Render a scenario and its observations as CSV (one row per MPC)."""
     if len(observations) != len(scenario.mpcs):
         raise InvalidParams("observation count must match the scenario MPC count")
+    measured = np.column_stack([observations.tau_a, observations.tau_b,
+                                observations.dir_a, observations.dir_b])
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_CSV_COLUMNS)
-    for mpc, ob in zip(scenario.mpcs, observations):
-        w.writerow([
-            mpc.observer_id, mpc.mpc_id,
-            f"{mpc.tau_a:.12e}", f"{mpc.tau_b:.12e}",
-            *(f"{x:.12e}" for x in mpc.dir_a),
-            *(f"{x:.12e}" for x in mpc.dir_b),
-            f"{ob.tau_a_meas:.12e}", f"{ob.tau_b_meas:.12e}",
-            *(f"{x:.12e}" for x in ob.dir_a_meas),
-            *(f"{x:.12e}" for x in ob.dir_b_meas),
-        ])
+    for mpc, row in zip(scenario.mpcs, measured):
+        true = (mpc.tau_a, mpc.tau_b, *mpc.dir_a, *mpc.dir_b)
+        w.writerow([mpc.observer_id, mpc.mpc_id, *(f"{x:.12e}" for x in (*true, *row))])
     return buf.getvalue()
 
 

@@ -55,16 +55,13 @@ class DelayDiffSet:
 
     @classmethod
     def from_observations(cls, observations) -> "DelayDiffSet":
-        return cls(diffs=tuple(np.asarray([ob.tau_b_meas - ob.tau_a_meas for ob in g])
-                               for g in group_by_observer(observations).values()))
+        delta = observations.tau_b - observations.tau_a
+        return cls(diffs=tuple(delta[rows]
+                               for rows in group_by_observer(observations.observer).values()))
 
     @property
     def stacked(self) -> np.ndarray:
         return np.concatenate(self.diffs)
-
-    @property
-    def k_total(self) -> int:
-        return sum(g.size for g in self.diffs)
 
 
 @dataclass(frozen=True)

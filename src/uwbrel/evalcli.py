@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import assoc, chansim, distest, posest
-from .errors import ConfigError, InvalidParams, UwbrelError
+from .errors import ConfigError, UwbrelError
 from .geom import SPEED_OF_LIGHT, Scenario, complete_mpc, group_by_observer
 from .likelihood import ErrorModel
 
@@ -63,8 +63,10 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not self.d or not self.sigma_dir or not self.k_per_observer:
             raise ConfigError("sweep ranges must be nonempty")
-        if self.sigma < 0 or any(s < 0 for s in self.sigma_dir):
-            raise ConfigError("noise levels must be nonnegative")
+        if not all(0.0 <= v < np.inf for v in (*self.d, self.sigma, *self.sigma_dir)):
+            raise ConfigError("distances and noise levels must be finite and nonnegative")
+        if not (np.isfinite(self.eps) and np.isfinite(self.eps_a_max) and self.cond_gate > 0):
+            raise ConfigError("eps and eps_a_max must be finite and cond_gate positive")
         if self.m_observers < 1 or any(k < 1 for k in self.k_per_observer):
             raise ConfigError("observer and MPC counts must be positive")
         bad = [t for t in self.estimators if t not in ESTIMATOR_TAGS]
@@ -74,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError("surface kind must be known or noassoc")
         if self.surface_scenario not in ("canonical", "random"):
             raise ConfigError("surface scenario must be canonical or random")
+        if self.grid_steps < 2 or self.calib_samples < 1:
+            raise ConfigError("grid_steps must be >= 2 and calib_samples >= 1")
 
 
 @dataclass(frozen=True)
@@ -109,10 +113,10 @@ def _error_model(sigma: float) -> ErrorModel:
 
 
 def _delay_groups(observations):
-    """Per-observer A-side and B-side delay lists, observers in order."""
-    groups = group_by_observer(observations).values()
-    return ([[ob.tau_a_meas for ob in g] for g in groups],
-            [[ob.tau_b_meas for ob in g] for g in groups])
+    """Per-observer A-side and B-side delay arrays, observers in order."""
+    groups = group_by_observer(observations.observer).values()
+    return ([observations.tau_a[rows] for rows in groups],
+            [observations.tau_b[rows] for rows in groups])
 
 
 # Each tag's estimator on its (associated) observations.  The estimators are
@@ -285,6 +289,7 @@ def dump_surface(cfg: ExperimentConfig) -> str:
 def calibrate(cfg: ExperimentConfig) -> dict:
     """Empirical mean excess delay and RMS spread of the channel sampler,
     checked against the target indoor statistics with 10% bands."""
+    cfg.validate()
     rng = np.random.default_rng([cfg.seed, 99])
     per_call = 4
     n_calls = int(np.ceil(cfg.calib_samples / per_call))
@@ -385,59 +390,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged(args, key: str, file_cfg: dict, default=None):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return file_cfg.get(key, default)
+# (flag or config-file key, ExperimentConfig field, parser of its text)
+_FLAGS = (
+    ("d", "d", _parse_values),
+    ("sigma_ns", "sigma", lambda text: float(text) * 1e-9),
+    ("sigma_dir_deg", "sigma_dir", lambda text: tuple(np.radians(v) for v in _parse_values(text))),
+    ("observers", "m_observers", int),
+    ("mpcs_per_observer", "k_per_observer",
+     lambda text: tuple(int(v) for v in _parse_values(text))),
+    ("eps_ns", "eps", lambda text: float(text) * 1e-9),
+    ("seed", "seed", int),
+    ("out", "output_path", str),
+    ("sweep", "sweep", str),
+    ("trials", "trials", int),
+    ("trials_na", "trials_na", int),
+    ("estimators", "estimators", lambda text: tuple(t.strip().upper() for t in text.split(","))),
+    ("cond_gate", "cond_gate", float),
+    ("kind", "surface_kind", str),
+    ("scenario", "surface_scenario", str),
+    ("grid_steps", "grid_steps", int),
+    ("samples", "calib_samples", lambda text: int(float(text))),
+)
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The flags, else the config file's keys; a value its parser rejects raises ConfigError."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def get(key, default=None):
-        return _merged(args, key, file_cfg, default)
-
-    cfg = ExperimentConfig()
     updates: dict = {}
-    if get("d") is not None:
-        updates["d"] = _parse_values(str(get("d")))
-    if get("sigma_ns") is not None:
-        updates["sigma"] = float(get("sigma_ns")) * 1e-9
-    if get("sigma_dir_deg") is not None:
-        updates["sigma_dir"] = tuple(np.radians(v)
-                                     for v in _parse_values(str(get("sigma_dir_deg"))))
-    if get("observers") is not None:
-        updates["m_observers"] = int(get("observers"))
-    if get("mpcs_per_observer") is not None:
-        updates["k_per_observer"] = tuple(int(v)
-                                          for v in _parse_values(str(get("mpcs_per_observer"))))
-    if get("eps_ns") is not None:
-        updates["eps"] = float(get("eps_ns")) * 1e-9
-    if get("seed") is not None:
-        updates["seed"] = int(get("seed"))
-    if get("out") is not None:
-        updates["output_path"] = str(get("out"))
-    if get("sweep") is not None:
-        updates["sweep"] = str(get("sweep"))
-    if get("trials") is not None:
-        updates["trials"] = int(get("trials"))
-    if get("trials_na") is not None:
-        updates["trials_na"] = int(get("trials_na"))
-    if get("estimators") is not None:
-        updates["estimators"] = tuple(t.strip().upper()
-                                      for t in str(get("estimators")).split(","))
-    if get("cond_gate") is not None:
-        updates["cond_gate"] = float(get("cond_gate"))
-    if get("kind") is not None:
-        updates["surface_kind"] = str(get("kind"))
-    if get("scenario") is not None:
-        updates["surface_scenario"] = str(get("scenario"))
-    if get("grid_steps") is not None:
-        updates["grid_steps"] = int(get("grid_steps"))
-    if get("samples") is not None:
-        updates["calib_samples"] = int(float(get("samples")))
-    return replace(cfg, **updates)
+    for key, name, parse in _FLAGS:
+        text = getattr(args, key, None)
+        if text is None:
+            text = file_cfg.get(key)
+        if text is None:
+            continue
+        try:
+            updates[name] = parse(str(text))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad value {text!r} for {key}: {exc}") from exc
+    return replace(ExperimentConfig(), **updates)
 
 
 def _emit(text: str, path: str) -> None:
@@ -454,7 +444,6 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         if args.command == "sweep":
-            cfg.validate()
             result = run_sweep(cfg)
             _emit(result.to_csv(), cfg.output_path)
         elif args.command == "surface":
@@ -467,6 +456,7 @@ def main(argv=None) -> int:
             if not report["passed"]:
                 return 3
         elif args.command == "scenario-dump":
+            cfg.validate()
             scenario = chansim.sample_scenario(
                 cfg.d[0], cfg.sv, cfg.m_observers,
                 [cfg.k_per_observer[0]] * cfg.m_observers,
@@ -477,7 +467,7 @@ def main(argv=None) -> int:
             observations = chansim.observe(scenario, noise,
                                            np.random.default_rng([cfg.seed, 1]))
             _emit(chansim.scenario_csv(scenario, observations), cfg.output_path)
-    except (ConfigError, InvalidParams, OSError) as exc:
+    except (UwbrelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

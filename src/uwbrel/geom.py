@@ -10,9 +10,11 @@ toward the receiving node, which is the sign convention under which
 holds exactly for the relative position d = pos_b - pos_a.
 
 MPCs and their observations are grouped by observer in one place,
-``group_by_observer``: observers come in order of first appearance, and
-every per-observer loop in the library (association, delay differences,
-the raw-delay system's offset columns, scrambling) walks them in that order.
+``group_by_observer``: it takes the observer id of every row and returns
+each observer's row indices, observers in order of first appearance.  Every
+per-observer loop in the library (association, delay differences, the
+raw-delay system's offset columns, scrambling, observation noise) walks
+them in that order and reads its columns through those index arrays.
 """
 
 from __future__ import annotations
@@ -25,31 +27,27 @@ from .errors import DegenerateGeometry
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
-_UNIT_TOL = 1e-12
+UNIT_TOL = 1e-12  # tolerance on the norm of a unit direction
 _COINCIDENCE_EPS = 1e-12  # m; below float-noise scale for meter-range scenarios
 
 
-def unit(v) -> np.ndarray:
-    """Normalize a 3-vector to unit length."""
+def norms(v) -> np.ndarray:
+    """Euclidean norms along the last axis of ``v``, each with the bits
+    ``np.linalg.norm`` gives that vector alone."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n < _COINCIDENCE_EPS:
-        raise DegenerateGeometry("cannot normalize a near-zero vector")
-    return v / n
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def is_unit(v, tol: float = _UNIT_TOL) -> bool:
+def is_unit(v, tol: float = UNIT_TOL) -> bool:
     """Whether ``v`` has Euclidean norm 1 within ``tol``."""
     return abs(np.linalg.norm(np.asarray(v, dtype=float)) - 1.0) <= tol
 
 
-def group_by_observer(items) -> dict:
-    """Items (MPCs or observations) grouped by ``observer_id``: a dict of
-    lists, observers in order of first appearance, items in input order."""
-    groups: dict = {}
-    for item in items:
-        groups.setdefault(item.observer_id, []).append(item)
-    return groups
+def group_by_observer(observer) -> dict:
+    """Row indices grouped by observer id: ``{id: index array}``, observers
+    in order of first appearance, indices ascending."""
+    ids = np.asarray(observer, dtype=int)
+    return {o: np.flatnonzero(ids == o) for o in dict.fromkeys(ids.tolist())}
 
 
 @dataclass(frozen=True)
@@ -106,12 +104,9 @@ class Scenario:
     def k_total(self) -> int:
         return len(self.mpcs)
 
-    @property
-    def observer_ids(self) -> list:
-        return list(group_by_observer(self.mpcs))
-
     def k_per_observer(self) -> dict:
-        return {o: len(g) for o, g in group_by_observer(self.mpcs).items()}
+        groups = group_by_observer([m.observer_id for m in self.mpcs])
+        return {o: rows.size for o, rows in groups.items()}
 
     def validate(self, tol: float = 1e-9) -> None:
         """Check every MPC against the vector identity and the delay bound."""

@@ -55,13 +55,6 @@ class PositionEstimate:
             raise RankDeficient("non-finite position estimate")
 
 
-def _direction_arrays(observations):
-    ma = np.array([ob.dir_a_meas for ob in observations], dtype=float)
-    mb = np.array([ob.dir_b_meas for ob in observations], dtype=float)
-    delta = np.array([ob.tau_b_meas - ob.tau_a_meas for ob in observations], dtype=float)
-    return ma, mb, delta
-
-
 def build_diff_system(observations, pwa: bool = False) -> StackedDiffSystem:
     """Stack the delay-difference system from observations.
 
@@ -71,7 +64,8 @@ def build_diff_system(observations, pwa: bool = False) -> StackedDiffSystem:
     """
     if not observations:
         raise InvalidParams("no observations")
-    ma, mb, delta = _direction_arrays(observations)
+    ma, mb = observations.dir_a, observations.dir_b
+    delta = observations.tau_b - observations.tau_a
     if pwa:
         s = ma
     else:
@@ -120,10 +114,15 @@ def _solve_by_delta(observations, method: str, cond_limit: float,
     A, b = sys_.E.T, _C * sys_.delta
     if gls:
         k = sys_.delta.size
-        mu = np.broadcast_to(np.asarray(error_mean, dtype=float), (k,))
+        try:
+            mu = np.broadcast_to(np.asarray(error_mean, dtype=float), (k,))
+        except ValueError as exc:
+            raise InvalidParams("error_mean must be a scalar or have length K") from exc
         cov = np.asarray(error_cov, dtype=float)
         if cov.shape != (k, k):
             raise InvalidParams("error_cov must be K x K")
+        if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
+            raise InvalidParams("error_mean and error_cov must be finite")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
@@ -160,22 +159,26 @@ def gls_by_delta(observations, error_mean, error_cov,
     return _solve_by_delta(observations, "gls_by_delta", cond_limit, error_mean, error_cov)
 
 
+def _vector_identity_terms(observations) -> np.ndarray:
+    """The (K, 3) terms c*tau_b*dir_b - c*tau_a*dir_a of the per-MPC vector
+    identity, each equal to d plus the MPC's clock-offset terms."""
+    return (_C * observations.tau_b[:, None] * observations.dir_b
+            - _C * observations.tau_a[:, None] * observations.dir_a)
+
+
 def build_tau_system(observations) -> StackedTauSystem:
     """Stack the raw-delay system with shared and per-observer offset columns."""
     if not observations:
         raise InvalidParams("no observations")
-    col_of = {o: i for i, o in enumerate(group_by_observer(observations))}
-    m = len(col_of)
+    groups = group_by_observer(observations.observer)
     k = len(observations)
-    G = np.zeros((3 * k, 4 + m))
-    t = np.zeros(3 * k)
-    for i, ob in enumerate(observations):
-        rows = slice(3 * i, 3 * i + 3)
-        G[rows, 0:3] = np.eye(3)
-        G[rows, 3] = ob.dir_b_meas
-        G[rows, 4 + col_of[ob.observer_id]] = ob.dir_b_meas - ob.dir_a_meas
-        t[rows] = _C * ob.tau_b_meas * ob.dir_b_meas - _C * ob.tau_a_meas * ob.dir_a_meas
-    return StackedTauSystem(G=G, t=t)
+    G = np.zeros((k, 3, 4 + len(groups)))
+    G[:, :, 0:3] = np.eye(3)
+    G[:, :, 3] = observations.dir_b
+    for j, rows in enumerate(groups.values()):  # one offset column per observer
+        G[rows, :, 4 + j] = observations.dir_b[rows] - observations.dir_a[rows]
+    return StackedTauSystem(G=G.reshape(3 * k, -1),
+                            t=_vector_identity_terms(observations).ravel())
 
 
 def lse_by_tau(observations, cond_limit: float = COND_LIMIT) -> PositionEstimate:
@@ -197,11 +200,7 @@ def lse_by_tau_sync(observations) -> PositionEstimate:
     that every clock offset is zero."""
     if not observations:
         raise InvalidParams("no observations")
-    ma, mb, _ = _direction_arrays(observations)
-    tau_a = np.array([ob.tau_a_meas for ob in observations])
-    tau_b = np.array([ob.tau_b_meas for ob in observations])
-    terms = _C * tau_b[:, None] * mb - _C * tau_a[:, None] * ma
     return PositionEstimate(
-        d_vec=terms.mean(axis=0), eps_hat=0.0,
+        d_vec=_vector_identity_terms(observations).mean(axis=0), eps_hat=0.0,
         method="lse_by_tau_sync", condition_number=1.0,
     )

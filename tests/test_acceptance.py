@@ -150,21 +150,17 @@ class TestPropertyCriteria:
         worst = 0.0
         for _ in range(500):
             n = int(rng.integers(2, 6))
-            ga, gb = [], []
-            for k in range(n):
+            dir_a, dir_b, tau_a, tau_b = (np.empty((n, 3)), np.empty((n, 3)),
+                                          np.empty(n), np.empty(n))
+            for k in range(n):  # draws per k: va, vb, the A delay, the B delay
                 va, vb = rng.normal(size=3), rng.normal(size=3)
-                ga.append(chansim.MpcObservation(
-                    tau_a_meas=rng.uniform(20e-9, 100e-9), tau_b_meas=0.0,
-                    dir_a_meas=va / np.linalg.norm(va),
-                    dir_b_meas=va / np.linalg.norm(va), observer_id=0, mpc_id=k))
-                gb.append(chansim.MpcObservation(
-                    tau_a_meas=0.0, tau_b_meas=rng.uniform(20e-9, 100e-9),
-                    dir_a_meas=vb / np.linalg.norm(vb),
-                    dir_b_meas=vb / np.linalg.norm(vb), observer_id=0, mpc_id=k))
-            mu_a = np.mean([x.tau_a_meas for x in ga])
-            mu_b = np.mean([x.tau_b_meas for x in gb])
-            cost = np.array([[assoc.pair_cost(a, b, cfg, mu_a, mu_b) for b in gb]
-                             for a in ga])
+                dir_a[k], dir_b[k] = va / np.linalg.norm(va), vb / np.linalg.norm(vb)
+                tau_a[k] = rng.uniform(20e-9, 100e-9)
+                tau_b[k] = rng.uniform(20e-9, 100e-9)
+            zeros, ids = np.zeros(n), np.zeros(n, dtype=int)
+            ga = chansim.Observations(tau_a, zeros, dir_a, dir_a, ids)
+            gb = chansim.Observations(zeros, tau_b, dir_b, dir_b, ids)
+            cost = assoc.pair_cost(ga, gb, cfg, np.mean(tau_a), np.mean(tau_b))
             brute = min(sum(cost[k, p[k]] for k in range(n))
                         for p in itertools.permutations(range(n)))
             got = assoc.associate(ga, gb, cfg).total_cost

@@ -11,37 +11,41 @@ from uwbrel.assoc import (
     apply_assignment,
     pair_cost,
 )
-from uwbrel.chansim import MpcObservation, NoiseParams, SvParams, observe, sample_scenario, scramble_association
+from uwbrel.chansim import Observations, NoiseParams, SvParams, observe, sample_scenario, scramble_association
 from uwbrel.errors import InvalidParams
 from uwbrel.geom import SPEED_OF_LIGHT as C
 
 
-def obs(tau_a, tau_b, dir_a, dir_b, o=0, k=0):
-    return MpcObservation(tau_a_meas=tau_a, tau_b_meas=tau_b,
-                          dir_a_meas=np.asarray(dir_a, float),
-                          dir_b_meas=np.asarray(dir_b, float),
-                          observer_id=o, mpc_id=k)
+def obs(tau_a, tau_b, dir_a, dir_b, o=0):
+    """One observer's set from per-MPC delays and (K, 3) directions."""
+    tau_a = np.atleast_1d(np.asarray(tau_a, float))
+    return Observations(tau_a=tau_a, tau_b=np.atleast_1d(np.asarray(tau_b, float)),
+                        dir_a=np.atleast_2d(np.asarray(dir_a, float)),
+                        dir_b=np.atleast_2d(np.asarray(dir_b, float)),
+                        observer=np.full(tau_a.size, o))
 
 
 def random_group(rng, n, o=0):
     """Observations with random directions/delays, one observer group."""
-    out = []
-    for k in range(n):
-        va, vb = rng.normal(size=3), rng.normal(size=3)
-        out.append(obs(rng.uniform(20e-9, 100e-9), rng.uniform(20e-9, 100e-9),
-                       va / np.linalg.norm(va), vb / np.linalg.norm(vb), o, k))
-    return out
+    va, vb, ta, tb = [], [], [], []
+    for _ in range(n):
+        a, b = rng.normal(size=3), rng.normal(size=3)
+        va.append(a / np.linalg.norm(a))
+        vb.append(b / np.linalg.norm(b))
+        ta.append(rng.uniform(20e-9, 100e-9))
+        tb.append(rng.uniform(20e-9, 100e-9))
+    return obs(ta, tb, va, vb, o)
 
 
 class TestPairCost:
     def test_identical_mpc_zero_cost(self):
         a = obs(30e-9, 30e-9, [1, 0, 0], [1, 0, 0])
-        assert pair_cost(a, a, AssocConfig(), 30e-9, 30e-9) == 0.0
+        assert pair_cost(a, a, AssocConfig(), 30e-9, 30e-9)[0, 0] == 0.0
 
     def test_antipodal_gated(self):
         a = obs(30e-9, 30e-9, [1, 0, 0], [1, 0, 0])
         b = obs(30e-9, 30e-9, [-1, 0, 0], [-1, 0, 0])
-        assert pair_cost(a, b, AssocConfig(), 30e-9, 30e-9) == float("inf")
+        assert pair_cost(a, b, AssocConfig(), 30e-9, 30e-9)[0, 0] == float("inf")
 
     def test_chord_length_identity(self):
         # oracle: squared chord = 2 - 2 cos(angle)
@@ -49,14 +53,31 @@ class TestPairCost:
         a = obs(30e-9, 0.0, [1, 0, 0], [1, 0, 0])
         b = obs(0.0, 30e-9, [1, 0, 0], [np.cos(ang), np.sin(ang), 0.0])
         cfg = AssocConfig(lambda_=0.0)
-        assert pair_cost(a, b, cfg, 30e-9, 30e-9) == pytest.approx(
+        assert pair_cost(a, b, cfg, 30e-9, 30e-9)[0, 0] == pytest.approx(
             2.0 - 2.0 * np.cos(ang), rel=1e-12)
 
     def test_mean_centering_removes_offsets(self):
         a = obs(30e-9, 0.0, [1, 0, 0], [1, 0, 0])
         b = obs(0.0, 130e-9, [1, 0, 0], [1, 0, 0])
         # b delay = a delay + 100 ns offset; centered terms cancel exactly
-        assert pair_cost(a, b, AssocConfig(), 30e-9, 130e-9) == 0.0
+        assert pair_cost(a, b, AssocConfig(), 30e-9, 130e-9)[0, 0] == 0.0
+
+    def test_matrix_matches_pairwise_formula(self):
+        # reference: the cost of one pair at a time, gate included
+        rng = np.random.default_rng(4)
+        cfg = AssocConfig(angle_gate=np.radians(60.0))
+        ga, gb = random_group(rng, 5), random_group(rng, 3)
+        cost = pair_cost(ga, gb, cfg, 50e-9, 60e-9)
+        assert cost.shape == (5, 3)
+        for k in range(5):
+            for l in range(3):
+                if np.dot(ga.dir_a[k], gb.dir_b[l]) < np.cos(cfg.angle_gate):
+                    assert cost[k, l] == np.inf
+                    continue
+                delay = (gb.tau_b[l] - 60e-9) - (ga.tau_a[k] - 50e-9)
+                want = np.sum((gb.dir_b[l] - ga.dir_a[k]) ** 2) + cfg.lambda_ ** 2 * delay ** 2
+                assert cost[k, l] == pytest.approx(want, rel=1e-12)
+        assert np.isinf(cost).any() and np.isfinite(cost).any()
 
 
 class TestAssociate:
@@ -75,9 +96,7 @@ class TestAssociate:
         for _ in range(100):
             n = int(rng.integers(2, 6))
             ga, gb = random_group(rng, n), random_group(rng, n)
-            mu_a = np.mean([x.tau_a_meas for x in ga])
-            mu_b = np.mean([x.tau_b_meas for x in gb])
-            cost = np.array([[pair_cost(a, b, cfg, mu_a, mu_b) for b in gb] for a in ga])
+            cost = pair_cost(ga, gb, cfg, np.mean(ga.tau_a), np.mean(gb.tau_b))
             brute = min(sum(cost[k, p[k]] for k in range(n))
                         for p in itertools.permutations(range(n)))
             got = associate(ga, gb, cfg)
@@ -93,8 +112,8 @@ class TestAssociate:
         assert sorted(matched) == sorted(set(matched))
 
     def test_gated_pairs_stay_unmatched(self):
-        a = [obs(30e-9, 30e-9, [1, 0, 0], [1, 0, 0])]
-        b = [obs(30e-9, 30e-9, [-1, 0, 0], [-1, 0, 0])]
+        a = obs(30e-9, 30e-9, [1, 0, 0], [1, 0, 0])
+        b = obs(30e-9, 30e-9, [-1, 0, 0], [-1, 0, 0])
         out = associate(a, b)
         assert out.permutation[0][0] == -1
         assert not out.matched[0][0]
@@ -117,8 +136,7 @@ class TestAssociate:
     def test_lambda_zero_ignores_delays(self):
         rng = np.random.default_rng(7)
         ga = random_group(rng, 3)
-        gb = [obs(x.tau_a_meas + 1e-6, x.tau_b_meas + 1e-3, x.dir_a_meas,
-                  x.dir_a_meas, 0, i) for i, x in enumerate(ga)]
+        gb = obs(ga.tau_a + 1e-6, ga.tau_b + 1e-3, ga.dir_a, ga.dir_a)
         cfg = AssocConfig(lambda_=0.0, angle_gate=np.pi)
         out = associate(ga, gb, cfg)
         np.testing.assert_array_equal(out.permutation[0], np.arange(3))
@@ -137,11 +155,9 @@ class TestAssociate:
         cfg = AssocConfig(angle_gate=np.pi)
         for _ in range(50):
             ga, gb = random_group(rng, 4), random_group(rng, 4)
-            mu_a = np.mean([x.tau_a_meas for x in ga])
-            mu_b = np.mean([x.tau_b_meas for x in gb])
+            cost = pair_cost(ga, gb, cfg, np.mean(ga.tau_a), np.mean(gb.tau_b))
             srt = associate_by_sorting(ga, gb)
-            srt_cost = sum(pair_cost(ga[k], gb[l], cfg, mu_a, mu_b)
-                           for k, l in srt.pairs(0))
+            srt_cost = sum(cost[k, l] for k, l in srt.pairs(0))
             assert associate(ga, gb, cfg).total_cost <= srt_cost + 1e-12
 
     def test_bijective_on_matched(self):
@@ -155,20 +171,18 @@ class TestAssociate:
 
 class TestSorting:
     def test_identity_on_sorted_inputs(self):
-        ga = [obs(t * 1e-9, 0.0, [1, 0, 0], [1, 0, 0], 0, i)
-              for i, t in enumerate([20.0, 30.0, 40.0])]
-        gb = [obs(0.0, t * 1e-9, [1, 0, 0], [1, 0, 0], 0, i)
-              for i, t in enumerate([21.0, 31.0, 41.0])]
+        ex = np.tile([1.0, 0.0, 0.0], (3, 1))
+        ga = obs(np.array([20.0, 30.0, 40.0]) * 1e-9, np.zeros(3), ex, ex)
+        gb = obs(np.zeros(3), np.array([21.0, 31.0, 41.0]) * 1e-9, ex, ex)
         out = associate_by_sorting(ga, gb)
         np.testing.assert_array_equal(out.permutation[0], np.arange(3))
 
     def test_order_swap_breaks_sorting(self):
         # true pairing: A (20, 30) ns <-> B (33, 31) ns: the B-side order is
         # reversed, so rank pairing returns the wrong association
-        ga = [obs(20e-9, 0.0, [1, 0, 0], [1, 0, 0], 0, 0),
-              obs(30e-9, 0.0, [1, 0, 0], [1, 0, 0], 0, 1)]
-        gb = [obs(0.0, 33e-9, [1, 0, 0], [1, 0, 0], 0, 0),
-              obs(0.0, 31e-9, [1, 0, 0], [1, 0, 0], 0, 1)]
+        ex = np.tile([1.0, 0.0, 0.0], (2, 1))
+        ga = obs([20e-9, 30e-9], np.zeros(2), ex, ex)
+        gb = obs(np.zeros(2), [33e-9, 31e-9], ex, ex)
         out = associate_by_sorting(ga, gb)
         assert list(out.permutation[0]) == [1, 0]  # != identity = truth
 
@@ -184,10 +198,11 @@ class TestApplyAssignment:
         ga, gb = random_group(rng, 3), random_group(rng, 3)
         out = associate(ga, gb, AssocConfig(angle_gate=np.pi))
         merged = apply_assignment(ga, gb, out)
-        assert len(merged) == 3
-        for row, (k, l) in zip(merged, out.pairs(0)):
-            assert row.tau_a_meas == ga[k].tau_a_meas
-            assert row.tau_b_meas == gb[l].tau_b_meas
+        k, l = np.array(out.pairs(0)).T
+        np.testing.assert_array_equal(merged.tau_a, ga.tau_a[k])
+        np.testing.assert_array_equal(merged.tau_b, gb.tau_b[l])
+        np.testing.assert_array_equal(merged.dir_a, ga.dir_a[k])
+        np.testing.assert_array_equal(merged.dir_b, gb.dir_b[l])
 
     def test_observer_missing_from_a_side_raises(self):
         rng = np.random.default_rng(13)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from uwbrel.chansim import (
-    MpcObservation,
     NoiseParams,
+    Observations,
     SvParams,
     observe,
     perturb_direction,
@@ -14,7 +14,7 @@ from uwbrel.chansim import (
     scramble_association,
 )
 from uwbrel.errors import InvalidParams
-from uwbrel.geom import SPEED_OF_LIGHT as C
+from uwbrel.geom import SPEED_OF_LIGHT as C, group_by_observer
 
 
 class TestExcessDelays:
@@ -78,39 +78,44 @@ class TestSampleScenario:
         assert np.linalg.norm(dirs.mean(axis=0)) < 0.05
 
     def test_bad_args(self):
-        with pytest.raises(InvalidParams):
-            sample_scenario(-1.0, SvParams(), 1, [4], 0)
+        for bad_d in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidParams):
+                sample_scenario(bad_d, SvParams(), 1, [4], 0)
         with pytest.raises(InvalidParams):
             sample_scenario(1.0, SvParams(), 0, [], 0)
 
 
 class TestObserve:
+    @pytest.mark.parametrize("bad", [dict(sigma=np.nan), dict(sigma=-1e-9), dict(sigma=np.inf),
+                                     dict(sigma_dir=np.nan)])
+    def test_bad_noise_params(self, bad):
+        with pytest.raises(InvalidParams):
+            NoiseParams(**bad)
+
     def test_zero_noise_is_identity(self):
         s = sample_scenario(2.0, SvParams(), 2, [3, 3], 1)
         obs = observe(s, NoiseParams(), 0)
-        for m, ob in zip(s.mpcs, obs):
-            assert ob.tau_a_meas == m.tau_a
-            assert ob.tau_b_meas == m.tau_b
-            np.testing.assert_array_equal(ob.dir_a_meas, m.dir_a)
-            np.testing.assert_array_equal(ob.dir_b_meas, m.dir_b)
+        np.testing.assert_array_equal(obs.tau_a, [m.tau_a for m in s.mpcs])
+        np.testing.assert_array_equal(obs.tau_b, [m.tau_b for m in s.mpcs])
+        np.testing.assert_array_equal(obs.dir_a, [m.dir_a for m in s.mpcs])
+        np.testing.assert_array_equal(obs.dir_b, [m.dir_b for m in s.mpcs])
+        np.testing.assert_array_equal(obs.observer, [0, 0, 0, 1, 1, 1])
 
     def test_clock_offset_shifts_delay_difference(self):
         s = sample_scenario(2.0, SvParams(), 2, [3, 3], 1)
         obs = observe(s, NoiseParams(eps=5e-9, eps_a_per_observer=(12e-9, -3e-9)), 0)
-        for m, ob in zip(s.mpcs, obs):
-            diff = ob.tau_b_meas - ob.tau_a_meas
-            assert diff == pytest.approx((m.tau_b - m.tau_a) + 5e-9, abs=1e-21)
+        true_diff = np.array([m.tau_b - m.tau_a for m in s.mpcs])
+        np.testing.assert_allclose(obs.tau_b - obs.tau_a, true_diff + 5e-9, rtol=0, atol=1e-21)
 
     def test_delay_noise_moments(self):
         s = sample_scenario(2.0, SvParams(), 1, [100], 3)
         sigma = 0.2e-9
-        resid = []
+        true_diff = np.array([m.tau_b - m.tau_a for m in s.mpcs])
         rng = np.random.default_rng(8)
-        for _ in range(1000):
-            obs = observe(s, NoiseParams(sigma=sigma, eps=5e-9), rng)
-            for m, ob in zip(s.mpcs, obs):
-                resid.append((ob.tau_b_meas - ob.tau_a_meas) - (m.tau_b - m.tau_a) - 5e-9)
-        resid = np.asarray(resid)
+        resid = np.concatenate([
+            (obs.tau_b - obs.tau_a) - true_diff - 5e-9
+            for obs in (observe(s, NoiseParams(sigma=sigma, eps=5e-9), rng) for _ in range(1000))
+        ])
         assert resid.std() == pytest.approx(sigma, rel=0.02)
         assert abs(resid.mean()) < 3 * sigma / np.sqrt(resid.size)
 
@@ -118,13 +123,31 @@ class TestObserve:
         rng = np.random.default_rng(4)
         sigma_dir = np.radians(5.0)
         u = np.array([0.0, 0.0, 1.0])
-        angles = []
-        for _ in range(100000):
-            v = perturb_direction(rng, u, sigma_dir)
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-            angles.append(np.arccos(np.clip(v @ u, -1.0, 1.0)))
-        angles = np.asarray(angles)
+        draws = np.array([(rng.normal(0.0, sigma_dir), rng.uniform(0.0, 2.0 * np.pi))
+                          for _ in range(100000)])
+        v = perturb_direction(np.tile(u, (len(draws), 1)), draws[:, 0], draws[:, 1])
+        assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() < 1e-12
+        angles = np.arccos(np.clip(v @ u, -1.0, 1.0))
         assert np.mean(angles ** 2) == pytest.approx(sigma_dir ** 2, rel=0.05)
+
+    @pytest.mark.parametrize("deg", [2.0, 8.0, 24.0])
+    def test_perturbation_matches_the_per_vector_rotation(self, deg):
+        # reference: the rotation of one vector at a time, as observe once did
+        def rotate(u, alpha, phi):
+            helper = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+            e1 = np.cross(u, helper)
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(u, e1)
+            axis = np.cos(phi) * e1 + np.sin(phi) * e2
+            out = np.cos(alpha) * u + np.sin(alpha) * axis
+            return out / np.linalg.norm(out)
+
+        rng = np.random.default_rng(int(deg))
+        u = sample_unit_directions(rng, 2000)
+        alpha = rng.normal(0.0, np.radians(deg), u.shape[0])
+        phi = rng.uniform(0.0, 2.0 * np.pi, u.shape[0])
+        want = np.array([rotate(*args) for args in zip(u, alpha, phi)])
+        np.testing.assert_array_equal(perturb_direction(u, alpha, phi), want)
 
 
 class TestScramble:
@@ -136,7 +159,7 @@ class TestScramble:
         obs = self._obs([1, 1])
         scrambled, perms = scramble_association(obs, 7)
         assert all(list(p) == [0] for p in perms.values())
-        assert scrambled[0].tau_b_meas == obs[0].tau_b_meas
+        np.testing.assert_array_equal(scrambled.tau_b, obs.tau_b)
 
     def test_deterministic(self):
         obs = self._obs([4, 4])
@@ -144,15 +167,16 @@ class TestScramble:
         s2, p2 = scramble_association(obs, 99)
         for o in p1:
             np.testing.assert_array_equal(p1[o], p2[o])
-        assert [x.tau_b_meas for x in s1] == [x.tau_b_meas for x in s2]
+        np.testing.assert_array_equal(s1.tau_b, s2.tau_b)
 
     def test_a_side_untouched_b_side_permuted(self):
         obs = self._obs([4])
         scrambled, perms = scramble_association(obs, 3)
         perm = perms[0]
-        for i, ob in enumerate(scrambled):
-            assert ob.tau_a_meas == obs[i].tau_a_meas
-            assert ob.tau_b_meas == obs[perm[i]].tau_b_meas
+        np.testing.assert_array_equal(scrambled.tau_a, obs.tau_a)
+        np.testing.assert_array_equal(scrambled.dir_a, obs.dir_a)
+        np.testing.assert_array_equal(scrambled.tau_b, obs.tau_b[perm])
+        np.testing.assert_array_equal(scrambled.dir_b, obs.dir_b[perm])
 
     def test_uniform_over_permutations(self):
         obs = self._obs([3])
@@ -167,32 +191,65 @@ class TestScramble:
         for c in counts.values():
             assert c / n == pytest.approx(1 / 6, abs=0.02 / 6 + 3 * np.sqrt(5 / 36 / n))
 
-
     def test_interleaved_observers_keep_their_positions(self):
         obs = self._obs([3, 3])
-        interleaved = [obs[i] for i in (0, 3, 1, 4, 2, 5)]
+        interleaved = obs[[0, 3, 1, 4, 2, 5]]
+        groups = group_by_observer(interleaved.observer)
+        assert list(groups) == [0, 1]  # first-appearance order
+        np.testing.assert_array_equal(groups[0], [0, 2, 4])
+        np.testing.assert_array_equal(groups[1], [1, 3, 5])
         scrambled, perms = scramble_association(interleaved, 11)
-        groups = {0: interleaved[0::2], 1: interleaved[1::2]}
-        for i, ob in enumerate(scrambled):
-            o, slot = interleaved[i].observer_id, i // 2
-            assert (ob.observer_id, ob.mpc_id) == (o, interleaved[i].mpc_id)
-            assert ob.tau_a_meas == interleaved[i].tau_a_meas
-            assert ob.tau_b_meas == groups[o][perms[o][slot]].tau_b_meas
+        np.testing.assert_array_equal(scrambled.observer, interleaved.observer)
+        np.testing.assert_array_equal(scrambled.tau_a, interleaved.tau_a)
+        for o, rows in groups.items():
+            np.testing.assert_array_equal(scrambled.tau_b[rows],
+                                          interleaved.tau_b[rows[perms[o]]])
 
 
-class TestObservationInput:
-    @pytest.mark.parametrize("side", ["tau_a_meas", "tau_b_meas"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_delay_rejected(self, side, bad):
-        delays = {"tau_a_meas": 20e-9, "tau_b_meas": 21e-9, side: bad}
-        with pytest.raises(InvalidParams, match="finite"):
-            MpcObservation(dir_a_meas=[1.0, 0.0, 0.0], dir_b_meas=[0.0, 1.0, 0.0], **delays)
+def _columns(k=2, **changes):
+    cols = dict(tau_a=np.full(k, 20e-9), tau_b=np.full(k, 21e-9),
+                dir_a=np.tile([1.0, 0.0, 0.0], (k, 1)), dir_b=np.tile([0.0, 1.0, 0.0], (k, 1)),
+                observer=np.arange(k))
+    cols.update(changes)
+    return cols
 
-    @pytest.mark.parametrize("tau", [0.0, -35e-9])
-    def test_zero_and_negative_delays_accepted(self, tau):
-        ob = MpcObservation(tau_a_meas=tau, tau_b_meas=tau, dir_a_meas=[1.0, 0.0, 0.0],
-                            dir_b_meas=[0.0, 1.0, 0.0])
-        assert ob.tau_a_meas == ob.tau_b_meas == tau
+
+class TestObservations:
+    @pytest.mark.parametrize("changes, accepted", [
+        *(pytest.param({side: np.array([20e-9, bad])}, False, id=f"{bad}-{side}")
+          for side in ("tau_a", "tau_b") for bad in (np.nan, np.inf, -np.inf)),
+        pytest.param(dict(dir_a=np.tile([1.0, 0.0], (2, 1))), False, id="k-by-2-directions"),
+        pytest.param(dict(dir_b=np.array([[0.0, 1.0, 0.0]])), False, id="short-dir_b"),
+        pytest.param(dict(tau_a=np.full(3, 20e-9)), False, id="long-tau_a"),
+        pytest.param(dict(observer=[0]), False, id="short-observer"),
+        pytest.param(dict(dir_a=np.array([[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]])), False,
+                     id="non-unit-dir_a"),
+        pytest.param(dict(dir_b=np.array([[0.0, 1.0, 0.0], [0.0, 1.0 + 1e-11, 0.0]])), False,
+                     id="non-unit-dir_b"),
+        pytest.param(dict(observer=[0.0, 1.0]), False, id="float-observer"),
+        pytest.param(dict(tau_a=np.zeros(2), tau_b=np.zeros(2)), True, id="zero-delays"),
+        pytest.param(dict(tau_a=np.full(2, -35e-9), tau_b=np.full(2, -35e-9)), True,
+                     id="negative-delays"),
+        pytest.param(dict(dir_a=np.array([[1.0, 0.0, 0.0], [0.0, 1.0 + 1e-13, 0.0]])), True,
+                     id="unit-within-tolerance"),
+    ])
+    def test_columns_checked_on_construction(self, changes, accepted):
+        if not accepted:
+            with pytest.raises(InvalidParams):
+                Observations(**_columns(**changes))
+            return
+        obs = Observations(**_columns(**changes))
+        assert len(obs) == 2
+        np.testing.assert_array_equal(obs.tau_a, changes.get("tau_a", obs.tau_a))
+        with pytest.raises(ValueError):
+            obs.tau_a[0] = 1.0  # stored read-only
+
+    def test_rows_of_a_set_are_a_set(self):
+        obs = Observations(**_columns(k=4))
+        part = obs[1:3]
+        assert isinstance(part, Observations) and len(part) == 2
+        np.testing.assert_array_equal(part.observer, [1, 2])
+        assert len(obs[np.zeros(4, dtype=bool)]) == 0
 
 
 class TestCsv:

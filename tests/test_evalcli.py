@@ -68,6 +68,12 @@ class TestRunSweep:
             run_sweep(tiny_cfg(estimators=("XX",)))
         with pytest.raises(ConfigError):
             run_sweep(tiny_cfg(sweep="surface"))
+        for bad in (dict(sigma=np.nan), dict(sigma=np.inf), dict(sigma_dir=(0.1, np.nan)),
+                    dict(d=(2.0, np.nan)), dict(d=(-1.0,)), dict(eps=np.nan),
+                    dict(eps_a_max=np.inf), dict(cond_gate=np.nan), dict(cond_gate=0.0),
+                    dict(calib_samples=0), dict(grid_steps=1)):
+            with pytest.raises(ConfigError):
+                tiny_cfg(**bad).validate()
 
     def test_noise_hurts_mvue(self):
         quiet = run_sweep(tiny_cfg(sigma=0.0, trials=300, estimators=("MV",)))
@@ -186,9 +192,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert ",1," in out.splitlines()[1]  # flag wins over file
 
-    def test_bad_estimator_exits_2(self, capsys):
-        rc = main(["sweep", "--estimators", "BOGUS", "--trials", "1"])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sweep", "--estimators", "BOGUS", "--trials", "1"], id="estimator"),
+        pytest.param(["sweep", "--d", "abc"], id="d"),
+        pytest.param(["sweep", "--trials", "x"], id="trials"),
+        pytest.param(["sweep", "--sigma-ns", "nan", "--trials", "1"], id="sigma-nan"),
+        pytest.param(["calibrate", "--samples", "0"], id="samples"),
+        pytest.param(["scenario-dump", "--d", "nan"], id="scenario-dump-d"),
+        pytest.param(["surface", "--grid-steps", "1"], id="grid-steps"),
+        pytest.param(["surface", "--kind", "noassoc", "--observers", "1",
+                      "--mpcs-per-observer", "9", "--scenario", "random"],
+                     id="permutation-cap"),
+    ])
+    def test_bad_estimator_exits_2(self, argv, capsys):
+        rc = main(argv)
         assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

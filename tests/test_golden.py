@@ -72,9 +72,9 @@ def _library_results() -> str:
         k = len(obs)
         cov_root = rng.normal(size=(k, k)) * 1e-10
         cov = cov_root @ cov_root.T + np.eye(k) * sigma ** 2
-        cfg = assoc.AssocConfig()
-        mu_a = float(np.mean([ob.tau_a_meas for ob in obs[:4]]))
-        mu_b = float(np.mean([ob.tau_b_meas for ob in obs[:4]]))
+        mu_a = float(np.mean(obs.tau_a[:4]))
+        mu_b = float(np.mean(obs.tau_b[:4]))
+        cost = assoc.pair_cost(obs[:4], scrambled[:4], assoc.AssocConfig(), mu_a, mu_b)
         x = rng.normal(size=7) * 1e-9
         lines += [
             _outcome(distest.mle_async_noiseless, diffs),
@@ -84,8 +84,7 @@ def _library_results() -> str:
             _outcome(distest.mle_async_gaussian, diffs, per_mpc),
             _outcome(posest.gls_by_delta, obs, rng.normal(size=k) * 1e-10, cov),
             _outcome(posest.lse_by_tau_sync, obs),
-            *(_outcome(assoc.pair_cost, obs[i], scrambled[j], cfg, mu_a, mu_b)
-              for i in range(4) for j in range(4)),
+            *(_outcome(float, cost[i, j]) for i in range(4) for j in range(4)),
             _outcome(lambda: assoc.associate(scrambled, scrambled).total_cost),
             _outcome(lambda: assoc.associate(scrambled, scrambled, force_full=True).total_cost),
             _outcome(soft_indicator, x, 0.5, ErrorModel(sigma_per_mpc=sigma)),

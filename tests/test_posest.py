@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from uwbrel.chansim import MpcObservation, NoiseParams, SvParams, observe, sample_scenario
-from uwbrel.errors import AntiparallelDirections, NotPositiveDefinite, RankDeficient
+from uwbrel.chansim import NoiseParams, Observations, SvParams, observe, sample_scenario
+from uwbrel.errors import AntiparallelDirections, InvalidParams, NotPositiveDefinite, RankDeficient
 from uwbrel.geom import SPEED_OF_LIGHT as C, complete_mpc
 from uwbrel.posest import (
     build_diff_system,
@@ -15,6 +17,12 @@ from uwbrel.posest import (
 )
 
 EX = np.array([1.0, 0.0, 0.0])
+
+
+def constant(k, tau_a, tau_b, dir_a, dir_b):
+    """K observations of one observer, delays as given, every direction the same."""
+    return Observations(tau_a=tau_a, tau_b=tau_b, dir_a=np.tile(dir_a, (k, 1)),
+                        dir_b=np.tile(dir_b, (k, 1)), observer=np.zeros(k, dtype=int))
 
 
 def make_observations(rng, d=2.0, m=3, k_o=4, sigma=0.0, sigma_dir=0.0,
@@ -71,23 +79,18 @@ class TestRankAndGuards:
             lse_by_delta(obs)
 
     def test_antiparallel_guard(self):
-        ob = MpcObservation(tau_a_meas=20e-9, tau_b_meas=20e-9,
-                            dir_a_meas=EX, dir_b_meas=-EX)
         with pytest.raises(AntiparallelDirections):
-            build_diff_system([ob] * 4)
+            build_diff_system(constant(4, np.full(4, 20e-9), np.full(4, 20e-9), EX, -EX))
 
     def test_tau_needs_enough_rows(self):
-        ob = MpcObservation(tau_a_meas=20e-9, tau_b_meas=20e-9,
-                            dir_a_meas=EX, dir_b_meas=EX)
         with pytest.raises(RankDeficient):
-            lse_by_tau([ob])  # 3 rows < 5 unknowns
+            lse_by_tau(constant(1, [20e-9], [20e-9], EX, EX))  # 3 rows < 5 unknowns
 
     def test_degenerate_directions_rejected(self):
         # all B directions equal: the tau system cannot separate d from eps
-        obs = [MpcObservation(tau_a_meas=(20 + i) * 1e-9, tau_b_meas=(21 + i) * 1e-9,
-                              dir_a_meas=EX, dir_b_meas=EX) for i in range(6)]
+        steps = np.arange(6) * 1e-9
         with pytest.raises(RankDeficient):
-            lse_by_tau(obs)
+            lse_by_tau(constant(6, 20e-9 + steps, 21e-9 + steps, EX, EX))
 
 
 class TestPwa:
@@ -125,10 +128,7 @@ class TestGls:
         cov = (0.2e-9) ** 2 * np.eye(k)
         base = gls_by_delta(obs, np.zeros(k), cov)
         bias = 3e-9
-        biased_obs = [MpcObservation(
-            tau_a_meas=ob.tau_a_meas, tau_b_meas=ob.tau_b_meas + bias,
-            dir_a_meas=ob.dir_a_meas, dir_b_meas=ob.dir_b_meas,
-            observer_id=ob.observer_id, mpc_id=ob.mpc_id) for ob in obs]
+        biased_obs = replace(obs, tau_b=obs.tau_b + bias)
         est = gls_by_delta(biased_obs, np.full(k, bias), cov)
         np.testing.assert_allclose(est.d_vec, base.d_vec, atol=1e-12)
         assert est.eps_hat == pytest.approx(base.eps_hat, abs=1e-20)
@@ -149,6 +149,21 @@ class TestGls:
         k = len(obs)
         with pytest.raises(NotPositiveDefinite):
             gls_by_delta(obs, np.zeros(k), -np.eye(k))
+
+    @pytest.mark.parametrize("bad", ["short mean", "nan mean", "nan cov"])
+    def test_bad_error_inputs_rejected(self, bad):
+        rng = np.random.default_rng(16)
+        _, obs = make_observations(rng)
+        k = len(obs)
+        mean, cov = np.zeros(k), (0.2e-9) ** 2 * np.eye(k)
+        if bad == "short mean":
+            mean = np.zeros(k - 1)
+        elif bad == "nan mean":
+            mean[2] = np.nan
+        else:
+            cov[0, 1] = cov[1, 0] = np.nan
+        with pytest.raises(InvalidParams):
+            gls_by_delta(obs, mean, cov)
 
 
 class TestTauSync:
@@ -192,10 +207,7 @@ class TestEquivariance:
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] *= -1
-        rotated = [MpcObservation(
-            tau_a_meas=ob.tau_a_meas, tau_b_meas=ob.tau_b_meas,
-            dir_a_meas=q @ ob.dir_a_meas, dir_b_meas=q @ ob.dir_b_meas,
-            observer_id=ob.observer_id, mpc_id=ob.mpc_id) for ob in obs]
+        rotated = replace(obs, dir_a=obs.dir_a @ q.T, dir_b=obs.dir_b @ q.T)
         for solver in (lse_by_delta, lse_by_delta_pwa, lse_by_tau):
             a = solver(obs)
             b = solver(rotated)
