@@ -1,8 +1,8 @@
 """Relative localization of two wireless nodes from multipath components
 observed in their UWB channels to shared observer nodes.
 
-Submodules: geom (virtual-source geometry), chansim (stochastic scenario
-generation), likelihood (soft indicators and 2D maximization), distest
+Submodules: geom (virtual-source geometry and the columnar MPC set),
+chansim (stochastic scenario generation), likelihood (soft indicators and 2D maximization), distest
 (distance estimators), posest (relative-position estimators), assoc
 (MPC association), evalcli (Monte-Carlo harness and CLI).
 """
@@ -20,7 +20,7 @@ from .errors import (
     RankDeficient,
     UwbrelError,
 )
-from .geom import SPEED_OF_LIGHT, MpcTrue, Scenario, complete_mpc
+from .geom import SPEED_OF_LIGHT, Observations, Scenario, complete_mpc
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,6 @@ __all__ = [
     "AntiparallelDirections", "ConfigError", "DegenerateGeometry",
     "DegenerateObjective", "InsufficientMpcs", "InvalidParams",
     "NotPositiveDefinite", "PermutationCapExceeded", "RankDeficient",
-    "UwbrelError", "SPEED_OF_LIGHT", "MpcTrue", "Scenario", "complete_mpc",
+    "UwbrelError", "SPEED_OF_LIGHT", "Observations", "Scenario", "complete_mpc",
     "__version__",
 ]

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .chansim import Observations
 from .errors import InvalidParams
-from .geom import group_by_observer
+from .geom import Observations, group_by_observer
 
 DEFAULT_SIGMA_TAU = 26.3e-9  # indoor RMS delay spread used for the default weight
 NO_MATCH_COST = 1e9          # finite stand-in for gated pairs; also the padding cost

@@ -11,22 +11,25 @@ reproduces the standard dense-indoor statistics of roughly 40 ns mean
 excess delay and 26 ns RMS delay spread for the default parameters
 (20 ns cluster scale, 10 ns ray scale, 60 ns / 20 ns power decays).
 
-What the nodes measure is one ``Observations`` set: five columns, one row
-per MPC, checked where the set is built.  Per-observer work (clock offsets,
-scrambling) reads those columns through ``geom.group_by_observer``'s index
-arrays, observers in order of first appearance.
+A scenario's ground truth and what the nodes measure are the same
+columnar type, ``geom.Observations`` (re-exported here): five columns, one
+row per MPC, checked where the set is built.  ``observe`` adds drawn noise
+and clock offsets to the truth columns.  Per-observer work (sampling,
+clock offsets, scrambling) reads those columns through
+``geom.group_by_observer``'s index arrays, observers in order of first
+appearance.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DegenerateGeometry, InvalidParams
-from .geom import SPEED_OF_LIGHT, UNIT_TOL, Scenario, complete_mpc, group_by_observer, norms
+from .geom import (SPEED_OF_LIGHT, Observations, Scenario, complete_mpc, group_by_observer,
+                   norms, positions_in_group)
 
 # Calibrated shape fractions (in units of cluster_mean / ray_mean):
 # dominant-cluster onset = floor + exponential tail; the follow-up cluster
@@ -93,49 +96,8 @@ class NoiseParams:
         if not (0.0 <= self.sigma < np.inf and 0.0 <= self.sigma_dir < np.inf):
             raise InvalidParams("noise std devs must be finite and nonnegative")
         object.__setattr__(self, "eps_a_per_observer", tuple(self.eps_a_per_observer))
-
-
-@dataclass(frozen=True)
-class Observations:
-    """Measured delays and directions of K MPCs at both nodes, as columns.
-
-    ``tau_a``, ``tau_b`` (K,): the delays in seconds that A and B measure;
-    ``dir_a``, ``dir_b`` (K, 3): the unit directions; ``observer`` (K,): the
-    integer id of each MPC's observer.  Construction checks the columns and
-    keeps read-only copies: delays must be finite (zero and negative values
-    are accepted, since a measured delay carries an arbitrary clock offset)
-    and directions unit vectors.  A slice, index array or mask selects rows.
-    """
-
-    tau_a: np.ndarray
-    tau_b: np.ndarray
-    dir_a: np.ndarray
-    dir_b: np.ndarray
-    observer: np.ndarray
-
-    def __post_init__(self):
-        if np.size(self.observer) and np.asarray(self.observer).dtype.kind not in "iu":
-            raise InvalidParams("observer ids must be integers")
-        for name in ("tau_a", "tau_b", "dir_a", "dir_b", "observer"):
-            column = np.array(getattr(self, name), int if name == "observer" else float, order="C")
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        k = self.observer.shape
-        if (len(k) != 1 or self.tau_a.shape != k or self.tau_b.shape != k
-                or self.dir_a.shape != k + (3,) or self.dir_b.shape != k + (3,)):
-            raise InvalidParams("delays and observer ids need shape (K,), directions (K, 3)")
-        if not (np.isfinite(self.tau_a).all() and np.isfinite(self.tau_b).all()):
-            raise InvalidParams("measured delays must be finite")
-        if not (np.abs(norms(np.concatenate([self.dir_a, self.dir_b])) - 1.0) <= UNIT_TOL).all():
-            raise InvalidParams("measured directions must be unit vectors")
-
-    def __len__(self) -> int:
-        return self.observer.size
-
-    def __getitem__(self, rows) -> "Observations":
-        return Observations(tau_a=self.tau_a[rows], tau_b=self.tau_b[rows],
-                            dir_a=self.dir_a[rows], dir_b=self.dir_b[rows],
-                            observer=self.observer[rows])
+        if not np.isfinite([self.eps, *self.eps_a_per_observer]).all():
+            raise InvalidParams("clock offsets eps and eps_a_per_observer must be finite")
 
 
 def sample_excess_delays(params: SvParams, count: int, rng_seed) -> np.ndarray:
@@ -170,8 +132,9 @@ def sample_scenario(d: float, params: SvParams, m_observers: int,
 
     Per observer, K_o excess delays come from one channel draw and the
     A-side directions are uniform on the sphere; the B-side parameters
-    follow from the virtual-source geometry.  Degenerate draws (virtual
-    source on node B) are resampled up to 100 times.
+    follow from the virtual-source geometry, all rows at once.  A row whose
+    virtual source lands on node B is redrawn on its own (one excess delay,
+    one direction), rows in order, up to 100 attempts per MPC.
     """
     if not 0.0 <= d < np.inf:
         raise InvalidParams("d must be finite and nonnegative")
@@ -182,29 +145,32 @@ def sample_scenario(d: float, params: SvParams, m_observers: int,
     k_per_observer = [int(k) for k in k_per_observer]
     if len(k_per_observer) != m_observers or any(k < 1 for k in k_per_observer):
         raise InvalidParams("k_per_observer must give a positive count per observer")
+    if not 0.0 < c < np.inf:
+        raise InvalidParams("c must be finite and positive")
 
     rng = _as_rng(rng_seed)
     pos_a = np.zeros(3)
     pos_b = np.array([d, 0.0, 0.0])
-    mpcs = []
-    for o, k_o in enumerate(k_per_observer):
-        excess = sample_excess_delays(params, k_o, rng)
-        dirs = sample_unit_directions(rng, k_o)
-        for k in range(k_o):
-            tau_a = params.tau_min + excess[k]
-            dir_a = dirs[k]
-            for attempt in range(100):
-                try:
-                    mpc = complete_mpc(pos_a, pos_b, tau_a, dir_a, c,
-                                       observer_id=o, mpc_id=k)
+    columns = []  # (tau_a, tau_b, dir_a, dir_b) per observer
+    for k_o in k_per_observer:
+        tau_a = params.tau_min + sample_excess_delays(params, k_o, rng)
+        dir_a = sample_unit_directions(rng, k_o)
+        tau_b, dir_b, degenerate = complete_mpc(pos_a, pos_b, tau_a, dir_a, c)
+        # redraw the flagged rows in row order; the batch draw was attempt 1 of 100
+        for k in np.flatnonzero(degenerate):
+            for _ in range(99):
+                tau_a[k] = params.tau_min + sample_excess_delays(params, 1, rng)[0]
+                dir_a[k] = sample_unit_directions(rng, 1)[0]
+                tau_b[k], dir_b[k], flagged = complete_mpc(pos_a, pos_b, tau_a[k], dir_a[k], c)
+                if not flagged:
                     break
-                except DegenerateGeometry:
-                    tau_a = params.tau_min + sample_excess_delays(params, 1, rng)[0]
-                    dir_a = sample_unit_directions(rng, 1)[0]
             else:
                 raise DegenerateGeometry("could not draw a non-degenerate MPC")
-            mpcs.append(mpc)
-    return Scenario(pos_a=pos_a, pos_b=pos_b, mpcs=tuple(mpcs), c=c)
+        columns.append((tau_a, tau_b, dir_a, dir_b))
+    tau_a, tau_b, dir_a, dir_b = (np.concatenate(side) for side in zip(*columns))
+    observer = np.repeat(np.arange(m_observers), k_per_observer)
+    return Scenario(pos_a=pos_a, pos_b=pos_b, c=c, mpcs=Observations(
+        tau_a=tau_a, tau_b=tau_b, dir_a=dir_a, dir_b=dir_b, observer=observer))
 
 
 def perturb_direction(directions, alpha, phi) -> np.ndarray:
@@ -229,20 +195,20 @@ def observe(scenario: Scenario, noise: NoiseParams, rng_seed) -> Observations:
     are cone-perturbed by sigma_dir.  Association order is preserved.
     """
     rng = _as_rng(rng_seed)
-    mpcs = scenario.mpcs
-    observer = [m.observer_id for m in mpcs]
-    groups = group_by_observer(observer)
+    truth = scenario.mpcs
+    groups = group_by_observer(truth.observer)
     eps_a = noise.eps_a_per_observer or (0.0,) * len(groups)
     if len(eps_a) != len(groups):
         raise InvalidParams("eps_a_per_observer length must equal the observer count")
-    e_a = np.empty(scenario.k_total)
+    e_a = np.empty(len(truth))
     for e, rows in zip(eps_a, groups.values()):
         e_a[rows] = e
 
     # the scalars are drawn MPC by MPC in the stream's fixed order: tau_a
-    # noise, tau_b noise, then (alpha, phi) for dir_a and for dir_b
+    # noise, tau_b noise, then (alpha, phi) for dir_a and for dir_b; the
+    # normal and uniform draws interleave, so no batch draw gives these bits
     side_sigma = noise.sigma / np.sqrt(2.0)
-    draws = np.zeros((scenario.k_total, 6))
+    draws = np.zeros((len(truth), 6))
     for row in draws:
         if side_sigma > 0:
             row[:2] = rng.normal(0.0, side_sigma), rng.normal(0.0, side_sigma)
@@ -250,16 +216,13 @@ def observe(scenario: Scenario, noise: NoiseParams, rng_seed) -> Observations:
             for j in (2, 4):
                 row[j:j + 2] = rng.normal(0.0, noise.sigma_dir), rng.uniform(0.0, 2.0 * np.pi)
 
-    dir_a = np.array([m.dir_a for m in mpcs])
-    dir_b = np.array([m.dir_b for m in mpcs])
+    dir_a, dir_b = truth.dir_a, truth.dir_b
     if noise.sigma_dir > 0:
         dir_a = perturb_direction(dir_a, draws[:, 2], draws[:, 3])
         dir_b = perturb_direction(dir_b, draws[:, 4], draws[:, 5])
-    return Observations(
-        tau_a=np.array([m.tau_a for m in mpcs]) + draws[:, 0] + e_a,
-        tau_b=np.array([m.tau_b for m in mpcs]) + draws[:, 1] + (e_a + noise.eps),
-        dir_a=dir_a, dir_b=dir_b, observer=observer,
-    )
+    return Observations(tau_a=truth.tau_a + draws[:, 0] + e_a,
+                        tau_b=truth.tau_b + draws[:, 1] + (e_a + noise.eps),
+                        dir_a=dir_a, dir_b=dir_b, observer=truth.observer)
 
 
 def scramble_association(observations: Observations, rng_seed):
@@ -288,17 +251,18 @@ _CSV_COLUMNS = [
 
 
 def scenario_csv(scenario: Scenario, observations: Observations) -> str:
-    """Render a scenario and its observations as CSV (one row per MPC)."""
-    if len(observations) != len(scenario.mpcs):
+    """Render a scenario and its observations as CSV (one row per MPC; ``mpc``
+    is the row's position within its observer group)."""
+    truth = scenario.mpcs
+    if len(observations) != len(truth):
         raise InvalidParams("observation count must match the scenario MPC count")
-    measured = np.column_stack([observations.tau_a, observations.tau_b,
-                                observations.dir_a, observations.dir_b])
+    table = np.column_stack([truth.observer, positions_in_group(truth.observer),
+                             truth.tau_a, truth.tau_b, truth.dir_a, truth.dir_b,
+                             observations.tau_a, observations.tau_b,
+                             observations.dir_a, observations.dir_b])
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_CSV_COLUMNS)
-    for mpc, row in zip(scenario.mpcs, measured):
-        true = (mpc.tau_a, mpc.tau_b, *mpc.dir_a, *mpc.dir_b)
-        w.writerow([mpc.observer_id, mpc.mpc_id, *(f"{x:.12e}" for x in (*true, *row))])
+    np.savetxt(buf, table, fmt=["%d", "%d"] + ["%.12e"] * 16, delimiter=",",
+               header=",".join(_CSV_COLUMNS), comments="")
     return buf.getvalue()
 
 

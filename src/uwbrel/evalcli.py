@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import assoc, chansim, distest, posest
-from .errors import ConfigError, UwbrelError
-from .geom import SPEED_OF_LIGHT, Scenario, complete_mpc, group_by_observer
+from .errors import ConfigError, DegenerateGeometry, UwbrelError
+from .geom import SPEED_OF_LIGHT, Observations, Scenario, complete_mpc, group_by_observer
 from .likelihood import ErrorModel
 
 _C = SPEED_OF_LIGHT
@@ -230,15 +230,16 @@ def canonical_scenario(d: float, c: float = _C) -> Scenario:
     peaks exactly at the true (d, eps)."""
     pos_a = np.zeros(3)
     pos_b = np.array([d, 0.0, 0.0])
-    mpcs = (
-        # direct path from an observer placed behind A on the B-axis
-        complete_mpc(pos_a, pos_b, 5.0 / c, np.array([1.0, 0.0, 0.0]), c, 0, 0),
-        # reflection off a wall beyond B: virtual source past B on the axis
-        complete_mpc(pos_a, pos_b, 9.0 / c, np.array([-1.0, 0.0, 0.0]), c, 0, 1),
-        # generic side reflection
-        complete_mpc(pos_a, pos_b, 7.0 / c, np.array([0.0, -1.0, 0.0]), c, 0, 2),
-    )
-    return Scenario(pos_a=pos_a, pos_b=pos_b, mpcs=mpcs, c=c)
+    # the direct path from an observer placed behind A on the B-axis, a
+    # reflection off a wall beyond B (virtual source past B on the axis) and
+    # a generic side reflection
+    tau_a = np.array([5.0, 9.0, 7.0]) / c
+    dir_a = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    tau_b, dir_b, degenerate = complete_mpc(pos_a, pos_b, tau_a, dir_a, c)
+    if degenerate.any():
+        raise DegenerateGeometry("virtual source coincides with node B")
+    return Scenario(pos_a=pos_a, pos_b=pos_b, c=c, mpcs=Observations(
+        tau_a=tau_a, tau_b=tau_b, dir_a=dir_a, dir_b=dir_b, observer=np.zeros(3, dtype=int)))
 
 
 def dump_surface(cfg: ExperimentConfig) -> str:

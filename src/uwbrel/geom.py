@@ -9,21 +9,28 @@ toward the receiving node, which is the sign convention under which
 
 holds exactly for the relative position d = pos_b - pos_a.
 
-MPCs and their observations are grouped by observer in one place,
-``group_by_observer``: it takes the observer id of every row and returns
-each observer's row indices, observers in order of first appearance.  Every
-per-observer loop in the library (association, delay differences, the
-raw-delay system's offset columns, scrambling, observation noise) walks
-them in that order and reads its columns through those index arrays.
+A set of MPCs is one ``Observations``: five columns, one row per MPC,
+checked where the set is built.  The same type holds the ground truth of a
+``Scenario`` and what the nodes measure, so the noise-free measurement is
+the truth.  Every geometric function here works on such columns, row by
+row: ``complete_mpc`` fills in the B side, ``vector_identity_terms`` and the
+residuals return one value per row.
+
+MPCs are grouped by observer in one place, ``group_by_observer``: it takes
+the observer id of every row and returns each observer's row indices,
+observers in order of first appearance.  Every per-observer loop in the
+library (association, delay differences, the raw-delay system's offset
+columns, scrambling, observation noise, the sampler) walks them in that
+order and reads its columns through those index arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry
+from .errors import DegenerateGeometry, InvalidParams
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -38,11 +45,6 @@ def norms(v) -> np.ndarray:
     return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def is_unit(v, tol: float = UNIT_TOL) -> bool:
-    """Whether ``v`` has Euclidean norm 1 within ``tol``."""
-    return abs(np.linalg.norm(np.asarray(v, dtype=float)) - 1.0) <= tol
-
-
 def group_by_observer(observer) -> dict:
     """Row indices grouped by observer id: ``{id: index array}``, observers
     in order of first appearance, indices ascending."""
@@ -50,47 +52,77 @@ def group_by_observer(observer) -> dict:
     return {o: np.flatnonzero(ids == o) for o in dict.fromkeys(ids.tolist())}
 
 
-@dataclass(frozen=True)
-class MpcTrue:
-    """Ground-truth parameters of one MPC seen from both nodes.
+def positions_in_group(observer) -> np.ndarray:
+    """Each row's position within its observer group (0, 1, ... in row order)."""
+    positions = np.empty(np.size(observer), dtype=int)
+    for rows in group_by_observer(observer).values():
+        positions[rows] = np.arange(rows.size)
+    return positions
 
-    tau_a/tau_b are propagation delays in seconds, dir_a/dir_b unit
-    direction vectors at the respective node.
+
+@dataclass(frozen=True)
+class Observations:
+    """Delays and directions of K MPCs at both nodes, as columns.
+
+    ``tau_a``, ``tau_b`` (K,): the delays in seconds at A and B;
+    ``dir_a``, ``dir_b`` (K, 3): the unit directions; ``observer`` (K,): the
+    integer id of each MPC's observer.  Construction checks the columns and
+    keeps read-only copies: delays must be finite (zero and negative values
+    are accepted, since a measured delay carries an arbitrary clock offset)
+    and directions unit vectors.  A slice, index array or mask selects rows.
     """
 
-    tau_a: float
-    tau_b: float
+    tau_a: np.ndarray
+    tau_b: np.ndarray
     dir_a: np.ndarray
     dir_b: np.ndarray
-    observer_id: int = 0
-    mpc_id: int = 0
+    observer: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dir_a", np.asarray(self.dir_a, dtype=float))
-        object.__setattr__(self, "dir_b", np.asarray(self.dir_b, dtype=float))
-        if self.tau_a <= 0 or self.tau_b <= 0:
-            raise DegenerateGeometry("MPC delays must be positive")
-        if not (is_unit(self.dir_a) and is_unit(self.dir_b)):
-            raise DegenerateGeometry("MPC directions must be unit vectors")
+        if np.size(self.observer) and np.asarray(self.observer).dtype.kind not in "iu":
+            raise InvalidParams("observer ids must be integers")
+        for name in ("tau_a", "tau_b", "dir_a", "dir_b", "observer"):
+            column = np.array(getattr(self, name), int if name == "observer" else float, order="C")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        k = self.observer.shape
+        if (len(k) != 1 or self.tau_a.shape != k or self.tau_b.shape != k
+                or self.dir_a.shape != k + (3,) or self.dir_b.shape != k + (3,)):
+            raise InvalidParams("delays and observer ids need shape (K,), directions (K, 3)")
+        if not (np.isfinite(self.tau_a).all() and np.isfinite(self.tau_b).all()):
+            raise InvalidParams("MPC delays must be finite")
+        if not (np.abs(norms(np.concatenate([self.dir_a, self.dir_b])) - 1.0) <= UNIT_TOL).all():
+            raise InvalidParams("MPC directions must be unit vectors")
+
+    def __len__(self) -> int:
+        return self.observer.size
+
+    def __getitem__(self, rows) -> "Observations":
+        return Observations(tau_a=self.tau_a[rows], tau_b=self.tau_b[rows],
+                            dir_a=self.dir_a[rows], dir_b=self.dir_b[rows],
+                            observer=self.observer[rows])
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Ground-truth geometry: node positions plus a consistent MPC set.
 
-    ``mpcs`` is ordered by observer; ``k_per_observer`` recovers the
-    per-observer group sizes K_1..K_M.
+    ``mpcs`` is one ``Observations`` set whose delays must be positive;
+    ``k_per_observer`` recovers the per-observer group sizes K_1..K_M.
     """
 
     pos_a: np.ndarray
     pos_b: np.ndarray
-    mpcs: tuple = field(default_factory=tuple)
+    mpcs: Observations
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         object.__setattr__(self, "pos_a", np.asarray(self.pos_a, dtype=float))
         object.__setattr__(self, "pos_b", np.asarray(self.pos_b, dtype=float))
-        object.__setattr__(self, "mpcs", tuple(self.mpcs))
+        if not 0.0 < self.c < np.inf:
+            raise InvalidParams("c must be finite and positive")
+        if not ((self.mpcs.tau_a > 0).all() and (self.mpcs.tau_b > 0).all()):
+            raise DegenerateGeometry("MPC delays must be positive")
 
     @property
     def d_vec(self) -> np.ndarray:
@@ -105,76 +137,62 @@ class Scenario:
         return len(self.mpcs)
 
     def k_per_observer(self) -> dict:
-        groups = group_by_observer([m.observer_id for m in self.mpcs])
-        return {o: rows.size for o, rows in groups.items()}
+        return {o: rows.size for o, rows in group_by_observer(self.mpcs.observer).items()}
 
     def validate(self, tol: float = 1e-9) -> None:
-        """Check every MPC against the vector identity and the delay bound."""
-        d = self.d_vec
-        for m in self.mpcs:
-            recon = self.c * m.tau_b * m.dir_b - self.c * m.tau_a * m.dir_a
-            if np.linalg.norm(recon - d) > tol:
-                raise DegenerateGeometry(
-                    f"MPC ({m.observer_id},{m.mpc_id}) violates the vector identity"
-                )
-            if abs(self.c * delay_diff_true(m)) > self.d + tol:
-                raise DegenerateGeometry(
-                    f"MPC ({m.observer_id},{m.mpc_id}) violates the delay-difference bound"
-                )
+        """Check every MPC against the vector identity and the delay bound;
+        the first bad row is named as (observer, position in its group)."""
+        m = self.mpcs
+        off_identity = norms(vector_identity_terms(m, self.c) - self.d_vec) > tol
+        off_bound = np.abs(self.c * (m.tau_b - m.tau_a)) > self.d + tol
+        bad = np.flatnonzero(off_identity | off_bound)
+        if bad.size:
+            row = bad[0]
+            name = f"MPC ({m.observer[row]},{positions_in_group(m.observer)[row]})"
+            if off_identity[row]:
+                raise DegenerateGeometry(f"{name} violates the vector identity")
+            raise DegenerateGeometry(f"{name} violates the delay-difference bound")
 
 
-def complete_mpc(pos_a, pos_b, tau_a: float, dir_a, c: float = SPEED_OF_LIGHT,
-                 observer_id: int = 0, mpc_id: int = 0) -> MpcTrue:
-    """Fill in the B-side delay and direction from the A-side parameters.
+def complete_mpc(pos_a, pos_b, tau_a, dir_a, c: float = SPEED_OF_LIGHT):
+    """Fill in the B-side delays and directions from the A-side ones, row by row.
 
-    The virtual source sits at ``pos_a - c*tau_a*dir_a``; the B-side leg is
-    the vector from there to ``pos_b``, i.e. ``d + c*tau_a*dir_a``.
-
-    Raises DegenerateGeometry when the virtual source coincides with node B.
+    ``tau_a`` (K,) and ``dir_a`` (K, 3) in; ``(tau_b, dir_b, degenerate)``
+    out, with ``degenerate`` (K,) flagging the rows whose virtual source
+    coincides with node B (their B side is meaningless).  The virtual source
+    sits at ``pos_a - c*tau_a*dir_a``; the B-side leg is the vector from
+    there to ``pos_b``, i.e. ``d + c*tau_a*dir_a``.
     """
-    pos_a = np.asarray(pos_a, dtype=float)
-    pos_b = np.asarray(pos_b, dtype=float)
-    dir_a = np.asarray(dir_a, dtype=float)
-    if tau_a <= 0:
-        raise DegenerateGeometry("tau_a must be positive")
-    if not is_unit(dir_a):
-        raise DegenerateGeometry("dir_a must be a unit vector")
-    leg_b = (pos_b - pos_a) + c * tau_a * dir_a
-    norm_b = np.linalg.norm(leg_b)
-    if norm_b < _COINCIDENCE_EPS:
-        raise DegenerateGeometry("virtual source coincides with node B")
-    return MpcTrue(
-        tau_a=float(tau_a),
-        tau_b=float(norm_b / c),
-        dir_a=dir_a,
-        dir_b=leg_b / norm_b,
-        observer_id=observer_id,
-        mpc_id=mpc_id,
-    )
+    d = np.asarray(pos_b, dtype=float) - np.asarray(pos_a, dtype=float)
+    leg_b = d + c * np.asarray(tau_a, dtype=float)[..., None] * np.asarray(dir_a, dtype=float)
+    norm_b = norms(leg_b)
+    degenerate = norm_b < _COINCIDENCE_EPS
+    return norm_b / c, leg_b / np.maximum(norm_b, _COINCIDENCE_EPS)[..., None], degenerate
 
 
-def delay_diff_true(m: MpcTrue) -> float:
-    """True delay difference tau_b - tau_a in seconds."""
-    return m.tau_b - m.tau_a
+def vector_identity_terms(observations, c: float) -> np.ndarray:
+    """The (K, 3) terms c*tau_b*dir_b - c*tau_a*dir_a of the per-MPC vector
+    identity, each equal to d plus the MPC's clock-offset terms."""
+    return (c * observations.tau_b[:, None] * observations.dir_b
+            - c * observations.tau_a[:, None] * observations.dir_a)
 
 
-def projection_residual(m: MpcTrue, d, c: float = SPEED_OF_LIGHT) -> float:
-    """Residual of the projection identity, in meters.
+def projection_residual(mpcs, d, c: float = SPEED_OF_LIGHT) -> np.ndarray:
+    """Per-row residual of the projection identity, in meters.
 
     Returns ``(dir_a + dir_b)^T d - c*(tau_b - tau_a)*(1 + dir_a^T dir_b)``,
     which is zero (to float precision) for any geometrically consistent MPC.
     """
-    d = np.asarray(d, dtype=float)
-    lhs = float((m.dir_a + m.dir_b) @ d)
-    rhs = c * delay_diff_true(m) * (1.0 + float(m.dir_a @ m.dir_b))
-    return lhs - rhs
+    cos_ab = np.einsum("ij,ij->i", mpcs.dir_a, mpcs.dir_b)
+    lhs = (mpcs.dir_a + mpcs.dir_b) @ np.asarray(d, dtype=float)
+    return lhs - c * (mpcs.tau_b - mpcs.tau_a) * (1.0 + cos_ab)
 
 
-def pwa_residual(m: MpcTrue, d, c: float = SPEED_OF_LIGHT) -> float:
-    """Plane-wave-assumption residual ``dir_a^T d - c*(tau_b - tau_a)`` in meters.
+def pwa_residual(mpcs, d, c: float = SPEED_OF_LIGHT) -> np.ndarray:
+    """Per-row plane-wave-assumption residual ``dir_a^T d - c*(tau_b - tau_a)``
+    in meters.
 
     Diagnostic only: small when the node separation is much shorter than the
     path length, not zero in general.
     """
-    d = np.asarray(d, dtype=float)
-    return float(m.dir_a @ d) - c * delay_diff_true(m)
+    return mpcs.dir_a @ np.asarray(d, dtype=float) - c * (mpcs.tau_b - mpcs.tau_a)

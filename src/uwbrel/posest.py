@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntiparallelDirections, InvalidParams, NotPositiveDefinite, RankDeficient
-from .geom import SPEED_OF_LIGHT, group_by_observer
+from .geom import SPEED_OF_LIGHT, group_by_observer, vector_identity_terms
 
 _C = SPEED_OF_LIGHT
 _ANTIPARALLEL_EPS = 1e-6
@@ -159,13 +159,6 @@ def gls_by_delta(observations, error_mean, error_cov,
     return _solve_by_delta(observations, "gls_by_delta", cond_limit, error_mean, error_cov)
 
 
-def _vector_identity_terms(observations) -> np.ndarray:
-    """The (K, 3) terms c*tau_b*dir_b - c*tau_a*dir_a of the per-MPC vector
-    identity, each equal to d plus the MPC's clock-offset terms."""
-    return (_C * observations.tau_b[:, None] * observations.dir_b
-            - _C * observations.tau_a[:, None] * observations.dir_a)
-
-
 def build_tau_system(observations) -> StackedTauSystem:
     """Stack the raw-delay system with shared and per-observer offset columns."""
     if not observations:
@@ -178,7 +171,7 @@ def build_tau_system(observations) -> StackedTauSystem:
     for j, rows in enumerate(groups.values()):  # one offset column per observer
         G[rows, :, 4 + j] = observations.dir_b[rows] - observations.dir_a[rows]
     return StackedTauSystem(G=G.reshape(3 * k, -1),
-                            t=_vector_identity_terms(observations).ravel())
+                            t=vector_identity_terms(observations, _C).ravel())
 
 
 def lse_by_tau(observations, cond_limit: float = COND_LIMIT) -> PositionEstimate:
@@ -201,6 +194,6 @@ def lse_by_tau_sync(observations) -> PositionEstimate:
     if not observations:
         raise InvalidParams("no observations")
     return PositionEstimate(
-        d_vec=_vector_identity_terms(observations).mean(axis=0), eps_hat=0.0,
+        d_vec=vector_identity_terms(observations, _C).mean(axis=0), eps_hat=0.0,
         method="lse_by_tau_sync", condition_number=1.0,
     )

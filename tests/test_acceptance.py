@@ -15,7 +15,7 @@ from scipy.special import ndtr
 
 from uwbrel import assoc, chansim, distest, posest
 from uwbrel.evalcli import ExperimentConfig, calibrate, dump_surface, run_sweep
-from uwbrel.geom import SPEED_OF_LIGHT as C, complete_mpc, projection_residual
+from uwbrel.geom import SPEED_OF_LIGHT as C, Observations, complete_mpc, projection_residual
 from uwbrel.likelihood import ErrorModel
 
 
@@ -62,9 +62,10 @@ class TestPropertyCriteria:
             worst = max(worst, float(np.abs(s @ d_vec - C * (tau_b - tau_a)).max()))
         elapsed = time.time() - t0
         # bridge to the library construction on a sample
-        m = complete_mpc(np.zeros(3), np.array([2.0, 0, 0]), 30e-9,
-                         np.array([0.0, 1.0, 0.0]))
-        worst = max(worst, abs(projection_residual(m, np.array([2.0, 0, 0]))))
+        tau_a, dir_a = np.array([30e-9]), np.array([[0.0, 1.0, 0.0]])
+        tau_b, dir_b, _ = complete_mpc(np.zeros(3), np.array([2.0, 0, 0]), tau_a, dir_a)
+        m = Observations(tau_a=tau_a, tau_b=tau_b, dir_a=dir_a, dir_b=dir_b, observer=[0])
+        worst = max(worst, abs(projection_residual(m, np.array([2.0, 0, 0]))[0]))
         check(1, f"identity residuals ({elapsed:.2f}s)", worst, 0.0, 1e-9)
         assert elapsed < 1.0
 

@@ -124,8 +124,8 @@ class TestSurface:
                                grid_steps=60)
         text = dump_surface(cfg)
         scen = canonical_scenario(2.5)
-        taus_a = np.array([m.tau_a for m in scen.mpcs])
-        taus_b = np.array([m.tau_b + 5e-9 for m in scen.mpcs])
+        taus_a = scen.mpcs.tau_a
+        taus_b = scen.mpcs.tau_b + 5e-9
         rows = np.array([[float(x) for x in line.split(",")]
                          for line in text.strip().split("\n")[1:]])
         positive = rows[np.isfinite(rows[:, 2])]
