@@ -34,10 +34,12 @@ class AssocConfig:
     angle_gate: float = np.radians(30.0)
 
     def __post_init__(self):
+        if not 0.0 < self.sigma_tau < np.inf:
+            raise InvalidParams("sigma_tau must be finite and positive")
         if self.lambda_ is None:
             object.__setattr__(self, "lambda_", 1.0 / self.sigma_tau)
-        if self.lambda_ < 0:
-            raise InvalidParams("lambda_ must be nonnegative")
+        if not 0.0 <= self.lambda_ < np.inf:
+            raise InvalidParams("lambda_ must be finite and nonnegative")
         if not (0.0 < self.angle_gate <= np.pi):
             raise InvalidParams("angle_gate must be in (0, pi]")
 

@@ -53,8 +53,8 @@ class SvParams:
 
     def __post_init__(self):
         for name in ("cluster_mean", "ray_mean", "cluster_decay", "ray_decay", "tau_min"):
-            if getattr(self, name) <= 0:
-                raise InvalidParams(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise InvalidParams(f"{name} must be finite and positive")
 
     @property
     def ray_scale(self) -> float:

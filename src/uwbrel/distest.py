@@ -1,17 +1,22 @@
-"""Distance estimators from delay differences.
+"""Distance estimators from MPC delays.
 
-Closed forms for the noiseless asynchronous/synchronized cases, a
-soft-indicator maximum-likelihood estimator for Gaussian errors, and the
-unknown-association variant whose per-observer permutation sum is a matrix
-permanent of soft-indicator matrices.  One kernel, ``permanent``, computes
-the permanents of a whole stack of matrices; the hard-indicator search
-scores every candidate of an observer in one call to it.  The
-unknown-association likelihood has one body, ``_noassoc_kernel``: it is
-compiled once per estimate from the cross differences and evaluates its
-(d, eps) points in fixed-size blocks; ``loglik_no_assoc`` validates the
-delays and delegates to it.  The grid scan evaluates it batch-last; the
-simplex refinement evaluates its points through the kernel's pointwise
-form, which sums every point's permanents as if it were evaluated alone.
+Every public estimator and likelihood takes one ``geom.Observations`` set
+as its first argument and reads only its delays and observer ids; the
+directions go unused.  With known association the inputs are the delay
+differences tau_b - tau_a of each row, and MPC k's sigma is row k's.
+Closed forms cover the noiseless asynchronous/synchronized cases, and a
+soft-indicator maximum-likelihood estimator the Gaussian one.  The
+unknown-association variant pairs the delays within each observer (rows
+grouped by ``geom.group_by_observer``) in every way, so its per-observer
+permutation sum is a matrix permanent of soft-indicator matrices.  One
+kernel, ``permanent``, computes the permanents of a whole stack of
+matrices; the hard-indicator search scores every candidate of an observer
+in one call to it.  The unknown-association likelihood has one body,
+``_noassoc_kernel``: it is compiled once per estimate from the cross
+differences of ``_cross_diffs`` and evaluates its (d, eps) points in
+fixed-size blocks.  The grid scan evaluates it batch-last; the simplex
+refinement evaluates its points through the kernel's pointwise form, which
+sums every point's permanents as if it were evaluated alone.
 """
 
 from __future__ import annotations
@@ -40,31 +45,6 @@ def _log0(values: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DelayDiffSet:
-    """Measured delay differences grouped by observer."""
-
-    diffs: tuple  # tuple of 1D arrays, one per observer
-
-    def __post_init__(self):
-        groups = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in self.diffs)
-        if not groups or any(g.size == 0 for g in groups):
-            raise InvalidParams("every observer group needs at least one diff")
-        if not all(np.isfinite(g).all() for g in groups):
-            raise InvalidParams("delay differences must be finite")
-        object.__setattr__(self, "diffs", groups)
-
-    @classmethod
-    def from_observations(cls, observations) -> "DelayDiffSet":
-        delta = observations.tau_b - observations.tau_a
-        return cls(diffs=tuple(delta[rows]
-                               for rows in group_by_observer(observations.observer).values()))
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate(self.diffs)
-
-
-@dataclass(frozen=True)
 class DistanceEstimate:
     d_hat: float
     eps_hat: float
@@ -72,52 +52,53 @@ class DistanceEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _async_range(diffs: DelayDiffSet):
+def _delays(obs) -> np.ndarray:
+    """The known-association delay differences tau_b - tau_a, row by row."""
+    if not obs:
+        raise InvalidParams("no observations")
+    return obs.tau_b - obs.tau_a
+
+
+def _async_range(delta: np.ndarray):
     """K, the spread max - min and the midrange of the diffs (K >= 2)."""
-    delta = diffs.stacked
     if delta.size < 2:
         raise InsufficientMpcs("asynchronous estimators need K >= 2")
     return delta.size, float(delta.max() - delta.min()), float(delta.max() + delta.min()) / 2.0
 
 
-def _sync_range(diffs: DelayDiffSet):
+def _sync_range(delta: np.ndarray):
     """K and the largest |delta| of the diffs."""
-    delta = diffs.stacked
     return delta.size, float(np.abs(delta).max())
 
 
-def mvue_async(diffs: DelayDiffSet) -> DistanceEstimate:
+def mvue_async(obs) -> DistanceEstimate:
     """Bias-corrected range estimate: (K+1)/(K-1) * (c/2) * (max - min)."""
-    k, spread, mid = _async_range(diffs)
+    k, spread, mid = _async_range(_delays(obs))
     return DistanceEstimate(d_hat=(k + 1) / (k - 1) * (_C / 2.0) * spread, eps_hat=mid,
                             method="mvue_async")
 
 
-def mle_async_noiseless(diffs: DelayDiffSet) -> DistanceEstimate:
+def mle_async_noiseless(obs) -> DistanceEstimate:
     """Uncorrected ML range: (c/2) * (max - min); underestimates w.p. 1."""
-    _, spread, mid = _async_range(diffs)
+    _, spread, mid = _async_range(_delays(obs))
     return DistanceEstimate(d_hat=(_C / 2.0) * spread, eps_hat=mid,
                             method="mle_async_noiseless")
 
 
-def mle_sync(diffs: DelayDiffSet) -> DistanceEstimate:
+def mle_sync(obs) -> DistanceEstimate:
     """Synchronized-clock ML range: c * max|delta| (caller asserts eps = 0)."""
-    _, peak = _sync_range(diffs)
+    _, peak = _sync_range(_delays(obs))
     return DistanceEstimate(d_hat=_C * peak, eps_hat=0.0, method="mle_sync")
 
 
-def mvue_sync(diffs: DelayDiffSet) -> DistanceEstimate:
+def mvue_sync(obs) -> DistanceEstimate:
     """Bias-corrected synchronized range: (K+1)/K * c * max|delta|."""
-    k, peak = _sync_range(diffs)
+    k, peak = _sync_range(_delays(obs))
     return DistanceEstimate(d_hat=(k + 1) / k * _C * peak, eps_hat=0.0, method="mvue_sync")
 
 
-def loglik_known_assoc(diffs: DelayDiffSet, model: ErrorModel, d, eps):
-    """Log of the known-association likelihood (1/d^K) * prod_k I_k(delta_k - eps, d).
-
-    Broadcasts over numpy arrays ``d`` (meters) and ``eps`` (seconds).
-    """
-    delta = diffs.stacked
+def _loglik_known(delta: np.ndarray, model: ErrorModel, d, eps):
+    """``loglik_known_assoc`` of the diffs ``delta``; MPC k's sigma is delta[k]'s."""
     d = np.asarray(d, dtype=float)
     eps = np.asarray(eps, dtype=float)
     shape = np.broadcast_shapes(d.shape, eps.shape)
@@ -132,6 +113,15 @@ def loglik_known_assoc(diffs: DelayDiffSet, model: ErrorModel, d, eps):
     return out if out.ndim else float(out)
 
 
+def loglik_known_assoc(obs, model: ErrorModel, d, eps):
+    """Log of the known-association likelihood (1/d^K) * prod_k I_k(delta_k - eps, d)
+    of the diffs delta_k = tau_b - tau_a of each row; MPC k's sigma is row k's.
+
+    Broadcasts over numpy arrays ``d`` (meters) and ``eps`` (seconds).
+    """
+    return _loglik_known(_delays(obs), model, d, eps)
+
+
 def _default_config(delta_centered: np.ndarray) -> OptimizerConfig:
     d_max = max(4.0 * _C * float(np.abs(delta_centered).max()), 1e-3)
     e_pad = d_max / _C
@@ -141,7 +131,7 @@ def _default_config(delta_centered: np.ndarray) -> OptimizerConfig:
     )
 
 
-def mle_async_gaussian(diffs: DelayDiffSet, model: ErrorModel,
+def mle_async_gaussian(obs, model: ErrorModel,
                        cfg: OptimizerConfig = None) -> DistanceEstimate:
     """Joint ML estimate of (distance, clock offset) under Gaussian errors.
 
@@ -150,19 +140,20 @@ def mle_async_gaussian(diffs: DelayDiffSet, model: ErrorModel,
     Internally the diffs are midrange-centered so the estimate is exactly
     shift-equivariant.
     """
-    _, _, mid = _async_range(diffs)
+    delta = _delays(obs)
+    _, _, mid = _async_range(delta)
     if model.kind != "gaussian":
         raise InvalidParams("mle_async_gaussian needs a gaussian error model")
-    centered = DelayDiffSet(diffs=tuple(g - mid for g in diffs.diffs))
+    centered = delta - mid
     if cfg is None:
-        cfg = _default_config(centered.stacked)
+        cfg = _default_config(centered)
 
     def objective(d, eps):
-        return loglik_known_assoc(centered, model, d, eps)
+        return _loglik_known(centered, model, d, eps)
 
-    apex = mle_async_noiseless(centered)
+    _, spread, apex_eps = _async_range(centered)  # the noiseless closed form's apex
     d_hat, eps_hat, value = maximize_2d(
-        objective, cfg, extra_starts=[(max(apex.d_hat, _D_FLOOR), apex.eps_hat)]
+        objective, cfg, extra_starts=[(max((_C / 2.0) * spread, _D_FLOOR), apex_eps)]
     )
     return DistanceEstimate(
         d_hat=max(d_hat, 0.0),
@@ -224,60 +215,55 @@ def permanent(mats, pointwise=False):
     return float(out.reshape(())) if mats.ndim == 2 else out
 
 
-def _cross_diffs(tau_a_groups, tau_b_groups):
-    if len(tau_a_groups) != len(tau_b_groups):
-        raise InvalidParams("A and B need the same number of observer groups")
-    mats = []
-    for ta, tb in zip(tau_a_groups, tau_b_groups):
-        ta = np.atleast_1d(np.asarray(ta, dtype=float))
-        tb = np.atleast_1d(np.asarray(tb, dtype=float))
-        if ta.size != tb.size:
-            raise InvalidParams("per-observer A and B counts must match")
-        if ta.size == 0:
-            raise InvalidParams("every observer needs at least one MPC")
-        if not (np.isfinite(ta).all() and np.isfinite(tb).all()):
-            raise InvalidParams("delays must be finite")
-        if ta.size > PERMUTATION_CAP:
+def _cross_diffs(obs, mid=0.0):
+    """Each observer's row indices and its cross differences
+    ``[k, l] = (tau_b[l] - mid) - tau_a[k]``, observers in order of first
+    appearance, as two lists."""
+    if not obs:
+        raise InvalidParams("no observations")
+    rows = list(group_by_observer(obs.observer).values())
+    cross = []
+    for r in rows:
+        if r.size > PERMUTATION_CAP:
             raise PermutationCapExceeded(
-                f"K_o = {ta.size} exceeds the exact permanent cap {PERMUTATION_CAP}"
+                f"K_o = {r.size} exceeds the exact permanent cap {PERMUTATION_CAP}"
             )
-        mats.append(tb[None, :] - ta[:, None])  # [k, l] = tau_b[l] - tau_a[k]
-    return mats
+        cross.append((obs.tau_b[r] - mid)[None, :] - obs.tau_a[r][:, None])
+    return rows, cross
 
 
-def _noassoc_kernel(cross, model: ErrorModel):
+def _noassoc_kernel(rows, cross, model: ErrorModel):
     """The association-free log-likelihood of fixed cross differences, as
     two functions of (d, eps): ``loglik``, which broadcasts over ``d`` and
     ``eps``, and ``each``, which takes 1-D points and gives every one the
     bits ``loglik`` gives it alone.
 
     Observers of equal size share one (n_obs, n, n) cross-difference stack
-    and one (n_obs, n) sigma stack, both built here once.  Points are
-    evaluated ``_BLOCK`` at a time in a batch-last (n_obs, n, n, points)
-    layout, with one ``permanent`` call per size; the per-observer log
-    terms are added in observer order.  The batch-last permanent adds the
-    n! products of many points in another order than those of one point,
-    so ``each`` asks it for pointwise sums.
+    and one (n_obs, n) sigma stack (observer o's sigmas are those of its
+    rows ``rows[o]``), both built here once.  Points are evaluated
+    ``_BLOCK`` at a time in a batch-last (n_obs, n, n, points) layout, with
+    one ``permanent`` call per size; the per-observer log terms are added
+    in observer order.  The batch-last permanent adds the n! products of
+    many points in another order than those of one point, so ``each`` asks
+    it for pointwise sums.
     """
     sizes = [m.shape[0] for m in cross]
     k_total = sum(sizes)
     sig = model.sigmas(k_total) if model.kind == "gaussian" else None
-    first_row = np.cumsum([0] + sizes)
     groups = []  # (observer indices, (n_obs, n, n, 1) cross, (n_obs, n, 1, 1) sigma or None)
     for n in sorted(set(sizes)):
-        obs = [o for o, size in enumerate(sizes) if size == n]
-        stack = np.stack([cross[o] for o in obs])[..., None]
-        s = None if sig is None else np.stack(
-            [sig[first_row[o]:first_row[o] + n] for o in obs])[:, :, None, None]
-        groups.append((obs, stack, s))
+        ids = [o for o, size in enumerate(sizes) if size == n]
+        stack = np.stack([cross[o] for o in ids])[..., None]
+        s = None if sig is None else np.stack([sig[rows[o]] for o in ids])[:, :, None, None]
+        groups.append((ids, stack, s))
 
     def block(dd, ee, pointwise):
         half = np.maximum(dd, _D_FLOOR) / _C
         permanents = np.empty((len(cross), dd.size))
-        for obs, stack, s in groups:
+        for ids, stack, s in groups:
             x = stack - ee  # [o, k, l, p] = tau_b[l] - tau_a[k] - eps_p
             factors = model.factors(x, half, s)  # s: one sigma per A-side MPC (row)
-            permanents[obs] = permanent(factors.transpose(0, 3, 1, 2), pointwise=pointwise)
+            permanents[ids] = permanent(factors.transpose(0, 3, 1, 2), pointwise=pointwise)
         ll = -k_total * np.log(np.maximum(dd, _D_FLOOR))
         for term in _log0(permanents):  # observer by observer, in order
             ll = ll + term
@@ -294,15 +280,16 @@ def _noassoc_kernel(cross, model: ErrorModel):
     return loglik, functools.partial(loglik, pointwise=True)
 
 
-def loglik_no_assoc(tau_a_groups, tau_b_groups, model: ErrorModel, d, eps):
-    """Log of the association-free likelihood.
+def loglik_no_assoc(obs, model: ErrorModel, d, eps):
+    """Log of the association-free likelihood of the delays of ``obs``.
 
     Per observer the likelihood factor is the permanent of the matrix of
-    soft indicators over all A-to-B pairings; the total carries the same
-    1/d^K envelope as the known-association case.  Broadcasts over ``d``
-    and ``eps``.  Bad delays or sigmas raise InvalidParams.
+    soft indicators over all pairings of its A-side and B-side delays;
+    MPC k's sigma is row k's.  The total carries the same 1/d^K envelope as
+    the known-association case.  Broadcasts over ``d`` and ``eps``.  A
+    sigma array of the wrong size raises InvalidParams.
     """
-    loglik, _ = _noassoc_kernel(_cross_diffs(tau_a_groups, tau_b_groups), model)
+    loglik, _ = _noassoc_kernel(*_cross_diffs(obs), model)
     return loglik(d, eps)
 
 
@@ -346,21 +333,21 @@ def _noassoc_enumerate(cross):
     return float(d_cand[i]), float(e_cand[i]), float(value[i]), bool(n_feas[i] == len(cross))
 
 
-def mle_async_noassoc(tau_a_groups, tau_b_groups, model: ErrorModel,
+def mle_async_noassoc(obs, model: ErrorModel,
                       cfg: OptimizerConfig = None) -> DistanceEstimate:
-    """Joint ML estimate of (distance, clock offset) with unknown association.
+    """Joint ML estimate of (distance, clock offset) with unknown association:
+    within each observer of ``obs``, any A-side delay may pair with any
+    B-side delay.
 
     Gaussian errors: numerical maximization of the permanent-based
     likelihood, seeded from the coarse grid plus the best hard-indicator
     candidates.  Error model ``none``: exact enumeration over the finite
-    candidate set of wedge apexes and border intersections.  Bad delays
-    raise InvalidParams on entry.
+    candidate set of wedge apexes and border intersections.
     """
-    deltas = np.concatenate([m.ravel() for m in _cross_diffs(tau_a_groups, tau_b_groups)])
+    _, raw = _cross_diffs(obs)
+    deltas = np.concatenate([m.ravel() for m in raw])
     mid = (float(deltas.max()) + float(deltas.min())) / 2.0
-    ta_c = [np.atleast_1d(np.asarray(t, dtype=float)) for t in tau_a_groups]
-    tb_c = [np.atleast_1d(np.asarray(t, dtype=float)) - mid for t in tau_b_groups]
-    cross = [tb[None, :] - ta[:, None] for ta, tb in zip(ta_c, tb_c)]  # midrange-centered
+    rows, cross = _cross_diffs(obs, mid)  # midrange-centered
 
     if model.kind == "none":
         d_hat, eps_hat, value, feasible = _noassoc_enumerate(cross)
@@ -372,7 +359,7 @@ def mle_async_noassoc(tau_a_groups, tau_b_groups, model: ErrorModel,
     if cfg is None:
         cfg = _default_config(np.concatenate([m.ravel() for m in cross]))
 
-    objective, each = _noassoc_kernel(cross, model)
+    objective, each = _noassoc_kernel(rows, cross, model)
 
     # hard-indicator candidates pre-scored on the smooth objective make
     # good starts: the gaussian peaks sit near wedge apexes/intersections

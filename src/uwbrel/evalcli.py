@@ -5,6 +5,9 @@ Subcommands: ``sweep`` (RMSE vs distance / direction error / MPC count),
 check), ``scenario-dump`` (one sampled scenario as CSV).  All output is
 CSV with SI units; a run is fully determined by its configuration and
 seed, with per-trial RNG streams derived from (seed, sweep point, trial).
+Every estimator, distance or position, is called on one trial's
+``Observations`` set as it stands, after association where its tag asks
+for it; a configuration file's keys are the long flags' names.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import assoc, chansim, distest, posest
 from .errors import ConfigError, DegenerateGeometry, UwbrelError
-from .geom import SPEED_OF_LIGHT, Observations, Scenario, complete_mpc, group_by_observer
+from .geom import SPEED_OF_LIGHT, Observations, Scenario, complete_mpc
 from .likelihood import ErrorModel
 
 _C = SPEED_OF_LIGHT
@@ -112,20 +115,12 @@ def _error_model(sigma: float) -> ErrorModel:
             if sigma > 0 else ErrorModel(kind="none"))
 
 
-def _delay_groups(observations):
-    """Per-observer A-side and B-side delay arrays, observers in order."""
-    groups = group_by_observer(observations.observer).values()
-    return ([observations.tau_a[rows] for rows in groups],
-            [observations.tau_b[rows] for rows in groups])
-
-
 # Each tag's estimator on its (associated) observations.  The estimators are
 # looked up on their modules at every call, never bound here, so a patched
 # module attribute (as a tracer installs) is the function that runs.
 _ESTIMATORS = {
-    "MV": lambda obs, cfg: distest.mvue_async(distest.DelayDiffSet.from_observations(obs)),
-    "NA": lambda obs, cfg: distest.mle_async_noassoc(*_delay_groups(obs),
-                                                     _error_model(cfg.sigma)),
+    "MV": lambda obs, cfg: distest.mvue_async(obs),
+    "NA": lambda obs, cfg: distest.mle_async_noassoc(obs, _error_model(cfg.sigma)),
     "DD": lambda obs, cfg: posest.lse_by_delta(obs),
     "PWA": lambda obs, cfg: posest.lse_by_delta_pwa(obs),
     "TAU": lambda obs, cfg: posest.lse_by_tau(obs),
@@ -259,8 +254,7 @@ def dump_surface(cfg: ExperimentConfig) -> str:
     observations = chansim.observe(scenario, noise,
                                    np.random.default_rng([cfg.seed, 1]))
     model = _error_model(cfg.sigma)
-    diffs = distest.DelayDiffSet.from_observations(observations)
-    delta = diffs.stacked
+    delta = observations.tau_b - observations.tau_a
     d_max = max(4.0 * _C * float(np.abs(delta).max()), 1e-3)
     d_grid = np.linspace(0.0, d_max, cfg.grid_steps)
     # keep the eps axis tight around the observed diffs: its resolution must
@@ -269,13 +263,9 @@ def dump_surface(cfg: ExperimentConfig) -> str:
     spread = float(delta.max() - delta.min())
     e_pad = 0.05 * spread + 0.2e-9
     e_grid = np.linspace(delta.min() - e_pad, delta.max() + e_pad, cfg.grid_steps)
-
-    if cfg.surface_kind == "known":
-        vals = distest.loglik_known_assoc(diffs, model,
-                                          d_grid[:, None], e_grid[None, :])
-    else:
-        vals = distest.loglik_no_assoc(*_delay_groups(observations), model,
-                                       d_grid[:, None], e_grid[None, :])
+    loglik = (distest.loglik_known_assoc if cfg.surface_kind == "known"
+              else distest.loglik_no_assoc)
+    vals = loglik(observations, model, d_grid[:, None], e_grid[None, :])
 
     buf = io.StringIO()
     buf.write("d,eps,loglik\n")
@@ -415,8 +405,12 @@ _FLAGS = (
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """The flags, else the config file's keys; a value its parser rejects raises ConfigError."""
+    """The flags, else the config file's keys; a config key that names no
+    flag, or a value its parser rejects, raises ConfigError."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = set(file_cfg) - {key for key, _, _ in _FLAGS}
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
     updates: dict = {}
     for key, name, parse in _FLAGS:
         text = getattr(args, key, None)

@@ -18,6 +18,8 @@ from uwbrel.evalcli import ExperimentConfig, calibrate, dump_surface, run_sweep
 from uwbrel.geom import SPEED_OF_LIGHT as C, Observations, complete_mpc, projection_residual
 from uwbrel.likelihood import ErrorModel
 
+from delay_sets import delay_set, diff_set
+
 
 def check(criterion, label, value, lo, hi, unit="m"):
     ok = lo <= value <= hi
@@ -99,8 +101,7 @@ class TestPropertyCriteria:
         worst_ratio = 0.0
         for _ in range(200):
             k = int(rng.integers(2, 15))
-            diffs = distest.DelayDiffSet(
-                diffs=(rng.uniform(-2.0, 2.0, k) / C + 5e-9,))
+            diffs = diff_set(rng.uniform(-2.0, 2.0, k) / C + 5e-9)
             a = distest.mvue_async(diffs).d_hat
             b = distest.mle_async_noiseless(diffs).d_hat
             if b > 0:
@@ -115,8 +116,7 @@ class TestPropertyCriteria:
         rel = np.linalg.norm(gls.d_vec - ref.d_vec) / np.linalg.norm(ref.d_vec)
         check(3, "gls(iso) vs lse relative", rel, 0.0, 1e-12, unit="")
 
-        diffs = distest.DelayDiffSet(
-            diffs=(np.random.default_rng(9).uniform(-2, 2, 12) / C + 5e-9,))
+        diffs = diff_set(np.random.default_rng(9).uniform(-2, 2, 12) / C + 5e-9)
         noiseless = distest.mle_async_noiseless(diffs)
         gauss = distest.mle_async_gaussian(
             diffs, ErrorModel(kind="gaussian", sigma_per_mpc=1e-13))
@@ -127,8 +127,8 @@ class TestPropertyCriteria:
         rng = np.random.default_rng(4)
         shift = 7.25e-9
         base = rng.uniform(-2, 2, 8) / C + 2e-9
-        diffs = distest.DelayDiffSet(diffs=(base[:4], base[4:]))
-        shifted = distest.DelayDiffSet(diffs=(base[:4] + shift, base[4:] + shift))
+        diffs = diff_set(base[:4], base[4:])
+        shifted = diff_set(base[:4] + shift, base[4:] + shift)
         model = ErrorModel(kind="gaussian", sigma_per_mpc=0.2e-9)
         worst_d, worst_e = 0.0, 0.0
         for est in (distest.mvue_async, distest.mle_async_noiseless,
@@ -138,8 +138,8 @@ class TestPropertyCriteria:
             worst_e = max(worst_e, abs((b.eps_hat - a.eps_hat) - shift))
         tau_a = [rng.uniform(20e-9, 80e-9, 3) for _ in range(2)]
         tau_b = [ta + rng.uniform(-5e-9, 5e-9, 3) + 4e-9 for ta in tau_a]
-        a = distest.mle_async_noassoc(tau_a, tau_b, model)
-        b = distest.mle_async_noassoc(tau_a, [tb + shift for tb in tau_b], model)
+        a = distest.mle_async_noassoc(delay_set(tau_a, tau_b), model)
+        b = distest.mle_async_noassoc(delay_set(tau_a, [tb + shift for tb in tau_b]), model)
         worst_d = max(worst_d, abs(a.d_hat - b.d_hat))
         worst_e = max(worst_e, abs((b.eps_hat - a.eps_hat) - shift))
         check(4, "d-hat shift sensitivity", worst_d, 0.0, 1e-12)
@@ -178,7 +178,7 @@ class TestPropertyCriteria:
         for _ in range(20):
             d = rng.uniform(0.5, 6.0)
             eps = rng.uniform(-10e-9, 10e-9)
-            got = distest.loglik_no_assoc(tau_a, tau_b, model, d, eps)
+            got = distest.loglik_no_assoc(delay_set(tau_a, tau_b), model, d, eps)
             want = -7 * np.log(d)
             for ta, tb in zip(tau_a, tau_b):
                 acc = 0.0

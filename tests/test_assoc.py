@@ -37,6 +37,17 @@ def random_group(rng, n, o=0):
     return obs(ta, tb, va, vb, o)
 
 
+class TestAssocConfig:
+    @pytest.mark.parametrize("sigma_tau", [0.0, np.inf])
+    def test_sigma_tau_must_be_finite_and_positive(self, sigma_tau):
+        with pytest.raises(InvalidParams, match="sigma_tau"):
+            AssocConfig(sigma_tau=sigma_tau)
+
+    def test_lambda_must_be_finite(self):
+        with pytest.raises(InvalidParams, match="lambda_"):
+            AssocConfig(lambda_=np.nan)
+
+
 class TestPairCost:
     def test_identical_mpc_zero_cost(self):
         a = obs(30e-9, 30e-9, [1, 0, 0], [1, 0, 0])

@@ -40,6 +40,13 @@ class TestExcessDelays:
         with pytest.raises(InvalidParams):
             sample_excess_delays(SvParams(), 0, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["cluster_mean", "ray_mean", "cluster_decay",
+                                      "ray_decay", "tau_min"])
+    def test_rejects_non_finite_params(self, name, bad):
+        with pytest.raises(InvalidParams, match=f"{name} must be finite and positive"):
+            SvParams(**{name: bad})
+
     def test_marginal_statistics_quick(self):
         rng = np.random.default_rng(9)
         delays = np.concatenate([sample_excess_delays(SvParams(), 4, rng)

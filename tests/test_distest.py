@@ -1,12 +1,12 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from uwbrel.distest import (
-    DelayDiffSet,
     PERMUTATION_CAP,
     loglik_known_assoc,
     loglik_no_assoc,
@@ -22,9 +22,7 @@ from uwbrel.errors import InsufficientMpcs, InvalidParams, PermutationCapExceede
 from uwbrel.geom import SPEED_OF_LIGHT as C
 from uwbrel.likelihood import ErrorModel, OptimizerConfig
 
-
-def dd(*groups):
-    return DelayDiffSet(diffs=tuple(np.asarray(g, dtype=float) for g in groups))
+from delay_sets import delay_set, diff_set
 
 
 def uniform_model_diffs(rng, d, k, eps=0.0, sigma=0.0):
@@ -32,18 +30,18 @@ def uniform_model_diffs(rng, d, k, eps=0.0, sigma=0.0):
     delta = rng.uniform(-d, d, size=k) / C + eps
     if sigma > 0:
         delta = delta + rng.normal(0.0, sigma, size=k)
-    return dd(delta)
+    return diff_set(delta)
 
 
 class TestClosedForms:
     def test_all_equal_diffs(self):
-        est = mvue_async(dd([3e-9, 3e-9, 3e-9]))
+        est = mvue_async(diff_set([3e-9, 3e-9, 3e-9]))
         assert est.d_hat == 0.0
         assert est.eps_hat == pytest.approx(3e-9)
 
     def test_hand_arithmetic_k3(self):
         # oracle: (K+1)/(K-1) = 2, spread 4 ns -> d = c * 4 ns
-        est = mvue_async(dd([-1e-9, 0.0, 3e-9]))
+        est = mvue_async(diff_set([-1e-9, 0.0, 3e-9]))
         assert est.d_hat == pytest.approx(C * 4e-9, rel=1e-12)
         assert est.eps_hat == pytest.approx(1e-9, rel=1e-12)
 
@@ -64,7 +62,7 @@ class TestClosedForms:
             assert est.d_hat < 2.0
 
     def test_mle_k2(self):
-        est = mle_async_noiseless(dd([0.0, 2e-9]))
+        est = mle_async_noiseless(diff_set([0.0, 2e-9]))
         assert est.d_hat == pytest.approx(C * 1e-9, rel=1e-12)
 
     def test_mvue_unbiased_quick(self):
@@ -74,10 +72,10 @@ class TestClosedForms:
         assert np.mean(est) == pytest.approx(2.0, abs=4 * se)
 
     def test_sync_estimators(self):
-        assert mle_sync(dd([0.0])).d_hat == 0.0
-        est = mle_sync(dd([-3e-9, 1e-9]))
+        assert mle_sync(diff_set([0.0])).d_hat == 0.0
+        est = mle_sync(diff_set([-3e-9, 1e-9]))
         assert est.d_hat == pytest.approx(C * 3e-9, rel=1e-12)
-        assert mvue_sync(dd([-3e-9, 1e-9])).d_hat == pytest.approx(
+        assert mvue_sync(diff_set([-3e-9, 1e-9])).d_hat == pytest.approx(
             1.5 * C * 3e-9, rel=1e-12)
 
     def test_mvue_sync_unbiased_quick(self):
@@ -88,14 +86,14 @@ class TestClosedForms:
 
     def test_insufficient_mpcs(self):
         with pytest.raises(InsufficientMpcs):
-            mvue_async(dd([1e-9]))
+            mvue_async(diff_set([1e-9]))
         with pytest.raises(InsufficientMpcs):
-            mle_async_noiseless(dd([1e-9]))
+            mle_async_noiseless(diff_set([1e-9]))
 
     def test_scale_property(self):
         base = np.array([-2e-9, 0.5e-9, 3e-9])
-        d1 = mvue_async(dd(base)).d_hat
-        d3 = mvue_async(dd(3.0 * base)).d_hat
+        d1 = mvue_async(diff_set(base)).d_hat
+        d3 = mvue_async(diff_set(3.0 * base)).d_hat
         assert d3 == pytest.approx(3.0 * d1, rel=1e-14)
 
 
@@ -130,7 +128,7 @@ class TestShiftEquivariance:
     def _check(self, estimate, shift=7.3e-9):
         rng = np.random.default_rng(7)
         diffs = uniform_model_diffs(rng, 2.0, 8, eps=2e-9, sigma=0.1e-9)
-        shifted = dd(*[g + shift for g in diffs.diffs])
+        shifted = replace(diffs, tau_b=diffs.tau_b + shift)
         a, b = estimate(diffs), estimate(shifted)
         assert b.d_hat == pytest.approx(a.d_hat, abs=1e-12)
         assert b.eps_hat - a.eps_hat == pytest.approx(shift, abs=1e-15)
@@ -151,8 +149,8 @@ class TestShiftEquivariance:
         tau_b = [ta + rng.uniform(-5e-9, 5e-9, 3) + 4e-9 for ta in tau_a]
         model = ErrorModel(kind="gaussian", sigma_per_mpc=0.2e-9)
         shift = 7.3e-9
-        a = mle_async_noassoc(tau_a, tau_b, model)
-        b = mle_async_noassoc(tau_a, [tb + shift for tb in tau_b], model)
+        a = mle_async_noassoc(delay_set(tau_a, tau_b), model)
+        b = mle_async_noassoc(delay_set(tau_a, [tb + shift for tb in tau_b]), model)
         assert b.d_hat == pytest.approx(a.d_hat, abs=1e-12)
         assert b.eps_hat - a.eps_hat == pytest.approx(shift, abs=1e-15)
 
@@ -223,7 +221,7 @@ class TestNoAssoc:
         for _ in range(20):
             d = rng.uniform(0.5, 6.0)
             eps = rng.uniform(-10e-9, 10e-9)
-            got = loglik_no_assoc(tau_a, tau_b, model, d, eps)
+            got = loglik_no_assoc(delay_set(tau_a, tau_b), model, d, eps)
             want = self._brute_loglik(tau_a, tau_b, sigma, d, eps)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -232,9 +230,9 @@ class TestNoAssoc:
         tau_a = [rng.uniform(20e-9, 80e-9, 1) for _ in range(4)]
         tau_b = [ta + rng.uniform(-6e-9, 6e-9, 1) + 5e-9 for ta in tau_a]
         model = ErrorModel(kind="gaussian", sigma_per_mpc=0.3e-9)
-        diffs = dd(*[tb - ta for ta, tb in zip(tau_a, tau_b)])
-        a = mle_async_noassoc(tau_a, tau_b, model)
-        b = mle_async_gaussian(diffs, model)
+        obs = delay_set(tau_a, tau_b)
+        a = mle_async_noassoc(obs, model)
+        b = mle_async_gaussian(obs, model)
         assert a.d_hat == pytest.approx(b.d_hat, abs=2e-3)
         assert a.eps_hat == pytest.approx(b.eps_hat, abs=2e-3 / C)
 
@@ -251,10 +249,10 @@ class TestNoAssoc:
         for _ in range(100):
             tau_a = [np.sort(rng.uniform(20e-9, 80e-9, 3)) for _ in range(2)]
             tau_b = [np.sort(ta + rng.uniform(-5e-9, 5e-9, 3) + 4e-9) for ta in tau_a]
-            diffs = dd(*[tb - ta for ta, tb in zip(tau_a, tau_b)])
-            known = mle_async_noiseless(diffs)
-            free = mle_async_noassoc(tau_a, tau_b, model)
-            at_known = loglik_no_assoc(tau_a, tau_b, model,
+            obs = delay_set(tau_a, tau_b)
+            known = mle_async_noiseless(obs)
+            free = mle_async_noassoc(obs, model)
+            at_known = loglik_no_assoc(obs, model,
                                        max(known.d_hat, 1e-6) * (1 + 1e-12) + 1e-12,
                                        known.eps_hat)
             assert np.isfinite(at_known)
@@ -266,13 +264,13 @@ class TestNoAssoc:
         rng = np.random.default_rng(13)
         tau_a = [np.sort(rng.uniform(20e-9, 80e-9, 3)) for _ in range(2)]
         tau_b = [np.sort(ta + rng.uniform(-5e-9, 5e-9, 3) + 4e-9) for ta in tau_a]
-        est = mle_async_noassoc(tau_a, tau_b, ErrorModel(kind="none"))
+        est = mle_async_noassoc(delay_set(tau_a, tau_b), ErrorModel(kind="none"))
         assert est.diagnostics["feasible"]
 
     def test_cap(self):
         with pytest.raises(PermutationCapExceeded):
-            mle_async_noassoc([np.arange(PERMUTATION_CAP + 1) * 1e-9],
-                              [np.arange(PERMUTATION_CAP + 1) * 1e-9],
+            mle_async_noassoc(delay_set([np.arange(PERMUTATION_CAP + 1) * 1e-9],
+                                        [np.arange(PERMUTATION_CAP + 1) * 1e-9]),
                               ErrorModel(kind="none"))
 
 
@@ -288,42 +286,72 @@ class TestInputChecks:
         tau_a, tau_b = self._groups()
         tau_b[1][0] = np.nan
         with pytest.raises(InvalidParams, match="finite"):
-            mle_async_noassoc(tau_a, tau_b, ErrorModel(kind="none"))
+            mle_async_noassoc(delay_set(tau_a, tau_b), ErrorModel(kind="none"))
 
     def test_nan_delay_gaussian(self):
         tau_a, tau_b = self._groups()
         tau_a[0][2] = np.nan
         with pytest.raises(InvalidParams, match="finite"):
-            mle_async_noassoc(tau_a, tau_b,
+            mle_async_noassoc(delay_set(tau_a, tau_b),
                               ErrorModel(kind="gaussian", sigma_per_mpc=0.2e-9))
 
-    def test_empty_observer_group(self):
-        tau_a, tau_b = self._groups()
-        with pytest.raises(InvalidParams, match="at least one MPC"):
-            loglik_no_assoc(tau_a + [[]], tau_b + [[]],
-                            ErrorModel(kind="gaussian", sigma_per_mpc=0.2e-9), 2.0, 0.0)
-
-    def test_observer_count_mismatch(self):
-        tau_a, tau_b = self._groups()
-        with pytest.raises(InvalidParams, match="number of observer groups"):
-            mle_async_noassoc(tau_a, tau_b[:1], ErrorModel(kind="none"))
-
     def test_short_sigma_no_assoc(self):
-        tau_a, tau_b = self._groups()
         model = ErrorModel(kind="gaussian", sigma_per_mpc=[0.2e-9, 0.3e-9])
         with pytest.raises(InvalidParams, match="2 entries for 6 MPCs"):
-            mle_async_noassoc(tau_a, tau_b, model)
+            mle_async_noassoc(delay_set(*self._groups()), model)
 
     def test_nan_diff_rejected(self):
         with pytest.raises(InvalidParams, match="finite"):
-            dd([1e-9, np.nan, 3e-9])
+            diff_set([1e-9, np.nan, 3e-9])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_diff_rejected(self, bad):
         with pytest.raises(InvalidParams, match="finite"):
-            dd([1e-9, 2e-9], [bad])
+            diff_set([1e-9, 2e-9], [bad])
 
     def test_short_sigma_known_assoc(self):
         model = ErrorModel(kind="gaussian", sigma_per_mpc=[0.2e-9, 0.3e-9])
         with pytest.raises(InvalidParams, match="2 entries for 3 MPCs"):
-            loglik_known_assoc(dd([1e-9, 2e-9, 3e-9]), model, 2.0, 0.0)
+            loglik_known_assoc(diff_set([1e-9, 2e-9, 3e-9]), model, 2.0, 0.0)
+
+    @pytest.mark.parametrize("estimate", [
+        mvue_async, mle_async_noiseless, mle_sync, mvue_sync,
+        lambda obs: loglik_known_assoc(obs, ErrorModel(sigma_per_mpc=0.2e-9), 2.0, 0.0),
+        lambda obs: mle_async_gaussian(obs, ErrorModel(sigma_per_mpc=0.2e-9)),
+        lambda obs: loglik_no_assoc(obs, ErrorModel(sigma_per_mpc=0.2e-9), 2.0, 0.0),
+        lambda obs: mle_async_noassoc(obs, ErrorModel(kind="none")),
+    ], ids=["mvue_async", "mle_async_noiseless", "mle_sync", "mvue_sync",
+            "loglik_known_assoc", "mle_async_gaussian", "loglik_no_assoc",
+            "mle_async_noassoc"])
+    def test_zero_rows_rejected(self, estimate):
+        empty = delay_set(*self._groups())[np.zeros(0, dtype=int)]
+        with pytest.raises(InvalidParams, match="no observations"):
+            estimate(empty)
+
+
+class TestRowOrder:
+    """An observer-interleaved reordering that keeps the first-appearance
+    order of the observers and the row order within each of them changes
+    no bit of MV or NA."""
+
+    @staticmethod
+    def _pair():
+        rng = np.random.default_rng(15)
+        tau_a = [rng.uniform(20e-9, 80e-9, n) for n in (4, 3, 4)]
+        tau_b = [rng.permutation(ta + rng.uniform(-3e-9, 3e-9, ta.size) + 4e-9)
+                 for ta in tau_a]
+        contiguous = delay_set(tau_a, tau_b)
+        # observers 0, 1, 2 first appear in that order; each keeps its row order
+        interleaved = contiguous[[0, 4, 1, 7, 5, 2, 8, 3, 6, 9, 10]]
+        assert interleaved.observer.tolist() == [0, 1, 0, 2, 1, 0, 2, 0, 1, 2, 2]
+        return contiguous, interleaved
+
+    @pytest.mark.parametrize("estimate", [
+        mvue_async,
+        lambda obs: mle_async_noassoc(obs, ErrorModel(kind="none")),
+        lambda obs: mle_async_noassoc(obs, ErrorModel(sigma_per_mpc=0.3e-9)),
+    ], ids=["MV", "NA-hard", "NA-gaussian"])
+    def test_interleaved_rows_give_the_same_bits(self, estimate):
+        contiguous, interleaved = self._pair()
+        a, b = estimate(contiguous), estimate(interleaved)
+        assert repr(a) == repr(b)

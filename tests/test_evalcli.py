@@ -215,6 +215,14 @@ class TestCli:
         rc = main(["sweep", "--config", str(bad)])
         assert rc == 2
 
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "typo.cfg"
+        cfgfile.write_text("trials = 1\nestimators = MV\nsigma = 5\n")  # meant: sigma_ns
+        rc = main(["sweep", "--config", str(cfgfile)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'sigma'" in err
+
     def test_scenario_dump_schema(self, capsys):
         rc = main(["scenario-dump", "--d", "2", "--observers", "2",
                    "--mpcs-per-observer", "3", "--seed", "5"])

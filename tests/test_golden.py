@@ -19,8 +19,8 @@ import pytest
 
 from uwbrel import assoc, chansim, distest, posest
 from uwbrel.errors import UwbrelError
-from uwbrel.evalcli import (ExperimentConfig, _calibrate_csv, _delay_groups, calibrate,
-                            dump_surface, main, run_sweep)
+from uwbrel.evalcli import (ExperimentConfig, _calibrate_csv, calibrate, dump_surface, main,
+                            run_sweep)
 from uwbrel.likelihood import ErrorModel, soft_indicator
 
 
@@ -67,7 +67,6 @@ def _library_results() -> str:
                                     eps_a_per_observer=(10e-9, 40e-9, 70e-9))
         obs = chansim.observe(scenario, noise, rng)
         scrambled, _ = chansim.scramble_association(obs, rng)
-        diffs = distest.DelayDiffSet.from_observations(obs)
         per_mpc = ErrorModel(sigma_per_mpc=sigma * (1.0 + 0.1 * np.arange(12)))
         k = len(obs)
         cov_root = rng.normal(size=(k, k)) * 1e-10
@@ -77,11 +76,11 @@ def _library_results() -> str:
         cost = assoc.pair_cost(obs[:4], scrambled[:4], assoc.AssocConfig(), mu_a, mu_b)
         x = rng.normal(size=7) * 1e-9
         lines += [
-            _outcome(distest.mle_async_noiseless, diffs),
-            _outcome(distest.mle_sync, diffs),
-            _outcome(distest.mvue_sync, diffs),
-            _outcome(distest.mle_async_gaussian, diffs, ErrorModel(sigma_per_mpc=sigma)),
-            _outcome(distest.mle_async_gaussian, diffs, per_mpc),
+            _outcome(distest.mle_async_noiseless, obs),
+            _outcome(distest.mle_sync, obs),
+            _outcome(distest.mvue_sync, obs),
+            _outcome(distest.mle_async_gaussian, obs, ErrorModel(sigma_per_mpc=sigma)),
+            _outcome(distest.mle_async_gaussian, obs, per_mpc),
             _outcome(posest.gls_by_delta, obs, rng.normal(size=k) * 1e-10, cov),
             _outcome(posest.lse_by_tau_sync, obs),
             *(_outcome(float, cost[i, j]) for i in range(4) for j in range(4)),
@@ -108,8 +107,7 @@ def _na_gaussian_wide_sigma() -> str:
         scenario = chansim.sample_scenario(2.0, chansim.SvParams(), 3, [4, 4, 4], rng)
         obs = chansim.observe(scenario, chansim.NoiseParams(sigma=sigma, eps=5e-9), rng)
         scrambled, _ = chansim.scramble_association(obs, rng)
-        tau_a, tau_b = _delay_groups(scrambled)
-        lines.append(_outcome(distest.mle_async_noassoc, tau_a, tau_b,
+        lines.append(_outcome(distest.mle_async_noassoc, scrambled,
                               ErrorModel(sigma_per_mpc=sigma)))
     return "\n".join(lines) + "\n"
 

@@ -18,6 +18,8 @@ from uwbrel import distest
 from uwbrel.geom import SPEED_OF_LIGHT as C
 from uwbrel.likelihood import ErrorModel
 
+from delay_sets import delay_set
+
 BLOCK = distest._BLOCK
 
 
@@ -39,8 +41,8 @@ def _old_permanent(mats):
     return float(out) if mats.ndim == 2 else out
 
 
-def _per_observer_loglik(tau_a_groups, tau_b_groups, model, d, eps):
-    cross = distest._cross_diffs(tau_a_groups, tau_b_groups)
+def _per_observer_loglik(obs, model, d, eps):
+    _, cross = distest._cross_diffs(obs)
     k_total = sum(m.shape[0] for m in cross)
     sig = model.sigmas(k_total) if model.kind == "gaussian" else None
     d = np.asarray(d, dtype=float)
@@ -50,7 +52,7 @@ def _per_observer_loglik(tau_a_groups, tau_b_groups, model, d, eps):
     ee = np.broadcast_to(eps, shape).ravel()
     half = np.maximum(dd, distest._D_FLOOR)[:, None, None] / C
     ll = -k_total * np.log(np.maximum(dd, distest._D_FLOOR))
-    row = 0
+    row = 0  # sigmas in running row order: row k's on the observer-contiguous sets of _groups
     for mat in cross:
         x = mat[None, :, :] - ee[:, None, None]
         if sig is None:
@@ -65,14 +67,15 @@ def _per_observer_loglik(tau_a_groups, tau_b_groups, model, d, eps):
 
 
 def _groups(rng, sizes):
-    """Observers of the given sizes, B side scrambled, delays within a few
-    ns of each other so the likelihood is finite near the truth."""
+    """A set of observers of the given sizes, B side scrambled, delays
+    within a few ns of each other so the likelihood is finite near the
+    truth."""
     tau_a, tau_b = [], []
     for n in sizes:
         ta = rng.uniform(20e-9, 80e-9, n)
         tau_a.append(ta)
         tau_b.append(rng.permutation(ta + rng.uniform(-3e-9, 3e-9, n) + 4e-9))
-    return tau_a, tau_b
+    return delay_set(tau_a, tau_b)
 
 
 def _models(rng, k_total):
@@ -93,9 +96,9 @@ def _points(rng, count):
     return d, rng.uniform(0.0, 8e-9, count)
 
 
-def _assert_same(tau_a, tau_b, model, d, eps):
-    got = distest.loglik_no_assoc(tau_a, tau_b, model, d, eps)
-    want = _per_observer_loglik(tau_a, tau_b, model, d, eps)
+def _assert_same(obs, model, d, eps):
+    got = distest.loglik_no_assoc(obs, model, d, eps)
+    want = _per_observer_loglik(obs, model, d, eps)
     assert type(got) is type(want)
     np.testing.assert_array_equal(got, want, strict=True)
     return got
@@ -111,24 +114,24 @@ def test_mixed_sizes_and_broadcast_shapes(seed):
         sizes = list(rng.permutation(sizes))
         sizes.append(sizes[0])  # two observers of one size share a stack
         sizes_seen.update(int(n) for n in sizes)
-        tau_a, tau_b = _groups(rng, sizes)
+        obs = _groups(rng, sizes)
         for model in _models(rng, sum(sizes)):
             d, eps = _points(rng, 12)
-            _assert_same(tau_a, tau_b, model, d[0], eps[0])              # scalar
-            _assert_same(tau_a, tau_b, model, 0.0, eps[1])               # scalar at d = 0
-            _assert_same(tau_a, tau_b, model, d, eps)                    # 1-D
-            _assert_same(tau_a, tau_b, model, d[:5, None], eps[None, :])  # 2-D broadcast
+            _assert_same(obs, model, d[0], eps[0])              # scalar
+            _assert_same(obs, model, 0.0, eps[1])               # scalar at d = 0
+            _assert_same(obs, model, d, eps)                    # 1-D
+            _assert_same(obs, model, d[:5, None], eps[None, :])  # 2-D broadcast
     assert {7, 8} <= sizes_seen
 
 
 def test_every_size_one_to_eight_in_one_input():
     rng = np.random.default_rng(17)
     sizes = list(rng.permutation(np.arange(1, 9)))
-    tau_a, tau_b = _groups(rng, sizes)
+    obs = _groups(rng, sizes)
     for model in _models(rng, sum(sizes)):
         d, eps = _points(rng, 40)
-        _assert_same(tau_a, tau_b, model, d, eps)
-        _assert_same(tau_a, tau_b, model, d[3], eps[3])
+        _assert_same(obs, model, d, eps)
+        _assert_same(obs, model, d[3], eps[3])
 
 
 def test_single_points_on_observers_of_one_size():
@@ -137,21 +140,21 @@ def test_single_points_on_observers_of_one_size():
     must not change that.  The refinement evaluates one point at a time."""
     rng = np.random.default_rng(23)
     sizes = [4, 5, 4, 6, 5, 6]
-    tau_a, tau_b = _groups(rng, sizes)
+    obs = _groups(rng, sizes)
     model = _models(rng, sum(sizes))[-1]
     d, eps = _points(rng, 60)
     for dv, ev in zip(d, eps):
-        _assert_same(tau_a, tau_b, model, dv, ev)
+        _assert_same(obs, model, dv, ev)
 
 
 @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
 def test_block_edges(count):
     rng = np.random.default_rng(count)
     sizes = [4, 2, 7, 4, 1]
-    tau_a, tau_b = _groups(rng, sizes)
+    obs = _groups(rng, sizes)
     for model in _models(rng, sum(sizes)):
         d, eps = _points(rng, count)
-        got = _assert_same(tau_a, tau_b, model, d, eps)
+        got = _assert_same(obs, model, d, eps)
         assert np.isfinite(got).any()
 
 
@@ -163,9 +166,9 @@ def test_grid_of_40000_points():
     d_grid = np.linspace(0.0, 4.0, 200)[:, None]
     e_grid = np.linspace(-2e-9, 10e-9, 200)[None, :]
     for sizes in ([4, 4, 4], [3, 1, 4, 2]):
-        tau_a, tau_b = _groups(rng, sizes)
+        obs = _groups(rng, sizes)
         for model in _models(rng, sum(sizes)):
-            got = _assert_same(tau_a, tau_b, model, d_grid, e_grid)
+            got = _assert_same(obs, model, d_grid, e_grid)
             assert got.shape == (200, 200)
 
 

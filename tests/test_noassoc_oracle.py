@@ -13,6 +13,8 @@ from uwbrel import distest
 from uwbrel.geom import SPEED_OF_LIGHT as C
 from uwbrel.likelihood import ErrorModel
 
+from delay_sets import delay_set
+
 
 def _per_candidate_enumerate(cross):
     k_total = sum(m.shape[0] for m in cross)
@@ -67,7 +69,7 @@ def _random_groups(rng, lattice):
 
 
 def _estimate(tau_a, tau_b):
-    est = distest.mle_async_noassoc(tau_a, tau_b, ErrorModel(kind="none"))
+    est = distest.mle_async_noassoc(delay_set(tau_a, tau_b), ErrorModel(kind="none"))
     return est.d_hat, est.eps_hat, est.diagnostics["loglik"], est.diagnostics["feasible"]
 
 

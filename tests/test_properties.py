@@ -33,11 +33,7 @@ def _observations(seed, d):
     return observe(scenario, noise, rng)
 
 
-def _mv(obs):
-    return distest.mvue_async(distest.DelayDiffSet.from_observations(obs))
-
-
-ESTIMATORS = {"MV": _mv, "DD": posest.lse_by_delta, "TAU": posest.lse_by_tau}
+ESTIMATORS = {"MV": distest.mvue_async, "DD": posest.lse_by_delta, "TAU": posest.lse_by_tau}
 
 
 def _outcomes(name, obs, transformed):

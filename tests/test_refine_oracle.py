@@ -17,6 +17,8 @@ from scipy.optimize import minimize
 from uwbrel import distest, likelihood
 from uwbrel.likelihood import ErrorModel, OptimizerConfig, maximize_2d
 
+from delay_sets import delay_set, diff_set
+
 XATOL = 1e-5  # OptimizerConfig().tolerance / 10
 E_SPAN = 2e-8
 
@@ -102,17 +104,17 @@ def _delays(rng, sizes, spread=3e-9):
         ta = rng.uniform(20e-9, 80e-9, n)
         tau_a.append(ta)
         tau_b.append(rng.permutation(ta + rng.uniform(-spread, spread, n) + 4e-9))
-    return tau_a, tau_b
+    return delay_set(tau_a, tau_b)
 
 
 def _na_kernel(sizes, model, seed):
-    tau_a, tau_b = _delays(np.random.default_rng(seed), sizes)
-    return distest._noassoc_kernel(distest._cross_diffs(tau_a, tau_b), model)
+    obs = _delays(np.random.default_rng(seed), sizes)
+    return distest._noassoc_kernel(*distest._cross_diffs(obs), model)
 
 
 def _known_assoc(seed, model):
     rng = np.random.default_rng(seed)
-    diffs = distest.DelayDiffSet(diffs=tuple(rng.uniform(-3e-9, 3e-9, 4) for _ in range(3)))
+    diffs = diff_set(*(rng.uniform(-3e-9, 3e-9, 4) for _ in range(3)))
     return lambda d, eps: distest.loglik_known_assoc(diffs, model, d, eps)
 
 
@@ -279,14 +281,14 @@ def _models(rng, k_total):
 def test_each_equals_lone_points(n):
     rng = np.random.default_rng(70 + n)
     for sizes in ([n, n, n], [n, max(1, n - 2), n]):
-        tau_a, tau_b = _delays(rng, sizes)
+        obs = _delays(rng, sizes)
         for model in _models(rng, sum(sizes)):
-            loglik, each = distest._noassoc_kernel(distest._cross_diffs(tau_a, tau_b), model)
+            loglik, each = distest._noassoc_kernel(*distest._cross_diffs(obs), model)
             d = rng.uniform(0.0, 3.0, 37)
             d[::6] = 0.0
             eps = rng.uniform(0.0, 8e-9, 37)
             got = each(d, eps)
-            want = [distest.loglik_no_assoc(tau_a, tau_b, model, dv, ev) for dv, ev in zip(d, eps)]
+            want = [distest.loglik_no_assoc(obs, model, dv, ev) for dv, ev in zip(d, eps)]
             assert [type(v) for v in want] == [float] * 37
             np.testing.assert_array_equal(got, np.array(want), strict=True)
             np.testing.assert_array_equal(got, [loglik(dv, ev) for dv, ev in zip(d, eps)])
