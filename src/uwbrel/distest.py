@@ -14,9 +14,11 @@ matrices; the hard-indicator search scores every candidate of an observer
 in one call to it.  The unknown-association likelihood has one body,
 ``_noassoc_kernel``: it is compiled once per estimate from the cross
 differences of ``_cross_diffs`` and evaluates its (d, eps) points in
-fixed-size blocks.  The grid scan evaluates it batch-last; the simplex
-refinement evaluates its points through the kernel's pointwise form, which
-sums every point's permanents as if it were evaluated alone.
+fixed-size blocks.  The grid scan evaluates it batch-last, and only above a
+bottleneck bound below which some observer's permanent is structurally
+zero (n <= 6; not Ryser's, which is not exactly 0 there); the simplex
+refinement evaluates all its points through the kernel's pointwise form,
+which sums every point's permanents as if it were evaluated alone.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import InsufficientMpcs, InvalidParams, PermutationCapExceeded
 from .geom import SPEED_OF_LIGHT, group_by_observer
-from .likelihood import ErrorModel, OptimizerConfig, maximize_2d
+from .likelihood import _Z_HI, _Z_LO, ErrorModel, OptimizerConfig, maximize_2d
 
 _C = SPEED_OF_LIGHT
 _D_FLOOR = 1e-6     # m; keeps the 1/d^K envelope finite when all factors stay positive
@@ -245,7 +247,19 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
     one ``permanent`` call per size; the per-observer log terms are added
     in observer order.  The batch-last permanent adds the n! products of
     many points in another order than those of one point, so ``each`` asks
-    it for pointwise sums.
+    it for pointwise sums, and a call of several points never forms a
+    one-point block.
+
+    The batch form evaluates only the points above the support bound.
+    Entry (k, l) is exactly 0 for d/c up to ``t_kl(eps) = max(x_kl - eps
+    - _Z_HI s_k, -(x_kl - eps) + _Z_LO s_k)``, where ``ErrorModel.factors``
+    saturates (``|x_kl - eps|`` for the hard indicator), so an n <= 6
+    observer's enumerated permanent is exactly 0 up to its bottleneck value,
+    the minimum over permutations of the largest threshold.  Points up to
+    the largest bottleneck (less a 1e-9 relative margin, computed once per
+    distinct eps) get -inf unevaluated.  Ryser's permanent (n >= 7) of such
+    a matrix is not exactly 0, so those observers add no bound; ``each``
+    evaluates every point.
     """
     sizes = [m.shape[0] for m in cross]
     k_total = sum(sizes)
@@ -269,12 +283,38 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
             ll = ll + term
         return ll
 
+    def support(eps):
+        """The largest bottleneck threshold of the n <= 6 observers at each
+        of the 1-D ``eps``, floored at 0 (d/c is positive)."""
+        lim = np.zeros(eps.size)
+        for i in range(0, eps.size, _BLOCK):
+            e = eps[i:i + _BLOCK]
+            for _, stack, s in groups:
+                n = stack.shape[1]
+                if n > 6:
+                    continue
+                x = stack - e  # the bits of block()'s x
+                t = np.abs(x) if s is None else np.maximum(x - _Z_HI * s, -x + _Z_LO * s)
+                t = t.reshape(-1, n * n, e.size)[:, _permutation_index(n)]  # (n_obs, n!, n, E)
+                np.maximum(lim[i:i + _BLOCK], t.max(axis=2).min(axis=1).max(axis=0),
+                           out=lim[i:i + _BLOCK])
+        return lim
+
     def loglik(d, eps, pointwise=False):
-        d, eps = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(eps, dtype=float))
+        eps = np.asarray(eps, dtype=float)
+        lim = None if pointwise else support(eps.ravel()).reshape(eps.shape)
+        d, eps = np.broadcast_arrays(np.asarray(d, dtype=float), eps)
         dd, ee = d.ravel(), eps.ravel()
-        out = np.empty(dd.size)
-        for i in range(0, dd.size, _BLOCK):
-            out[i:i + _BLOCK] = block(dd[i:i + _BLOCK], ee[i:i + _BLOCK], pointwise)
+        keep = np.arange(dd.size)
+        if lim is not None:
+            lim = np.broadcast_to(lim, d.shape).ravel() * (1 - 1e-9)
+            keep = np.flatnonzero(~(np.maximum(dd, _D_FLOOR) / _C <= lim))
+            if keep.size == 1 < dd.size:  # a lone point would sum its products pairwise
+                keep = np.unique(np.append(keep, (keep[0] + 1) % dd.size))
+        out = np.full(dd.size, -np.inf)
+        cuts = [*range(0, max(keep.size - 1, 1), _BLOCK), keep.size]  # no lone last block
+        for lo, hi in zip(cuts, cuts[1:]):
+            out[keep[lo:hi]] = block(dd[keep[lo:hi]], ee[keep[lo:hi]], pointwise)
         return out.reshape(d.shape) if d.ndim else float(out[0])
 
     return loglik, functools.partial(loglik, pointwise=True)

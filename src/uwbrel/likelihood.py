@@ -17,6 +17,7 @@ scipy runs gives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +104,13 @@ class OptimizerConfig:
     def __post_init__(self):
         for name, grid in (("grid_d", self.grid_d), ("grid_eps", self.grid_eps)):
             lo, hi, steps = grid
-            if not (hi > lo and int(steps) >= 2):
-                raise InvalidParams(f"{name} must satisfy max > min and steps >= 2")
-        if self.tolerance <= 0:
-            raise InvalidParams("tolerance must be positive")
+            if not (all(map(math.isfinite, grid)) and hi > lo and int(steps) >= 2):
+                raise InvalidParams(f"{name} must be finite with max > min and steps >= 2")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise InvalidParams("tolerance must be finite and positive")
+        for name in ("refine_iters", "multistart_count"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise InvalidParams(f"{name} must be a finite count >= 0")
 
 
 def soft_indicator(x: float, d_hyp: float, model: ErrorModel, mpc_index: int = 0):

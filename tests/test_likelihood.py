@@ -137,3 +137,24 @@ class TestMaximize2d:
             OptimizerConfig(grid_d=(1.0, 1.0, 10))
         with pytest.raises(InvalidParams):
             OptimizerConfig(tolerance=0.0)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(InvalidParams, match="tolerance must be finite"):
+            OptimizerConfig(tolerance=tolerance)
+
+    @pytest.mark.parametrize("grid", [(0.0, np.inf, 10), (-np.inf, 1.0, 10), (0.0, np.nan, 10)])
+    def test_non_finite_grid_bound_rejected(self, grid):
+        with pytest.raises(InvalidParams, match="grid_d must be finite"):
+            OptimizerConfig(grid_d=grid)
+
+    @pytest.mark.parametrize("steps", [np.nan, np.inf])
+    def test_non_finite_step_count_rejected(self, steps):
+        with pytest.raises(InvalidParams, match="grid_eps must be finite"):
+            OptimizerConfig(grid_eps=(-1e-9, 1e-9, steps))
+
+    @pytest.mark.parametrize("name", ["refine_iters", "multistart_count"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1])
+    def test_bad_count_rejected(self, name, value):
+        with pytest.raises(InvalidParams, match=f"{name} must be a finite count >= 0"):
+            OptimizerConfig(**{name: value})

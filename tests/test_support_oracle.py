@@ -1,0 +1,182 @@
+"""Oracle for the support bound of the association-free likelihood.
+
+``distest._noassoc_kernel``'s ``loglik`` evaluates only the points above
+the bottleneck bound of its n <= 6 observers and gives every other point
+-inf.  ``_full`` is the unpruned per-observer evaluation of
+``test_loglik_oracle``, run a thousand points at a time (a chunk of two or
+more points has the bits of the whole batch).  The pruned likelihood must
+give its bits at every point, and every point it prunes must be -inf there.
+"""
+
+import numpy as np
+import pytest
+
+from uwbrel import distest
+from uwbrel.geom import SPEED_OF_LIGHT as C
+from uwbrel.likelihood import ErrorModel
+
+from delay_sets import delay_set
+from test_loglik_oracle import _groups, _per_observer_loglik
+
+BLOCK = distest._BLOCK
+SIGMAS = (0.05e-9, 0.2e-9, 2e-9)
+
+
+def _full(obs, model, d, eps):
+    d, eps = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(eps, dtype=float))
+    if d.size == 1:
+        return _per_observer_loglik(obs, model, d, eps)
+    cuts = range(1000, d.size - 1, 1000)
+    parts = zip(np.split(d.ravel(), cuts), np.split(eps.ravel(), cuts))
+    return np.concatenate([_per_observer_loglik(obs, model, a, b) for a, b in parts]).reshape(d.shape)
+
+
+def _models(rng, k_total):
+    """The hard indicator, one sigma of 0.05, 0.2 and 2 ns, and one sigma per
+    MPC between 0.05 and 2 ns."""
+    return ([ErrorModel(kind="none")] + [ErrorModel(sigma_per_mpc=s) for s in SIGMAS]
+            + [ErrorModel(sigma_per_mpc=rng.uniform(0.05e-9, 2e-9, k_total))])
+
+
+def _assert_same(obs, model, d, eps):
+    got = distest.loglik_no_assoc(obs, model, d, eps)
+    want = _full(obs, model, d, eps)
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(got, want, strict=True)
+    return got
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The half-widths d/c of every point the kernel computes factors at."""
+    seen = []
+    factors = ErrorModel.factors
+
+    def recording(self, x, half, sigma=None):
+        seen.append(np.array(half, dtype=float).ravel())
+        return factors(self, x, half, sigma)
+
+    monkeypatch.setattr(ErrorModel, "factors", recording)
+    return seen
+
+
+def _half(d):
+    return np.maximum(d, distest._D_FLOOR) / C
+
+
+@pytest.mark.parametrize("sizes", [[4, 4, 4], [1, 2, 3], [5, 6], [2, 6, 4, 1, 5, 3, 7]])
+def test_dense_grid(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    obs = _groups(rng, sizes)
+    steps = 200 if max(sizes) <= 4 else 80
+    d_grid = np.linspace(0.0, 4.0, steps)[:, None]  # d = 0 gives d/c at _D_FLOOR
+    e_grid = np.linspace(-8e-9, 16e-9, steps)[None, :]
+    pruned = []
+    for model in _models(rng, sum(sizes)):
+        got = _assert_same(obs, model, d_grid, e_grid)
+        assert np.isfinite(got).any()
+        pruned.append(np.isneginf(got).mean())
+    assert max(pruned) > 0.5
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_random_points_every_pruned_point_is_neg_inf(n, evaluated):
+    """Distinct d values tell which points the kernel evaluated."""
+    rng = np.random.default_rng(90 + n)
+    obs = _groups(rng, [n, n, 8 - n])
+    d = rng.uniform(0.0, 3.0, 3000)
+    d[:3] = [0.0, distest._D_FLOOR / 2, distest._D_FLOOR]  # one d/c, at the floor
+    eps = rng.uniform(-6e-9, 14e-9, d.size)
+    for model in _models(rng, 8 + n):
+        evaluated.clear()
+        got = _assert_same(obs, model, d, eps)
+        pruned = ~np.isin(_half(d), np.concatenate(evaluated))
+        assert np.isneginf(got[pruned]).all()
+        if model.kind == "none" or model.sigma_per_mpc.max() < 1e-9:
+            assert pruned.mean() > 0.3
+
+
+def test_wedge_apexes_and_border_intersections():
+    """The hard-indicator candidates sit exactly on wedge edges."""
+    rng = np.random.default_rng(5)
+    for sizes in ([4, 4, 4], [6, 1], [2, 5, 3]):
+        obs = _groups(rng, sizes)
+        d, eps = distest._noassoc_candidates(distest._cross_diffs(obs)[1])
+        for model in _models(rng, sum(sizes)):
+            _assert_same(obs, model, d, eps)
+            _assert_same(obs, model, d[5], eps[5])
+
+
+def test_nan_points_are_never_pruned():
+    """A NaN d or eps gives NaN in the full Gaussian kernel, so the bound
+    keeps it."""
+    rng = np.random.default_rng(11)
+    obs = _groups(rng, [4, 2, 4])
+    d = np.array([np.nan, 1.0, np.inf, 1.0, 0.0, 1.2])
+    eps = np.array([4e-9, np.nan, 4e-9, -np.inf, np.inf, 4e-9])
+    for model in _models(rng, 10):
+        with np.errstate(invalid="ignore"):  # inf - inf in the factors' NaN test
+            got = _assert_same(obs, model, d, eps)
+        assert np.isnan(got[:2]).all() or model.kind == "none"
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_ryser_observers_add_no_bound(n, evaluated):
+    """A Gray-code permanent of a structurally zero matrix is not exactly 0,
+    so an observer of 7 or 8 MPCs alone prunes nothing."""
+    rng = np.random.default_rng(n)
+    obs = _groups(rng, [n])
+    d = rng.uniform(0.0, 3.0, 200)
+    eps = rng.uniform(-6e-9, 14e-9, d.size)
+    for model in _models(rng, n):
+        evaluated.clear()
+        _assert_same(obs, model, d, eps)
+        assert np.isin(_half(d), np.concatenate(evaluated)).all()
+
+
+# --- block splits -------------------------------------------------------
+
+def _one_observer_of_five():
+    """One observer of 5 MPCs, sigma about the size of the delay spread: at
+    d = 3 m and eps = 4 ns most of the 120 products are neither 0 nor 1, so
+    a lone point, which sums them pairwise, gets other bits; at d = 0 and
+    eps = -20 ns every permutation has an entry far past the bound."""
+    tau_a = np.array([20.0, 21.3, 22.1, 23.8, 24.6]) * 1e-9
+    tau_b = tau_a[[3, 0, 4, 1, 2]] + np.array([0.7, -0.4, 1.1, 0.2, -0.9]) * 1e-9 + 4e-9
+    return delay_set([tau_a], [tau_b]), ErrorModel(sigma_per_mpc=1.5e-9)
+
+
+def _kept_at(count, kept, rng):
+    """``count`` points, those at ``kept`` near d = 3 m, eps = 4 ns and the
+    last of them at (3 m, 4 ns), whose lone sum has other bits; the rest at
+    d = 0, eps = -20 ns."""
+    d, eps = np.zeros(count), np.full(count, -20e-9)
+    d[kept] = rng.uniform(2.8, 3.2, kept.size)
+    eps[kept] = rng.uniform(3.5e-9, 4.5e-9, kept.size)
+    d[kept[-1]], eps[kept[-1]] = 3.0, 4e-9
+    return d, eps
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_single_kept_point(where, evaluated):
+    obs, model = _one_observer_of_five()
+    rng = np.random.default_rng(1)
+    i = {"first": 0, "middle": 1500, "last": 2999}[where]
+    d, eps = _kept_at(3000, np.array([i]), rng)
+    got = _assert_same(obs, model, d, eps)
+    assert np.isfinite(got).sum() == 1 and np.isfinite(got[i])
+    assert np.concatenate(evaluated).size == 2  # the kept point and one neighbour
+    lone = distest.loglik_no_assoc(obs, model, d[i], eps[i])
+    assert lone != got[i]  # so a lone block would show
+
+
+def test_block_plus_one_kept_points(evaluated):
+    obs, model = _one_observer_of_five()
+    rng = np.random.default_rng(2)
+    kept = np.sort(rng.choice(3000, BLOCK + 1, replace=False))
+    d, eps = _kept_at(3000, kept, rng)
+    got = _assert_same(obs, model, d, eps)
+    assert np.isfinite(got).sum() == BLOCK + 1
+    assert sorted(h.size for h in evaluated) == [BLOCK + 1]  # one block, no lone point
+    last = kept[-1]
+    assert distest.loglik_no_assoc(obs, model, d[last], eps[last]) != got[last]  # as above
