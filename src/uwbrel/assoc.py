@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidParams
-from .geom import Observations, group_by_observer
+from .geom import Observations
 
 DEFAULT_SIGMA_TAU = 26.3e-9  # indoor RMS delay spread used for the default weight
 NO_MATCH_COST = 1e9          # finite stand-in for gated pairs; also the padding cost
@@ -76,8 +76,7 @@ def pair_cost(a_set, b_set, cfg: AssocConfig, mu_a, mu_b) -> np.ndarray:
 
 def _observer_groups(obs_a, obs_b):
     """Each side's row indices per observer; both must cover the same observers."""
-    groups_a = group_by_observer(obs_a.observer)
-    groups_b = group_by_observer(obs_b.observer)
+    groups_a, groups_b = obs_a.groups, obs_b.groups
     if set(groups_a) != set(groups_b):
         raise InvalidParams("A and B sides must cover the same observers")
     return groups_a, groups_b
@@ -100,7 +99,7 @@ def associate(obs_a, obs_b, cfg: AssocConfig = None, force_full: bool = False) -
         mu_b[groups_b[o]] = np.mean(obs_b.tau_b[groups_b[o]])
     costs = pair_cost(obs_a, obs_b, cfg, mu_a, mu_b)  # pairs across observers go unused
     permutation, matched = {}, {}
-    total = 0.0
+    paid = []  # the finite costs of the kept pairs, observer by observer, rows ascending
     for o in groups_a:
         raw = costs[np.ix_(groups_a[o], groups_b[o])]
         n_a, n_b = raw.shape
@@ -110,16 +109,18 @@ def associate(obs_a, obs_b, cfg: AssocConfig = None, force_full: bool = False) -
         cost = np.full((n, n), no_match)
         cost[:n_a, :n_b] = np.where(np.isfinite(raw), raw, no_match)
         rows, cols = linear_sum_assignment(cost)
+        real = (rows < n_a) & (cols < n_b)  # padding cells pair nothing
+        rows, cols = rows[real], cols[real]
+        pair = raw[rows, cols]
+        ungated = np.isfinite(pair)
         perm = np.full(n_a, -1, dtype=int)
-        flags = np.zeros(n_a, dtype=bool)
-        for r, c in zip(rows, cols):
-            if r < n_a and c < n_b and (force_full or np.isfinite(raw[r, c])):
-                perm[r] = c
-                flags[r] = True
-                if np.isfinite(raw[r, c]):
-                    total += raw[r, c]
+        perm[rows[ungated | force_full]] = cols[ungated | force_full]
+        paid.append(pair[ungated])
         permutation[o] = perm
-        matched[o] = flags
+        matched[o] = perm >= 0
+    paid = np.concatenate(paid)
+    # summed in order, one pair after the other, as a running total would
+    total = np.add.accumulate(paid)[-1] if paid.size else 0.0
     return Assignment(permutation=permutation, matched=matched, total_cost=total)
 
 
@@ -142,19 +143,26 @@ def apply_assignment(obs_a, obs_b, assignment: Assignment) -> Observations:
     """Merge matched pairs into observations carrying A-side columns from
     ``obs_a`` and B-side columns from the assigned partner in ``obs_b``,
     observer by observer in the assignment's order.  Unmatched A-side MPCs
-    are dropped.  An assignment naming an observer that either side lacks
-    raises InvalidParams."""
-    groups_a = group_by_observer(obs_a.observer)
-    groups_b = group_by_observer(obs_b.observer)
+    are dropped.  An assignment naming an observer that either side lacks,
+    or whose permutation for an observer is not one entry per A-side MPC,
+    each -1 or a B index of that observer, or which pairs one B-side MPC
+    twice, raises InvalidParams."""
+    groups_a, groups_b = obs_a.groups, obs_b.groups
     missing = [o for o in assignment.permutation if o not in groups_a or o not in groups_b]
     if missing:
         raise InvalidParams(f"assignment names observers {missing} that obs_a or obs_b lacks")
     rows_a, rows_b = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     for o, perm in assignment.permutation.items():
         perm = np.asarray(perm, dtype=int)
+        if perm.shape != groups_a[o].shape or not ((-1 <= perm) & (perm < groups_b[o].size)).all():
+            raise InvalidParams(f"observer {o}: the permutation needs one entry per A-side "
+                                f"MPC ({groups_a[o].size}), each -1 or a B index below "
+                                f"{groups_b[o].size}")
         rows_a.append(groups_a[o][perm >= 0])
         rows_b.append(groups_b[o][perm[perm >= 0]])
     rows_a, rows_b = np.concatenate(rows_a), np.concatenate(rows_b)
+    if np.unique(rows_b).size != rows_b.size:
+        raise InvalidParams("the assignment pairs a B-side MPC with two A-side MPCs")
     return Observations(tau_a=obs_a.tau_a[rows_a], tau_b=obs_b.tau_b[rows_b],
                         dir_a=obs_a.dir_a[rows_a], dir_b=obs_b.dir_b[rows_b],
                         observer=obs_a.observer[rows_a])

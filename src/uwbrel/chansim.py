@@ -15,9 +15,9 @@ A scenario's ground truth and what the nodes measure are the same
 columnar type, ``geom.Observations`` (re-exported here): five columns, one
 row per MPC, checked where the set is built.  ``observe`` adds drawn noise
 and clock offsets to the truth columns.  Per-observer work (sampling,
-clock offsets, scrambling) reads those columns through
-``geom.group_by_observer``'s index arrays, observers in order of first
-appearance.
+clock offsets, scrambling) reads those columns through the set's
+``groups`` (``geom.group_by_observer``'s index arrays), observers in order
+of first appearance.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateGeometry, InvalidParams
-from .geom import (SPEED_OF_LIGHT, Observations, Scenario, complete_mpc, group_by_observer,
-                   norms, positions_in_group)
+from .geom import (SPEED_OF_LIGHT, Observations, Scenario, complete_mpc, norms,
+                   positions_in_group)
 
 # Calibrated shape fractions (in units of cluster_mean / ray_mean):
 # dominant-cluster onset = floor + exponential tail; the follow-up cluster
@@ -196,7 +196,7 @@ def observe(scenario: Scenario, noise: NoiseParams, rng_seed) -> Observations:
     """
     rng = _as_rng(rng_seed)
     truth = scenario.mpcs
-    groups = group_by_observer(truth.observer)
+    groups = truth.groups
     eps_a = noise.eps_a_per_observer or (0.0,) * len(groups)
     if len(eps_a) != len(groups):
         raise InvalidParams("eps_a_per_observer length must equal the observer count")
@@ -235,7 +235,7 @@ def scramble_association(observations: Observations, rng_seed):
     rng = _as_rng(rng_seed)
     source = np.arange(len(observations))
     perms = {}
-    for o, rows in group_by_observer(observations.observer).items():
+    for o, rows in observations.groups.items():
         perms[o] = rng.permutation(rows.size)
         source[rows] = rows[perms[o]]
     return replace(observations, tau_b=observations.tau_b[source],

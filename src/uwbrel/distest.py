@@ -7,7 +7,7 @@ differences tau_b - tau_a of each row, and MPC k's sigma is row k's.
 Closed forms cover the noiseless asynchronous/synchronized cases, and a
 soft-indicator maximum-likelihood estimator the Gaussian one.  The
 unknown-association variant pairs the delays within each observer (rows
-grouped by ``geom.group_by_observer``) in every way, so its per-observer
+grouped by the set's ``groups``) in every way, so its per-observer
 permutation sum is a matrix permanent of soft-indicator matrices.  One
 kernel, ``permanent``, computes the permanents of a whole stack of
 matrices; the hard-indicator search scores every candidate of an observer
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientMpcs, InvalidParams, PermutationCapExceeded
-from .geom import SPEED_OF_LIGHT, group_by_observer
+from .geom import SPEED_OF_LIGHT
 from .likelihood import _Z_HI, _Z_LO, ErrorModel, OptimizerConfig, maximize_2d
 
 _C = SPEED_OF_LIGHT
@@ -223,7 +223,7 @@ def _cross_diffs(obs, mid=0.0):
     appearance, as two lists."""
     if not obs:
         raise InvalidParams("no observations")
-    rows = list(group_by_observer(obs.observer).values())
+    rows = list(obs.groups.values())
     cross = []
     for r in rows:
         if r.size > PERMUTATION_CAP:

@@ -5,9 +5,12 @@ Subcommands: ``sweep`` (RMSE vs distance / direction error / MPC count),
 check), ``scenario-dump`` (one sampled scenario as CSV).  All output is
 CSV with SI units; a run is fully determined by its configuration and
 seed, with per-trial RNG streams derived from (seed, sweep point, trial).
-Every estimator, distance or position, is called on one trial's
-``Observations`` set as it stands, after association where its tag asks
-for it; a configuration file's keys are the long flags' names.
+A sweep is one pure function per trial, ``run_trial``, and a reducer that
+adds its outcomes up per tag in trial order.  A trial samples, observes
+and scrambles once, builds each pairing (sorting for SO, one complete
+assignment for DDN and TNA) at most once, and runs each estimator once
+per distinct ``Observations`` set it reads; a configuration file's keys
+are the long flags' names.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .likelihood import ErrorModel
 _C = SPEED_OF_LIGHT
 
 ESTIMATOR_TAGS = ("MV", "NA", "SO", "DD", "PWA", "DDN", "TAU", "TNA")
-_SCRAMBLED_TAGS = {"NA", "SO", "DDN", "TNA"}
 
 CAL_TARGET_MEAN = 40.5e-9
 CAL_TARGET_RMS = 26.3e-9
@@ -75,6 +77,8 @@ class ExperimentConfig:
         bad = [t for t in self.estimators if t not in ESTIMATOR_TAGS]
         if bad:
             raise ConfigError(f"unknown estimator tags {bad}")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ConfigError(f"estimator tags repeat in {list(self.estimators)}")
         if self.surface_kind not in ("known", "noassoc"):
             raise ConfigError("surface kind must be known or noassoc")
         if self.surface_scenario not in ("canonical", "random"):
@@ -127,93 +131,101 @@ _ESTIMATORS = {
 }
 _ESTIMATORS.update(SO=_ESTIMATORS["MV"], DDN=_ESTIMATORS["DD"], TNA=_ESTIMATORS["TAU"])
 
+# The set each tag reads when it is not the trial's observations: the
+# scrambled set as it stands, or re-paired by sorting or by a complete
+# assignment, in which gated pairs stay in (their errors are part of the
+# association-quality measurement, not excluded trials).
+_INPUTS = {
+    "NA": lambda s: s,
+    "SO": lambda s: assoc.apply_assignment(s, s, assoc.associate_by_sorting(s, s)),
+    "DDN": lambda s: assoc.apply_assignment(s, s, assoc.associate(s, s, force_full=True)),
+}
+_INPUTS["TNA"] = _INPUTS["DDN"]
+_COLUMNS = tuple(f.name for f in fields(Observations))
+# the ExperimentConfig field each sweep steps through
+_SWEEP_FIELDS = {"distance": "d", "direction_error": "sigma_dir", "mpc_count": "k_per_observer"}
 
-def _run_estimator(tag: str, scenario: Scenario, observations, scrambled,
-                   cfg: ExperimentConfig):
-    """One estimator on one trial; returns the error scalar (distance) or
-    Euclidean norm (position).  Raises UwbrelError subclasses on failure."""
-    inputs = scrambled if tag in _SCRAMBLED_TAGS else observations
-    if tag in ("SO", "DDN", "TNA"):
-        # DDN/TNA take complete permutations: gated pairs stay in (their
-        # errors are part of the association-quality measurement, not
-        # excluded trials)
-        pairing = (assoc.associate_by_sorting(inputs, inputs) if tag == "SO"
-                   else assoc.associate(inputs, inputs, force_full=True))
-        inputs = assoc.apply_assignment(inputs, inputs, pairing)
-    est = _ESTIMATORS[tag](inputs, cfg)
-    if isinstance(est, distest.DistanceEstimate):
-        return est.d_hat - scenario.d
-    if est.condition_number > cfg.cond_gate:
-        raise posest.RankDeficient(
-            f"condition {est.condition_number:.3g} above the harness gate"
-        )
-    return float(np.linalg.norm(est.d_vec - scenario.d_vec))
+
+def _error(tag: str, obs: Observations, scenario: Scenario, cfg: ExperimentConfig):
+    """One estimator on one set: the error scalar (distance) or Euclidean
+    norm (position), or the class of the UwbrelError it raised."""
+    try:
+        est = _ESTIMATORS[tag](obs, cfg)
+        if isinstance(est, distest.DistanceEstimate):
+            return est.d_hat - scenario.d
+        if est.condition_number > cfg.cond_gate:
+            raise posest.RankDeficient(
+                f"condition {est.condition_number:.3g} above the harness gate")
+        return float(np.linalg.norm(est.d_vec - scenario.d_vec))
+    except UwbrelError as exc:
+        return type(exc)
+
+
+def run_trial(cfg: ExperimentConfig, point: int, trial: int):
+    """Trial ``trial`` of a validated sweep at its ``point``-th value:
+    ``(outcomes, perms)``, with each tag's error or the class of the
+    UwbrelError it raised (tags past their trial cap are absent), and the
+    true association ``chansim.scramble_association`` returns (or None).
+    Each pairing is built once and each distinct (estimator, input set)
+    evaluated once: a re-paired set whose columns equal the observations is
+    the observations, so DDN, TNA and SO then report DD's, TAU's and MV's
+    outcome, failures included."""
+    swept = _SWEEP_FIELDS[cfg.sweep]
+    d, sigma_dir, k_per = (getattr(cfg, name)[point if name == swept else 0]
+                           for name in ("d", "sigma_dir", "k_per_observer"))
+    scenario = chansim.sample_scenario(d, cfg.sv, cfg.m_observers, [k_per] * cfg.m_observers,
+                                       _trial_rng(cfg.seed, point, trial, 0))
+    noise_rng = _trial_rng(cfg.seed, point, trial, 1)
+    offsets = tuple(noise_rng.uniform(0.0, cfg.eps_a_max, cfg.m_observers))
+    obs = chansim.observe(scenario, chansim.NoiseParams(
+        sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps, eps_a_per_observer=offsets), noise_rng)
+    scrambled, perms = None, None
+    if any(t in _INPUTS for t in cfg.estimators):
+        scrambled, perms = chansim.scramble_association(
+            obs, _trial_rng(cfg.seed, point, trial, 2))
+    sets = {None: obs}  # _INPUTS entry -> the set it built
+    evaluated = {}      # (estimator, id of its input set) -> outcome
+    outcomes = {}
+    for tag in cfg.estimators:
+        if tag == "NA" and trial >= cfg.trials_na:
+            continue
+        build = _INPUTS.get(tag)
+        if build not in sets:
+            built = build(scrambled)
+            same = all(np.array_equal(getattr(built, c), getattr(obs, c)) for c in _COLUMNS)
+            sets[build] = obs if same else built
+        key = (_ESTIMATORS[tag], id(sets[build]))
+        if key not in evaluated:
+            evaluated[key] = _error(tag, sets[build], scenario, cfg)
+        outcomes[tag] = evaluated[key]
+    return outcomes, perms
+
+
+def _reduce(cfg: ExperimentConfig, value, outcomes) -> list:
+    """One CSV row per tag from a sweep point's trial outcomes, added up in
+    trial order."""
+    rows = []
+    for tag in cfg.estimators:
+        got = [out[tag] for out in outcomes if tag in out]
+        errs = np.asarray([e for e in got if not isinstance(e, type)], dtype=float)
+        rows.append({
+            "value": float(value), "estimator": tag, "trials": len(got),
+            "failures": len(got) - errs.size,
+            "rmse_m": float(np.sqrt(np.mean(errs ** 2))) if errs.size else float("nan"),
+            "mean_err_m": float(np.mean(errs)) if errs.size else float("nan"),
+        })
+    return rows
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Monte-Carlo RMSE sweep over the configured parameter."""
     cfg.validate()
-    if cfg.sweep == "distance":
-        values = cfg.d
-    elif cfg.sweep == "direction_error":
-        values = cfg.sigma_dir
-    elif cfg.sweep == "mpc_count":
-        values = cfg.k_per_observer
-    else:
+    if cfg.sweep not in _SWEEP_FIELDS:
         raise ConfigError(f"run_sweep cannot run sweep {cfg.sweep!r}")
-
     rows = []
-    for p_idx, value in enumerate(values):
-        d = cfg.d[0]
-        sigma_dir = cfg.sigma_dir[0]
-        k_per = cfg.k_per_observer[0]
-        if cfg.sweep == "distance":
-            d = value
-        elif cfg.sweep == "direction_error":
-            sigma_dir = value
-        else:
-            k_per = int(value)
-
-        errors: dict = {t: [] for t in cfg.estimators}
-        failures: dict = {t: 0 for t in cfg.estimators}
-        counts: dict = {t: 0 for t in cfg.estimators}
-        for trial in range(cfg.trials):
-            scen_rng = _trial_rng(cfg.seed, p_idx, trial, 0)
-            scenario = chansim.sample_scenario(
-                d, cfg.sv, cfg.m_observers, [k_per] * cfg.m_observers, scen_rng
-            )
-            noise_rng = _trial_rng(cfg.seed, p_idx, trial, 1)
-            noise = chansim.NoiseParams(
-                sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps,
-                eps_a_per_observer=tuple(noise_rng.uniform(0.0, cfg.eps_a_max,
-                                                           cfg.m_observers)),
-            )
-            observations = chansim.observe(scenario, noise, noise_rng)
-            scrambled = None
-            if any(t in _SCRAMBLED_TAGS for t in cfg.estimators):
-                scrambled, _ = chansim.scramble_association(
-                    observations, _trial_rng(cfg.seed, p_idx, trial, 2)
-                )
-            for tag in cfg.estimators:
-                if tag == "NA" and trial >= cfg.trials_na:
-                    continue
-                counts[tag] += 1
-                try:
-                    errors[tag].append(_run_estimator(tag, scenario, observations,
-                                                      scrambled, cfg))
-                except UwbrelError:
-                    failures[tag] += 1
-
-        for tag in cfg.estimators:
-            errs = np.asarray(errors[tag], dtype=float)
-            rows.append({
-                "value": float(value),
-                "estimator": tag,
-                "trials": counts[tag],
-                "failures": failures[tag],
-                "rmse_m": float(np.sqrt(np.mean(errs ** 2))) if errs.size else float("nan"),
-                "mean_err_m": float(np.mean(errs)) if errs.size else float("nan"),
-            })
+    for point, value in enumerate(getattr(cfg, _SWEEP_FIELDS[cfg.sweep])):
+        rows += _reduce(cfg, value, [run_trial(cfg, point, trial)[0]
+                                     for trial in range(cfg.trials)])
     return SweepResult(sweep_param=cfg.sweep, rows=tuple(rows))
 
 

@@ -18,15 +18,19 @@ residuals return one value per row.
 
 MPCs are grouped by observer in one place, ``group_by_observer``: it takes
 the observer id of every row and returns each observer's row indices,
-observers in order of first appearance.  Every per-observer loop in the
-library (association, delay differences, the raw-delay system's offset
-columns, scrambling, observation noise, the sampler) walks them in that
-order and reads its columns through those index arrays.
+observers in order of first appearance.  Each set caches its own as the
+read-only ``Observations.groups`` (a slice or ``dataclasses.replace`` is a
+new set).  Every per-observer loop in the library (association, delay
+differences, the raw-delay system's offset columns, scrambling, observation
+noise) reads it, walks them in that order and reads its columns through
+those index arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -97,6 +101,15 @@ class Observations:
     def __len__(self) -> int:
         return self.observer.size
 
+    @cached_property
+    def groups(self):
+        """``group_by_observer(self.observer)``, computed once per set, as a
+        read-only mapping of read-only index arrays."""
+        groups = group_by_observer(self.observer)
+        for rows in groups.values():
+            rows.flags.writeable = False
+        return MappingProxyType(groups)
+
     def __getitem__(self, rows) -> "Observations":
         return Observations(tau_a=self.tau_a[rows], tau_b=self.tau_b[rows],
                             dir_a=self.dir_a[rows], dir_b=self.dir_b[rows],
@@ -137,7 +150,7 @@ class Scenario:
         return len(self.mpcs)
 
     def k_per_observer(self) -> dict:
-        return {o: rows.size for o, rows in group_by_observer(self.mpcs.observer).items()}
+        return {o: rows.size for o, rows in self.mpcs.groups.items()}
 
     def validate(self, tol: float = 1e-9) -> None:
         """Check every MPC against the vector identity and the delay bound;

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntiparallelDirections, InvalidParams, NotPositiveDefinite, RankDeficient
-from .geom import SPEED_OF_LIGHT, group_by_observer, vector_identity_terms
+from .geom import SPEED_OF_LIGHT, vector_identity_terms
 
 _C = SPEED_OF_LIGHT
 _ANTIPARALLEL_EPS = 1e-6
@@ -163,7 +163,7 @@ def build_tau_system(observations) -> StackedTauSystem:
     """Stack the raw-delay system with shared and per-observer offset columns."""
     if not observations:
         raise InvalidParams("no observations")
-    groups = group_by_observer(observations.observer)
+    groups = observations.groups
     k = len(observations)
     G = np.zeros((k, 3, 4 + len(groups)))
     G[:, :, 0:3] = np.eye(3)

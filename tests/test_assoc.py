@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uwbrel.assoc import (
+    Assignment,
     AssocConfig,
     NO_MATCH_COST,
     associate,
@@ -35,6 +36,12 @@ def random_group(rng, n, o=0):
         ta.append(rng.uniform(20e-9, 100e-9))
         tb.append(rng.uniform(20e-9, 100e-9))
     return obs(ta, tb, va, vb, o)
+
+
+def stacked(groups):
+    """One set holding the rows of every group, in order."""
+    return Observations(**{c: np.concatenate([getattr(g, c) for g in groups])
+                           for c in ("tau_a", "tau_b", "dir_a", "dir_b", "observer")})
 
 
 class TestAssocConfig:
@@ -112,6 +119,29 @@ class TestAssociate:
                         for p in itertools.permutations(range(n)))
             got = associate(ga, gb, cfg)
             assert got.total_cost == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize("force_full", [False, True])
+    def test_total_is_the_running_sum_of_kept_finite_costs(self, force_full):
+        # bits and type of the pair-by-pair total: observer by observer,
+        # A rows ascending, gated pairs (kept or not) adding nothing; groups
+        # up to 8 wide give totals of 8 pairs and more, where a pairwise sum
+        # (np.sum) would round differently
+        rng = np.random.default_rng(17)
+        cfg = AssocConfig(angle_gate=np.radians(100.0))
+        for _ in range(30):
+            sizes = rng.integers(1, 9, size=(3, 2))
+            ga, gb = (stacked([random_group(rng, n, o) for o, n in enumerate(side)])
+                      for side in sizes.T)
+            got = associate(ga, gb, cfg, force_full=force_full)
+            want = 0.0
+            for o, perm in got.permutation.items():
+                rows_a, rows_b = ga.groups[o], gb.groups[o]
+                cost = pair_cost(ga[rows_a], gb[rows_b], cfg, np.mean(ga.tau_a[rows_a]),
+                                 np.mean(gb.tau_b[rows_b]))
+                for k, l in enumerate(perm):
+                    if l >= 0 and np.isfinite(cost[k, l]):
+                        want += cost[k, l]
+            assert repr(got.total_cost) == repr(want)
 
     def test_rectangular_leaves_extra_unmatched(self):
         rng = np.random.default_rng(6)
@@ -224,3 +254,28 @@ class TestApplyAssignment:
             with pytest.raises(InvalidParams, match="obs_a or obs_b lacks"):
                 apply_assignment(obs_a, obs_b, assignment)
         assert len(apply_assignment(full, full, assignment)) == 6
+
+    @pytest.mark.parametrize("perm", [[0, 1, 5], [0, 1], [0, 1, 2, 3], [-2, 0, 1],
+                                      [[0, 1, 2]]])
+    def test_out_of_range_or_wrong_length_permutation_raises(self, perm):
+        rng = np.random.default_rng(14)
+        ga, gb = random_group(rng, 3), random_group(rng, 3)
+        with pytest.raises(InvalidParams, match="one entry per A-side MPC"):
+            apply_assignment(ga, gb, Assignment(permutation={0: perm}, matched={}))
+
+    def test_index_of_another_observers_rows_raises(self):
+        # B index 3 exists in obs_b, but not among observer 0's three rows
+        rng = np.random.default_rng(15)
+        full = observe(sample_scenario(2.0, SvParams(), 2, [3, 3], rng),
+                       NoiseParams(sigma=0.2e-9), rng)
+        bad = Assignment(permutation={0: [0, 1, 3], 1: [0, 1, 2]}, matched={})
+        with pytest.raises(InvalidParams, match="below 3"):
+            apply_assignment(full, full, bad)
+
+    def test_duplicate_b_index_raises(self):
+        rng = np.random.default_rng(16)
+        ga, gb = random_group(rng, 3), random_group(rng, 3)
+        with pytest.raises(InvalidParams, match="two A-side MPCs"):
+            apply_assignment(ga, gb, Assignment(permutation={0: [0, 0, 1]}, matched={}))
+        merged = apply_assignment(ga, gb, Assignment(permutation={0: [2, -1, 0]}, matched={}))
+        np.testing.assert_array_equal(merged.tau_b, gb.tau_b[[2, 0]])

@@ -68,6 +68,8 @@ class TestRunSweep:
             run_sweep(tiny_cfg(estimators=("XX",)))
         with pytest.raises(ConfigError):
             run_sweep(tiny_cfg(sweep="surface"))
+        with pytest.raises(ConfigError, match="repeat"):
+            run_sweep(tiny_cfg(estimators=("DD", "MV", "DD")))
         for bad in (dict(sigma=np.nan), dict(sigma=np.inf), dict(sigma_dir=(0.1, np.nan)),
                     dict(d=(2.0, np.nan)), dict(d=(-1.0,)), dict(eps=np.nan),
                     dict(eps_a_max=np.inf), dict(cond_gate=np.nan), dict(cond_gate=0.0),
@@ -98,7 +100,10 @@ class TestRunSweep:
         counting(posest, "lse_by_tau")
         counting(distest, "mvue_async")
         run_sweep(tiny_cfg(trials=3, estimators=("MV", "SO", "DD", "DDN", "TAU", "TNA")))
-        assert calls == {"mvue_async": 6, "lse_by_delta": 6, "lse_by_tau": 6}
+        # without direction noise the assignment recovers the truth, so DDN
+        # and TNA reuse DD's and TAU's estimates; sorting pairs wrongly here,
+        # so SO runs its own
+        assert calls == {"mvue_async": 6, "lse_by_delta": 3, "lse_by_tau": 3}
 
 
 class TestSurface:
@@ -195,6 +200,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         pytest.param(["sweep", "--estimators", "BOGUS", "--trials", "1"], id="estimator"),
         pytest.param(["sweep", "--d", "abc"], id="d"),
+        pytest.param(["sweep", "--estimators", "DD,dd", "--trials", "3"], id="repeated-tag"),
         pytest.param(["sweep", "--trials", "x"], id="trials"),
         pytest.param(["sweep", "--sigma-ns", "nan", "--trials", "1"], id="sigma-nan"),
         pytest.param(["calibrate", "--samples", "0"], id="samples"),

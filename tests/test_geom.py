@@ -9,6 +9,7 @@ from uwbrel.geom import (
     Observations,
     Scenario,
     complete_mpc,
+    group_by_observer,
     projection_residual,
     pwa_residual,
 )
@@ -174,3 +175,43 @@ class TestScenario:
         s = random_scenario(np.random.default_rng(3))
         with pytest.raises(InvalidParams, match="c must"):
             replace(s, c=c)
+
+
+class TestGroups:
+    OBSERVER = [2, 2, 0, 2, 1, 0]
+
+    def _obs(self):
+        return random_scenario(np.random.default_rng(4), k=6, observer=self.OBSERVER).mpcs
+
+    @staticmethod
+    def _same(groups, want):
+        assert list(groups) == list(want)
+        for o in want:
+            np.testing.assert_array_equal(groups[o], want[o])
+
+    def test_equals_group_by_observer(self):
+        obs = self._obs()
+        self._same(obs.groups, group_by_observer(obs.observer))
+        assert obs.groups is obs.groups  # computed once per set
+
+    def test_read_only(self):
+        groups = self._obs().groups
+        for rows in groups.values():
+            with pytest.raises(ValueError):
+                rows[0] = 5
+        with pytest.raises(TypeError):
+            groups[7] = np.arange(2)
+
+    @pytest.mark.parametrize("select", [slice(1, 5), np.array([5, 0, 4, 1]),
+                                        np.array([True, False, True, True, False, True])])
+    def test_a_selection_groups_its_own_rows(self, select):
+        obs = self._obs()
+        obs.groups  # noqa: B018 -- cache the parent's grouping first
+        part = obs[select]
+        self._same(part.groups, group_by_observer(np.asarray(self.OBSERVER)[select]))
+
+    def test_replace_groups_its_own_rows(self):
+        obs = self._obs()
+        obs.groups  # noqa: B018 -- cache the parent's grouping first
+        moved = replace(obs, observer=np.array([0, 1, 1, 0, 0, 3]))
+        self._same(moved.groups, group_by_observer([0, 1, 1, 0, 0, 3]))
