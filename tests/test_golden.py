@@ -112,6 +112,17 @@ def _na_gaussian_wide_sigma() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _na_gaussian_one_observer(k) -> str:
+    """Gaussian NA on one scrambled observer of ``k`` >= 7 MPCs, whose
+    permanents take Ryser's path; the full ``repr`` shows every bit."""
+    sigma = 0.2e-9
+    rng = np.random.default_rng([k, 11])
+    scenario = chansim.sample_scenario(2.0, chansim.SvParams(), 1, [k], rng)
+    obs = chansim.observe(scenario, chansim.NoiseParams(sigma=sigma, eps=5e-9), rng)
+    scrambled, _ = chansim.scramble_association(obs, rng)
+    return _outcome(distest.mle_async_noassoc, scrambled, ErrorModel(sigma_per_mpc=sigma)) + "\n"
+
+
 RUNS = {
     "na_hard_k7_seed0": lambda: run_sweep(_na_hard_k7(0)).to_csv(),
     "na_hard_k7_seed1": lambda: run_sweep(_na_hard_k7(1)).to_csv(),
@@ -150,6 +161,8 @@ RUNS = {
         surface_scenario="canonical", grid_steps=60)),
     "library_results": _library_results,
     "na_gaussian_3x4_wide_sigma": _na_gaussian_wide_sigma,
+    "na_gaussian_1x7": lambda: _na_gaussian_one_observer(7),
+    "na_gaussian_1x8": lambda: _na_gaussian_one_observer(8),
 }
 
 GOLDEN = {
@@ -158,6 +171,8 @@ GOLDEN = {
     "distance_closed_forms": "64941fb25159d9ebfc84924344ccd0f3b1af32546963140c06a46d38aa92a4cb",
     "library_results": "dca451941369485fba2ee10261bfc3efee12345a2380d643a086a0ef462d8440",
     "mpc_count_sweep": "3f0a097d7ba1136f2b9465d61f96d1141b7f65cbbcbc657fcb063bc23f9da2b3",
+    "na_gaussian_1x7": "7ed4c04ba0173dec87ab28ca2dac60386a5be1c9de91901cd68670297a4d6a50",
+    "na_gaussian_1x8": "e57054c4836f86b20d61309468e9afcfbcaa4b43d448b4f647c42ad686ec5a78",
     "na_gaussian_3x4": "f92ae017a046f00e53f027fcbf7f5239d514b4617cf9bdcf8c89008a7c8d8e09",
     "na_gaussian_3x4_wide_sigma": "fa989047876bf1e6abae3a0aa0a5190fd5100a2816114c4c46be5c3719c086a0",
     "na_hard_k7_seed0": "b571d1835fcb939eeea31acc8616f8c2a5c9a4a33d51e9c3fd3a21baafe56098",
