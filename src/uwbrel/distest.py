@@ -10,15 +10,14 @@ unknown-association variant pairs the delays within each observer (rows
 grouped by the set's ``groups``) in every way, so its per-observer
 permutation sum is a matrix permanent of soft-indicator matrices.  One
 kernel, ``permanent``, computes the permanents of a whole stack of
-matrices; the hard-indicator search scores every candidate of an observer
-in one call to it.  The unknown-association likelihood has one body,
-``_noassoc_kernel``: it is compiled once per estimate from the cross
-differences of ``_cross_diffs`` and evaluates its (d, eps) points in
-fixed-size blocks.  The grid scan evaluates it batch-last, and only above a
+matrices, each with the bits it gets alone; the hard-indicator search
+scores every candidate of an observer in one call to it.  The
+unknown-association likelihood has one body, ``_noassoc_kernel``: it is
+compiled once per estimate from the cross differences of ``_cross_diffs``
+and evaluates its (d, eps) points in fixed-size blocks.  Where several
+points share an eps, as on a grid, it evaluates only those above a
 bottleneck bound below which some observer's permanent is structurally
-zero (n <= 6; not Ryser's, which is not exactly 0 there); the simplex
-refinement evaluates all its points through the kernel's pointwise form,
-which sums every point's permanents as if it were evaluated alone.
+zero (n <= 6; not Ryser's, which is not exactly 0 there).
 """
 
 from __future__ import annotations
@@ -177,33 +176,31 @@ def _permutation_index(n: int) -> np.ndarray:
     return flat
 
 
-def permanent(mats, pointwise=False):
+def permanent(mats):
     """Exact permanents over the last two axes of ``mats`` (..., n, n).
 
     Direct permutation enumeration up to 6x6 (no cancellation, exact for
     the tiny indicator products the likelihood produces).  The entries are
-    gathered through a cached index into (..., n!, n, last batch axis), so
+    gathered through a cached index into (..., n!, n, last batch axis);
     numpy multiplies each permutation's n entries and adds the n! products
-    in order, element by element along the last batch axis (a lone matrix
-    sums its products pairwise).  With ``pointwise`` the gather is
-    (..., n!, n) and every matrix sums its products pairwise, as a lone
-    matrix does, whatever the batch.  Beyond 6x6, Ryser's formula in the
-    Gray-code form of Nijenhuis & Wilf, where each step adds or subtracts
-    one column from the running row sums; it gives every matrix the bits
-    of the lone matrix either way.  Both are exact on 0/1 matrices.  A 2-D
-    input returns a float.
+    in permutation order, so every matrix gets the bits it gets alone.
+    Beyond 6x6, Ryser's formula in the Gray-code form of Nijenhuis & Wilf,
+    where each step adds or subtracts one column from the running row
+    sums, elementwise over the batch.  Both are exact on 0/1 matrices.  A
+    2-D input returns a float.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim < 2 or mats.shape[-2] != mats.shape[-1]:
         raise InvalidParams("permanent needs square matrices over the last two axes")
     n = mats.shape[-1]
-    if n <= 6 and pointwise:
-        rows = np.ascontiguousarray(mats).reshape(mats.shape[:-2] + (n * n,))
-        out = np.take(rows, _permutation_index(n), axis=-1).prod(axis=-1).sum(axis=-1)
-    elif n <= 6:
+    if n <= 6:
         rows = mats.reshape((mats.shape[:-2] or (1,)) + (n * n,))
         entries = np.swapaxes(rows, -1, -2)                        # (..., n*n, last batch axis)
-        out = np.take(entries, _permutation_index(n), axis=-2).prod(axis=-2).sum(axis=-2)
+        products = np.take(entries, _permutation_index(n), axis=-2).prod(axis=-2)
+        if products.shape[-1] > 1:                                 # in order, column by column
+            out = products.sum(axis=-2)
+        else:                                                      # sum() would add a lone column pairwise
+            out = np.add.accumulate(products, axis=-2)[..., -1, :]
     else:
         mats = np.ascontiguousarray(mats)                          # strided rows of 8 sum in another order
         cols = np.ascontiguousarray(np.moveaxis(mats, -1, 0))      # (n, ..., n)
@@ -235,31 +232,29 @@ def _cross_diffs(obs, mid=0.0):
 
 
 def _noassoc_kernel(rows, cross, model: ErrorModel):
-    """The association-free log-likelihood of fixed cross differences, as
-    two functions of (d, eps): ``loglik``, which broadcasts over ``d`` and
-    ``eps``, and ``each``, which takes 1-D points and gives every one the
-    bits ``loglik`` gives it alone.
+    """The association-free log-likelihood of fixed cross differences, as a
+    function ``loglik(d, eps)`` that broadcasts over ``d`` and ``eps``.
 
     Observers of equal size share one (n_obs, n, n) cross-difference stack
     and one (n_obs, n) sigma stack (observer o's sigmas are those of its
     rows ``rows[o]``), both built here once.  Points are evaluated
     ``_BLOCK`` at a time in a batch-last (n_obs, n, n, points) layout, with
     one ``permanent`` call per size; the per-observer log terms are added
-    in observer order.  The batch-last permanent adds the n! products of
-    many points in another order than those of one point, so ``each`` asks
-    it for pointwise sums, and a call of several points never forms a
-    one-point block.
+    in observer order.  Every step is elementwise over the points, so each
+    point gets the bits it gets alone, in any batch.
 
-    The batch form evaluates only the points above the support bound.
-    Entry (k, l) is exactly 0 for d/c up to ``t_kl(eps) = max(x_kl - eps
-    - _Z_HI s_k, -(x_kl - eps) + _Z_LO s_k)``, where ``ErrorModel.factors``
-    saturates (``|x_kl - eps|`` for the hard indicator), so an n <= 6
-    observer's enumerated permanent is exactly 0 up to its bottleneck value,
-    the minimum over permutations of the largest threshold.  Points up to
-    the largest bottleneck (less a 1e-9 relative margin, computed once per
-    distinct eps) get -inf unevaluated.  Ryser's permanent (n >= 7) of such
-    a matrix is not exactly 0, so those observers add no bound; ``each``
-    evaluates every point.
+    Where eps values are shared by several points (fewer eps values than
+    points, as on a grid), only the points above the support bound are
+    evaluated; where each point has its own eps, the bound would cost as
+    much as the evaluation.  Entry (k, l) is exactly 0 for d/c up to
+    ``t_kl(eps) = max(x_kl - eps - _Z_HI s_k, -(x_kl - eps) + _Z_LO s_k)``,
+    where ``ErrorModel.factors`` saturates (``|x_kl - eps|`` for the hard
+    indicator), so an n <= 6 observer's enumerated permanent is exactly 0
+    up to its bottleneck value, the minimum over permutations of the
+    largest threshold.  Points below the largest bottleneck (less a 1e-9
+    relative margin, computed once per distinct eps) get -inf unevaluated.
+    Ryser's permanent (n >= 7) of such a matrix is not exactly 0, so those
+    observers add no bound.
     """
     sizes = [m.shape[0] for m in cross]
     k_total = sum(sizes)
@@ -271,13 +266,13 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
         s = None if sig is None else np.stack([sig[rows[o]] for o in ids])[:, :, None, None]
         groups.append((ids, stack, s))
 
-    def block(dd, ee, pointwise):
+    def block(dd, ee):
         half = np.maximum(dd, _D_FLOOR) / _C
         permanents = np.empty((len(cross), dd.size))
         for ids, stack, s in groups:
             x = stack - ee  # [o, k, l, p] = tau_b[l] - tau_a[k] - eps_p
             factors = model.factors(x, half, s)  # s: one sigma per A-side MPC (row)
-            permanents[ids] = permanent(factors.transpose(0, 3, 1, 2), pointwise=pointwise)
+            permanents[ids] = permanent(factors.transpose(0, 3, 1, 2))
         ll = -k_total * np.log(np.maximum(dd, _D_FLOOR))
         for term in _log0(permanents):  # observer by observer, in order
             ll = ll + term
@@ -300,24 +295,21 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
                            out=lim[i:i + _BLOCK])
         return lim
 
-    def loglik(d, eps, pointwise=False):
+    def loglik(d, eps):
         eps = np.asarray(eps, dtype=float)
-        lim = None if pointwise else support(eps.ravel()).reshape(eps.shape)
-        d, eps = np.broadcast_arrays(np.asarray(d, dtype=float), eps)
-        dd, ee = d.ravel(), eps.ravel()
+        d, ee = np.broadcast_arrays(np.asarray(d, dtype=float), eps)
+        dd, ee = d.ravel(), ee.ravel()
         keep = np.arange(dd.size)
-        if lim is not None:
-            lim = np.broadcast_to(lim, d.shape).ravel() * (1 - 1e-9)
-            keep = np.flatnonzero(~(np.maximum(dd, _D_FLOOR) / _C <= lim))
-            if keep.size == 1 < dd.size:  # a lone point would sum its products pairwise
-                keep = np.unique(np.append(keep, (keep[0] + 1) % dd.size))
+        if eps.size < dd.size:
+            lim = np.broadcast_to(support(eps.ravel()).reshape(eps.shape), d.shape).ravel()
+            keep = np.flatnonzero(~(np.maximum(dd, _D_FLOOR) / _C < lim * (1 - 1e-9)))
         out = np.full(dd.size, -np.inf)
-        cuts = [*range(0, max(keep.size - 1, 1), _BLOCK), keep.size]  # no lone last block
-        for lo, hi in zip(cuts, cuts[1:]):
-            out[keep[lo:hi]] = block(dd[keep[lo:hi]], ee[keep[lo:hi]], pointwise)
+        for lo in range(0, keep.size, _BLOCK):
+            part = keep[lo:lo + _BLOCK]
+            out[part] = block(dd[part], ee[part])
         return out.reshape(d.shape) if d.ndim else float(out[0])
 
-    return loglik, functools.partial(loglik, pointwise=True)
+    return loglik
 
 
 def loglik_no_assoc(obs, model: ErrorModel, d, eps):
@@ -329,8 +321,7 @@ def loglik_no_assoc(obs, model: ErrorModel, d, eps):
     the known-association case.  Broadcasts over ``d`` and ``eps``.  A
     sigma array of the wrong size raises InvalidParams.
     """
-    loglik, _ = _noassoc_kernel(*_cross_diffs(obs), model)
-    return loglik(d, eps)
+    return _noassoc_kernel(*_cross_diffs(obs), model)(d, eps)
 
 
 def _noassoc_candidates(cross):
@@ -399,7 +390,7 @@ def mle_async_noassoc(obs, model: ErrorModel,
     if cfg is None:
         cfg = _default_config(np.concatenate([m.ravel() for m in cross]))
 
-    objective, each = _noassoc_kernel(rows, cross, model)
+    objective = _noassoc_kernel(rows, cross, model)
 
     # hard-indicator candidates pre-scored on the smooth objective make
     # good starts: the gaussian peaks sit near wedge apexes/intersections
@@ -408,7 +399,7 @@ def mle_async_noassoc(obs, model: ErrorModel,
     top = np.argsort(scores)[::-1][: max(2, cfg.multistart_count // 2)]
     extra = [(max(float(d_cand[i]), _D_FLOOR), float(e_cand[i])) for i in top]
 
-    d_hat, eps_hat, value = maximize_2d(objective, cfg, extra_starts=extra, each=each)
+    d_hat, eps_hat, value = maximize_2d(objective, cfg, extra_starts=extra)
     return DistanceEstimate(
         d_hat=max(d_hat, 0.0), eps_hat=eps_hat + mid, method="mle_async_noassoc",
         diagnostics={"loglik": value},

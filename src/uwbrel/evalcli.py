@@ -331,6 +331,13 @@ def _parse_values(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
 
+def _count(value: float) -> int:
+    """A whole-number value as an int; a fraction raises ValueError."""
+    if not float(value).is_integer():
+        raise ValueError(f"{value} is not a whole count")
+    return int(value)
+
+
 def _load_config_file(path: str) -> dict:
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -400,7 +407,7 @@ _FLAGS = (
     ("sigma_dir_deg", "sigma_dir", lambda text: tuple(np.radians(v) for v in _parse_values(text))),
     ("observers", "m_observers", int),
     ("mpcs_per_observer", "k_per_observer",
-     lambda text: tuple(int(v) for v in _parse_values(text))),
+     lambda text: tuple(_count(v) for v in _parse_values(text))),
     ("eps_ns", "eps", lambda text: float(text) * 1e-9),
     ("seed", "seed", int),
     ("out", "output_path", str),
@@ -412,7 +419,7 @@ _FLAGS = (
     ("kind", "surface_kind", str),
     ("scenario", "surface_scenario", str),
     ("grid_steps", "grid_steps", int),
-    ("samples", "calib_samples", lambda text: int(float(text))),
+    ("samples", "calib_samples", lambda text: _count(float(text))),
 )
 
 

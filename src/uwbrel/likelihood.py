@@ -5,7 +5,7 @@ delay difference fits the admissible band [-d/c, d/c] after removing the
 clock offset.  The per-MPC factor is F(x + d/c) - F(x - d/c) with F the
 CDF of the measurement error; with no error it degenerates to a hard
 set-membership indicator.  That factor has one body, ``ErrorModel.factors``,
-which ``soft_indicator`` and both likelihoods in ``distest`` evaluate; it
+which ``soft_indicator`` and both likelihoods in ``distest`` share; it
 calls ``ndtr`` only where the result is not already fixed at 0 or 1.
 
 ``maximize_2d`` scans a grid and refines its best cells with Nelder-Mead.
@@ -190,7 +190,7 @@ def _nelder_mead(fun, x0, maxiter: int, xatol: float, fatol: float):
     return sim[:, 0], fsim.min(axis=1), nfev
 
 
-def maximize_2d(objective, cfg: OptimizerConfig, extra_starts=(), each=None):
+def maximize_2d(objective, cfg: OptimizerConfig, extra_starts=()):
     """Maximize ``objective(d, eps)`` by coarse grid scan plus simplex refinement.
 
     The objective must accept numpy-broadcast arrays.  Refinement starts
@@ -203,12 +203,10 @@ def maximize_2d(objective, cfg: OptimizerConfig, extra_starts=(), each=None):
     ``maxiter = refine_iters``, ``xatol = tolerance / 10`` and
     ``fatol = 1e-12``, minimizing the negated objective (1e300 where it is
     not finite).  The starts advance in lockstep, and each phase evaluates
-    its points through one call of ``each(d, eps)`` on 1-D arrays
-    (default: ``objective``).  When every point of such a call gets the
-    bits ``objective`` gives it alone, each start ends where
+    its points through one call of ``objective`` on 1-D arrays.  When that
+    gives every point the bits it gets alone, each start ends where
     ``scipy.optimize.minimize(method="Nelder-Mead")`` on the scalar
-    objective ends; an objective whose arithmetic depends on the batch
-    passes an ``each`` that keeps that promise.
+    objective ends.
 
     Returns ``(d, eps, value)``.  Raises DegenerateObjective when every grid
     cell evaluates to zero probability (-inf log-likelihood).
@@ -237,10 +235,9 @@ def maximize_2d(objective, cfg: OptimizerConfig, extra_starts=(), each=None):
 
     # refine on a conditioned scale: eps in units of the grid span
     e_span = max(e_hi - e_lo, 1e-12)
-    evaluate = objective if each is None else each
 
     def neg(z):
-        v = np.asarray(evaluate(z[:, 0], z[:, 1] * e_span), dtype=float)
+        v = np.asarray(objective(z[:, 0], z[:, 1] * e_span), dtype=float)
         return np.where(np.isfinite(v), -v, 1e300)
 
     x0 = np.array(starts, dtype=float)

@@ -209,6 +209,10 @@ class TestCli:
         pytest.param(["surface", "--kind", "noassoc", "--observers", "1",
                       "--mpcs-per-observer", "9", "--scenario", "random"],
                      id="permutation-cap"),
+        pytest.param(["sweep", "--mpcs-per-observer", "2.5"], id="fractional-mpcs"),
+        pytest.param(["sweep", "--sweep", "mpc_count", "--mpcs-per-observer", "2:3:3"],
+                     id="fractional-mpc-range"),
+        pytest.param(["calibrate", "--samples", "2.7"], id="fractional-samples"),
     ])
     def test_bad_estimator_exits_2(self, argv, capsys):
         rc = main(argv)
@@ -240,7 +244,7 @@ class TestCli:
         assert len(out.strip().splitlines()) == 1 + 6
 
     def test_calibrate_cli(self, capsys):
-        rc = main(["calibrate", "--samples", "100000", "--seed", "2"])
+        rc = main(["calibrate", "--samples", "1e5", "--seed", "2"])  # exponent form: a whole count
         assert rc == 0
         assert "passed" in capsys.readouterr().out
 

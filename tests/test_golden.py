@@ -174,7 +174,7 @@ GOLDEN = {
     "na_gaussian_1x7": "7ed4c04ba0173dec87ab28ca2dac60386a5be1c9de91901cd68670297a4d6a50",
     "na_gaussian_1x8": "e57054c4836f86b20d61309468e9afcfbcaa4b43d448b4f647c42ad686ec5a78",
     "na_gaussian_3x4": "f92ae017a046f00e53f027fcbf7f5239d514b4617cf9bdcf8c89008a7c8d8e09",
-    "na_gaussian_3x4_wide_sigma": "fa989047876bf1e6abae3a0aa0a5190fd5100a2816114c4c46be5c3719c086a0",
+    "na_gaussian_3x4_wide_sigma": "6b73b498c8892cbf6c84f7874dfe1227d5996f96ca7466c6b226099cd65d57c8",
     "na_hard_k7_seed0": "b571d1835fcb939eeea31acc8616f8c2a5c9a4a33d51e9c3fd3a21baafe56098",
     "na_hard_k7_seed1": "4d7a3f9e19df77afbc24cf35e10b925fbcb0e7722be5cf3610a4c50913208178",
     "na_hard_k7_seed2": "50511a07277787badff8354214c8e4af2c25025318186b2d1c294cd7458866d4",

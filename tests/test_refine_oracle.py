@@ -1,13 +1,13 @@
-"""Oracle for the lockstep simplex refinement and the pointwise likelihood.
+"""Oracle for the lockstep simplex refinement and lone-point bits.
 
 ``maximize_2d`` used to refine each start with its own
 ``scipy.optimize.minimize(method="Nelder-Mead")`` run on a scalar
 objective; ``_old_maximize_2d`` below is that maximizer.  Start for start,
 the lockstep ``_nelder_mead`` must end on the same bits of ``x`` and
 ``fun`` after the same number of evaluations, and a lone start must
-evaluate the same points in the same order.  The NA kernel's ``each`` must
-give every point the bits the lone-point likelihood gives it, since the
-refinement's points used to be evaluated one at a time.
+evaluate the same points in the same order.  The NA likelihood and
+``permanent`` must give every point and matrix of a batch the bits it gets
+alone, since the refinement's points used to be evaluated one at a time.
 """
 
 import numpy as np
@@ -127,9 +127,9 @@ def _scalar_neg(objective):
     return neg
 
 
-def _batch_neg(each):
+def _batch_neg(objective):
     def neg(z):
-        v = np.asarray(each(z[:, 0], z[:, 1] * E_SPAN), dtype=float)
+        v = np.asarray(objective(z[:, 0], z[:, 1] * E_SPAN), dtype=float)
         return np.where(np.isfinite(v), -v, 1e300)
     return neg
 
@@ -169,18 +169,18 @@ def _first_step(points, values):
     return name if len(points) == 5 else f"shrink after {name}"
 
 
-def _assert_lockstep_matches(objective, each, starts, maxiter):
+def _assert_lockstep_matches(objective, starts, maxiter):
     """Every start as one lockstep batch, then each start alone: scipy's
     bits, evaluation counts and (alone) point sequence."""
     x0 = np.array(starts, dtype=float)
     x0[:, 1] /= E_SPAN
     runs = [_scipy_run(objective, [d0, e0 / E_SPAN], maxiter) for d0, e0 in starts]
-    x, fun, nfev = likelihood._nelder_mead(_batch_neg(each), x0, maxiter, XATOL, 1e-12)
+    x, fun, nfev = likelihood._nelder_mead(_batch_neg(objective), x0, maxiter, XATOL, 1e-12)
     for i, (res, points, _) in enumerate(runs):
         np.testing.assert_array_equal(x[i], res.x, strict=True)
         assert fun[i].tobytes() == np.float64(res.fun).tobytes()
         assert nfev[i] == res.nfev == len(points)
-    neg = _batch_neg(each)
+    neg = _batch_neg(objective)
     for start, (res, points, _) in zip(x0, runs):
         seen = []
 
@@ -206,7 +206,7 @@ def _starts(rng, count):
 def test_synthetic_objectives(name, maxiter):
     rng = np.random.default_rng(len(name) * 1000 + maxiter)
     objective = SYNTHETIC[name]
-    _assert_lockstep_matches(objective, objective, _starts(rng, 9), maxiter)
+    _assert_lockstep_matches(objective, _starts(rng, 9), maxiter)
 
 
 def test_first_steps_cover_every_branch():
@@ -215,8 +215,7 @@ def test_first_steps_cover_every_branch():
     rng = np.random.default_rng(99)
     seen = set()
     for objective in SYNTHETIC.values():
-        for res, points, values in _assert_lockstep_matches(objective, objective,
-                                                            _starts(rng, 40), 2):
+        for res, points, values in _assert_lockstep_matches(objective, _starts(rng, 40), 2):
             seen.add(_first_step(points, values))
     assert {"reflect", "expand", "outside", "inside", "shrink after outside",
             "shrink after inside"} <= seen
@@ -225,13 +224,13 @@ def test_first_steps_cover_every_branch():
 @pytest.mark.parametrize("maxiter", [1, 3, 200])
 def test_noassoc_kernel_objective(maxiter):
     """The NA objective: scipy evaluated its scalar ``loglik``, the
-    lockstep refinement evaluates ``each``."""
+    lockstep refinement evaluates it on 1-D arrays."""
     for model in (ErrorModel(sigma_per_mpc=0.2e-9), ErrorModel(sigma_per_mpc=2e-9)):
-        loglik, each = _na_kernel([4, 4, 4], model, seed=3)
+        loglik = _na_kernel([4, 4, 4], model, seed=3)
         rng = np.random.default_rng(maxiter)
         starts = [(float(d), float(e)) for d, e in zip(rng.uniform(0.5, 2.5, 6),
                                                        rng.uniform(2e-9, 6e-9, 6))]
-        _assert_lockstep_matches(loglik, each, starts + [(1e-6, 4e-9), (0.0, 4e-9)], maxiter)
+        _assert_lockstep_matches(loglik, starts + [(1e-6, 4e-9), (0.0, 4e-9)], maxiter)
 
 
 @pytest.mark.parametrize("maxiter", [1, 3, 200])
@@ -242,7 +241,7 @@ def test_known_assoc_objective(maxiter):
         rng = np.random.default_rng(maxiter + 1)
         starts = [(float(d), float(e)) for d, e in zip(rng.uniform(0.0, 2.0, 6),
                                                        rng.uniform(-2e-9, 2e-9, 6))]
-        _assert_lockstep_matches(objective, objective, starts + [(1e-6, 0.0)], maxiter)
+        _assert_lockstep_matches(objective, starts + [(1e-6, 0.0)], maxiter)
 
 
 def _assert_same_best(new, old):
@@ -259,14 +258,17 @@ def test_maximize_2d_matches_the_scipy_loop(refine_iters):
             _assert_same_best(maximize_2d(objective, cfg, extra_starts=extra),
                               _old_maximize_2d(objective, cfg, extra_starts=extra))
     for sigma in (0.2e-9, 2e-9):
-        loglik, each = _na_kernel([4, 4, 4], ErrorModel(sigma_per_mpc=sigma), seed=5)
+        loglik = _na_kernel([4, 4, 4], ErrorModel(sigma_per_mpc=sigma), seed=5)
         cfg_na = OptimizerConfig(grid_d=(0.0, 6.0, 60), grid_eps=(-4e-9, 12e-9, 60),
                                  refine_iters=refine_iters)
-        _assert_same_best(maximize_2d(loglik, cfg_na, extra_starts=[(1.0, 4e-9)], each=each),
+        _assert_same_best(maximize_2d(loglik, cfg_na, extra_starts=[(1.0, 4e-9)]),
                           _old_maximize_2d(loglik, cfg_na, extra_starts=[(1.0, 4e-9)]))
 
 
-# --- the pointwise evaluator --------------------------------------------
+# --- lone-point bits ----------------------------------------------------
+
+BATCHES = (37, distest._BLOCK - 1, distest._BLOCK, distest._BLOCK + 1)
+
 
 def _models(rng, k_total):
     """Hard indicator, one sigma, one sigma per MPC, and errors as wide as
@@ -279,28 +281,34 @@ def _models(rng, k_total):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_each_equals_lone_points(n):
+    """Every point of a batch gets the bits it gets alone: 37 points, each
+    evaluated alone, then batches of them cycled to one block less one
+    point, one block and one block plus one point."""
     rng = np.random.default_rng(70 + n)
     for sizes in ([n, n, n], [n, max(1, n - 2), n]):
         obs = _delays(rng, sizes)
         for model in _models(rng, sum(sizes)):
-            loglik, each = distest._noassoc_kernel(*distest._cross_diffs(obs), model)
             d = rng.uniform(0.0, 3.0, 37)
             d[::6] = 0.0
             eps = rng.uniform(0.0, 8e-9, 37)
-            got = each(d, eps)
-            want = [distest.loglik_no_assoc(obs, model, dv, ev) for dv, ev in zip(d, eps)]
-            assert [type(v) for v in want] == [float] * 37
-            np.testing.assert_array_equal(got, np.array(want), strict=True)
-            np.testing.assert_array_equal(got, [loglik(dv, ev) for dv, ev in zip(d, eps)])
-            assert np.isfinite(got).any()
+            lone = [distest.loglik_no_assoc(obs, model, dv, ev) for dv, ev in zip(d, eps)]
+            assert [type(v) for v in lone] == [float] * 37
+            assert np.isfinite(lone).any()
+            for count in BATCHES:
+                i = np.arange(count) % 37
+                np.testing.assert_array_equal(distest.loglik_no_assoc(obs, model, d[i], eps[i]),
+                                              np.array(lone)[i], strict=True)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pointwise_permanent_equals_lone_matrices(n):
+    """Every matrix of a stack, whatever its shape, gets the bits it gets
+    alone."""
     rng = np.random.default_rng(80 + n)
-    mats = rng.uniform(0.0, 1.0, (2, 15, n, n))
-    mats[..., 0, 0] = rng.uniform(0.0, 1e-12, (2, 15))  # mixed magnitudes
-    got = distest.permanent(mats, pointwise=True)
-    want = [[distest.permanent(m) for m in row] for row in mats]
-    np.testing.assert_array_equal(got, want, strict=False)
-    assert got.shape == (2, 15)
+    mats = rng.uniform(0.0, 1.0, (30, n, n))
+    mats[:, 0, 0] = rng.uniform(0.0, 1e-12, 30)  # mixed magnitudes
+    lone = np.array([distest.permanent(m) for m in mats])
+    for shape in ((1,), (2, 15), (15, 2), (30, 1), (1, 30), (3, 1, 10)) + tuple(
+            (count,) for count in BATCHES):
+        i = np.arange(np.prod(shape)).reshape(shape) % 30
+        np.testing.assert_array_equal(distest.permanent(mats[i]), lone[i], strict=True)

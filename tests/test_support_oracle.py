@@ -1,15 +1,21 @@
 """Oracle for the support bound of the association-free likelihood.
 
-``distest._noassoc_kernel``'s ``loglik`` evaluates only the points above
-the bottleneck bound of its n <= 6 observers and gives every other point
--inf.  ``_full`` is the unpruned per-observer evaluation of
-``test_loglik_oracle``, run a thousand points at a time (a chunk of two or
-more points has the bits of the whole batch).  The pruned likelihood must
-give its bits at every point, and every point it prunes must be -inf there.
+Where eps values are shared by several points, ``distest._noassoc_kernel``'s
+``loglik`` evaluates only the points above the bottleneck bound of its
+n <= 6 observers and gives every other point -inf.  ``_full`` is the
+unpruned per-observer evaluation of ``test_loglik_oracle``, run a thousand
+points at a time (every point has its bits in any chunk).  The pruned
+likelihood must give its bits at every point, and every point it prunes
+must be -inf there.
 """
+
+import functools
+import itertools
+import operator
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from uwbrel import distest
 from uwbrel.geom import SPEED_OF_LIGHT as C
@@ -24,9 +30,9 @@ SIGMAS = (0.05e-9, 0.2e-9, 2e-9)
 
 def _full(obs, model, d, eps):
     d, eps = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(eps, dtype=float))
-    if d.size == 1:
+    if d.ndim == 0:
         return _per_observer_loglik(obs, model, d, eps)
-    cuts = range(1000, d.size - 1, 1000)
+    cuts = range(1000, d.size, 1000)
     parts = zip(np.split(d.ravel(), cuts), np.split(eps.ravel(), cuts))
     return np.concatenate([_per_observer_loglik(obs, model, a, b) for a, b in parts]).reshape(d.shape)
 
@@ -81,12 +87,13 @@ def test_dense_grid(sizes):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_random_points_every_pruned_point_is_neg_inf(n, evaluated):
-    """Distinct d values tell which points the kernel evaluated."""
+    """Distinct d values tell which points the kernel evaluated; each eps
+    is shared by two points."""
     rng = np.random.default_rng(90 + n)
     obs = _groups(rng, [n, n, 8 - n])
-    d = rng.uniform(0.0, 3.0, 3000)
-    d[:3] = [0.0, distest._D_FLOOR / 2, distest._D_FLOOR]  # one d/c, at the floor
-    eps = rng.uniform(-6e-9, 14e-9, d.size)
+    d = rng.uniform(0.0, 3.0, (2, 1500))
+    d[0, :3] = [0.0, distest._D_FLOOR / 2, distest._D_FLOOR]  # one d/c, at the floor
+    eps = rng.uniform(-6e-9, 14e-9, 1500)
     for model in _models(rng, 8 + n):
         evaluated.clear()
         got = _assert_same(obs, model, d, eps)
@@ -103,21 +110,21 @@ def test_wedge_apexes_and_border_intersections():
         obs = _groups(rng, sizes)
         d, eps = distest._noassoc_candidates(distest._cross_diffs(obs)[1])
         for model in _models(rng, sum(sizes)):
-            _assert_same(obs, model, d, eps)
+            _assert_same(obs, model, np.stack([d, d[::-1]]), eps)  # each eps shared
             _assert_same(obs, model, d[5], eps[5])
 
 
 def test_nan_points_are_never_pruned():
-    """A NaN d or eps gives NaN in the full Gaussian kernel, so the bound
-    keeps it."""
+    """A NaN d or eps, or an infinite d at an infinite eps, gives NaN in
+    the full Gaussian kernel, so the bound keeps it."""
     rng = np.random.default_rng(11)
     obs = _groups(rng, [4, 2, 4])
     d = np.array([np.nan, 1.0, np.inf, 1.0, 0.0, 1.2])
     eps = np.array([4e-9, np.nan, 4e-9, -np.inf, np.inf, 4e-9])
     for model in _models(rng, 10):
         with np.errstate(invalid="ignore"):  # inf - inf in the factors' NaN test
-            got = _assert_same(obs, model, d, eps)
-        assert np.isnan(got[:2]).all() or model.kind == "none"
+            got = _assert_same(obs, model, np.stack([d, d[::-1]]), eps)
+        assert np.isnan(got[0, :2]).all() or model.kind == "none"
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -126,8 +133,8 @@ def test_ryser_observers_add_no_bound(n, evaluated):
     so an observer of 7 or 8 MPCs alone prunes nothing."""
     rng = np.random.default_rng(n)
     obs = _groups(rng, [n])
-    d = rng.uniform(0.0, 3.0, 200)
-    eps = rng.uniform(-6e-9, 14e-9, d.size)
+    d = rng.uniform(0.0, 3.0, (2, 100))
+    eps = rng.uniform(-6e-9, 14e-9, 100)
     for model in _models(rng, n):
         evaluated.clear()
         _assert_same(obs, model, d, eps)
@@ -136,25 +143,37 @@ def test_ryser_observers_add_no_bound(n, evaluated):
 
 # --- block splits -------------------------------------------------------
 
+EPS = -10e-9    # shared by every point below; the bound there is about d = 0.7 m
+D_MIXED = 2.75  # m; at EPS a pairwise sum of the products moves the log's last bit
+
+
 def _one_observer_of_five():
     """One observer of 5 MPCs, sigma about the size of the delay spread: at
-    d = 3 m and eps = 4 ns most of the 120 products are neither 0 nor 1, so
-    a lone point, which sums them pairwise, gets other bits; at d = 0 and
-    eps = -20 ns every permutation has an entry far past the bound."""
+    eps = EPS and d near 3 m every factor is neither 0 nor 1, and d = 0
+    lies below the bound."""
     tau_a = np.array([20.0, 21.3, 22.1, 23.8, 24.6]) * 1e-9
     tau_b = tau_a[[3, 0, 4, 1, 2]] + np.array([0.7, -0.4, 1.1, 0.2, -0.9]) * 1e-9 + 4e-9
     return delay_set([tau_a], [tau_b]), ErrorModel(sigma_per_mpc=1.5e-9)
 
 
+def _log_order_sensitive(obs, model, d, eps):
+    """Whether the log of the observer's 120 products at (d, eps) gets
+    other bits from numpy's pairwise sum of a lone run than from a sum in
+    permutation order."""
+    (x,) = distest._cross_diffs(obs)[1]
+    half, s = d / C, model.sigma_per_mpc[0]
+    f = np.clip(ndtr((x - eps + half) / s) - ndtr((x - eps - half) / s), 0.0, 1.0)
+    products = np.array([f[np.arange(5), p].prod() for p in itertools.permutations(range(5))])
+    return np.log(products.sum()) != np.log(functools.reduce(operator.add, products))
+
+
 def _kept_at(count, kept, rng):
-    """``count`` points, those at ``kept`` near d = 3 m, eps = 4 ns and the
-    last of them at (3 m, 4 ns), whose lone sum has other bits; the rest at
-    d = 0, eps = -20 ns."""
-    d, eps = np.zeros(count), np.full(count, -20e-9)
+    """``count`` d values, those at ``kept`` above the bound at ``EPS`` and
+    the last of them at ``D_MIXED``; the rest at d = 0."""
+    d = np.zeros(count)
     d[kept] = rng.uniform(2.8, 3.2, kept.size)
-    eps[kept] = rng.uniform(3.5e-9, 4.5e-9, kept.size)
-    d[kept[-1]], eps[kept[-1]] = 3.0, 4e-9
-    return d, eps
+    d[kept[-1]] = D_MIXED
+    return d
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -162,21 +181,21 @@ def test_a_single_kept_point(where, evaluated):
     obs, model = _one_observer_of_five()
     rng = np.random.default_rng(1)
     i = {"first": 0, "middle": 1500, "last": 2999}[where]
-    d, eps = _kept_at(3000, np.array([i]), rng)
-    got = _assert_same(obs, model, d, eps)
+    d = _kept_at(3000, np.array([i]), rng)
+    got = _assert_same(obs, model, d, EPS)
     assert np.isfinite(got).sum() == 1 and np.isfinite(got[i])
-    assert np.concatenate(evaluated).size == 2  # the kept point and one neighbour
-    lone = distest.loglik_no_assoc(obs, model, d[i], eps[i])
-    assert lone != got[i]  # so a lone block would show
+    assert np.concatenate(evaluated).size == 1  # the kept point alone
+    assert distest.loglik_no_assoc(obs, model, d[i], EPS) == got[i]
+    assert _log_order_sensitive(obs, model, d[i], EPS)  # so a pairwise sum would show
 
 
 def test_block_plus_one_kept_points(evaluated):
     obs, model = _one_observer_of_five()
     rng = np.random.default_rng(2)
     kept = np.sort(rng.choice(3000, BLOCK + 1, replace=False))
-    d, eps = _kept_at(3000, kept, rng)
-    got = _assert_same(obs, model, d, eps)
+    d = _kept_at(3000, kept, rng)
+    got = _assert_same(obs, model, d, EPS)
     assert np.isfinite(got).sum() == BLOCK + 1
-    assert sorted(h.size for h in evaluated) == [BLOCK + 1]  # one block, no lone point
+    assert sorted(h.size for h in evaluated) == [1, BLOCK]  # the last point alone
     last = kept[-1]
-    assert distest.loglik_no_assoc(obs, model, d[last], eps[last]) != got[last]  # as above
+    assert distest.loglik_no_assoc(obs, model, d[last], EPS) == got[last]  # as above
