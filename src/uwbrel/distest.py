@@ -15,9 +15,9 @@ scores every candidate of an observer in one call to it.  The
 unknown-association likelihood has one body, ``_noassoc_kernel``: it is
 compiled once per estimate from the cross differences of ``_cross_diffs``
 and evaluates its (d, eps) points in fixed-size blocks.  Where several
-points share an eps, as on a grid, it evaluates only those above a
-bottleneck bound below which some observer's permanent is structurally
-zero (n <= 6; not Ryser's, which is not exactly 0 there).
+points share an eps, as on a grid, it evaluates only those above a bound
+below which some observer's factor matrix has an all-zero row or column,
+so that its permanent is exactly 0 (Hall 1935), and gives the rest -inf.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InsufficientMpcs, InvalidParams, PermutationCapExceeded
 from .geom import SPEED_OF_LIGHT
-from .likelihood import _Z_HI, _Z_LO, ErrorModel, OptimizerConfig, maximize_2d
+from .likelihood import ErrorModel, OptimizerConfig, maximize_2d
 
 _C = SPEED_OF_LIGHT
 _D_FLOOR = 1e-6     # m; keeps the 1/d^K envelope finite when all factors stay positive
@@ -246,15 +246,13 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
     Where eps values are shared by several points (fewer eps values than
     points, as on a grid), only the points above the support bound are
     evaluated; where each point has its own eps, the bound would cost as
-    much as the evaluation.  Entry (k, l) is exactly 0 for d/c up to
-    ``t_kl(eps) = max(x_kl - eps - _Z_HI s_k, -(x_kl - eps) + _Z_LO s_k)``,
-    where ``ErrorModel.factors`` saturates (``|x_kl - eps|`` for the hard
-    indicator), so an n <= 6 observer's enumerated permanent is exactly 0
-    up to its bottleneck value, the minimum over permutations of the
-    largest threshold.  Points below the largest bottleneck (less a 1e-9
-    relative margin, computed once per distinct eps) get -inf unevaluated.
-    Ryser's permanent (n >= 7) of such a matrix is not exactly 0, so those
-    observers add no bound.
+    much as the evaluation.  Entry (k, l) is exactly 0 for d/c below
+    ``t_kl(eps) = ErrorModel.zero_below(x_kl - eps, s_k)``, so an observer's
+    matrix has an all-zero row (column) below the largest row (column)
+    minimum of its thresholds, and its permanent is then 0 (the one-row and
+    one-column case of Hall's condition).  Points below the larger of the
+    two, taken over observers of every size (less a 1e-9 relative margin,
+    computed once per distinct eps), get -inf unevaluated.
     """
     sizes = [m.shape[0] for m in cross]
     k_total = sum(sizes)
@@ -279,19 +277,15 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
         return ll
 
     def support(eps):
-        """The largest bottleneck threshold of the n <= 6 observers at each
-        of the 1-D ``eps``, floored at 0 (d/c is positive)."""
+        """The largest row or column bound of the observers at each of the
+        1-D ``eps``, floored at 0 (d/c is positive)."""
         lim = np.zeros(eps.size)
         for i in range(0, eps.size, _BLOCK):
             e = eps[i:i + _BLOCK]
             for _, stack, s in groups:
-                n = stack.shape[1]
-                if n > 6:
-                    continue
-                x = stack - e  # the bits of block()'s x
-                t = np.abs(x) if s is None else np.maximum(x - _Z_HI * s, -x + _Z_LO * s)
-                t = t.reshape(-1, n * n, e.size)[:, _permutation_index(n)]  # (n_obs, n!, n, E)
-                np.maximum(lim[i:i + _BLOCK], t.max(axis=2).min(axis=1).max(axis=0),
+                t = model.zero_below(stack - e, s)  # the bits of block()'s x
+                by_row, by_col = t.min(axis=2).max(axis=1), t.min(axis=1).max(axis=1)  # (n_obs, E)
+                np.maximum(lim[i:i + _BLOCK], np.maximum(by_row, by_col).max(axis=0),
                            out=lim[i:i + _BLOCK])
         return lim
 

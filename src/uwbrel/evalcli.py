@@ -249,19 +249,33 @@ def canonical_scenario(d: float, c: float = _C) -> Scenario:
         tau_a=tau_a, tau_b=tau_b, dir_a=dir_a, dir_b=dir_b, observer=np.zeros(3, dtype=int)))
 
 
+def _single(cfg: ExperimentConfig, name: str):
+    """The one value of a single-scenario setting; more raise ConfigError."""
+    values = getattr(cfg, name)
+    if len(values) != 1:
+        raise ConfigError(f"{name} takes one value for a single scenario, not {len(values)}")
+    return values[0]
+
+
+def _one_scenario(cfg: ExperimentConfig) -> Scenario:
+    """The scenario of a surface or scenario dump, drawn at the seed: one
+    distance, and one MPC count for every observer or one per observer."""
+    counts = list(cfg.k_per_observer)
+    if len(counts) not in (1, cfg.m_observers):
+        raise ConfigError(f"{len(counts)} MPC counts for {cfg.m_observers} observers")
+    return chansim.sample_scenario(
+        _single(cfg, "d"), cfg.sv, cfg.m_observers,
+        counts * cfg.m_observers if len(counts) == 1 else counts,
+        np.random.default_rng([cfg.seed, 0]))
+
+
 def dump_surface(cfg: ExperimentConfig) -> str:
     """Evaluate the (d, eps) log-likelihood on a grid; CSV ``d,eps,loglik``."""
     cfg.validate()
-    d_true = cfg.d[0]
     if cfg.surface_scenario == "canonical":
-        scenario = canonical_scenario(d_true)
+        scenario = canonical_scenario(_single(cfg, "d"))
     else:
-        scenario = chansim.sample_scenario(
-            d_true, cfg.sv, cfg.m_observers,
-            list(cfg.k_per_observer) * cfg.m_observers if len(cfg.k_per_observer) == 1
-            else list(cfg.k_per_observer),
-            np.random.default_rng([cfg.seed, 0]),
-        )
+        scenario = _one_scenario(cfg)
     noise = chansim.NoiseParams(sigma=cfg.sigma, eps=cfg.eps)
     observations = chansim.observe(scenario, noise,
                                    np.random.default_rng([cfg.seed, 1]))
@@ -471,12 +485,8 @@ def main(argv=None) -> int:
                 return 3
         elif args.command == "scenario-dump":
             cfg.validate()
-            scenario = chansim.sample_scenario(
-                cfg.d[0], cfg.sv, cfg.m_observers,
-                [cfg.k_per_observer[0]] * cfg.m_observers,
-                np.random.default_rng([cfg.seed, 0]),
-            )
-            noise = chansim.NoiseParams(sigma=cfg.sigma, sigma_dir=cfg.sigma_dir[0],
+            scenario = _one_scenario(cfg)
+            noise = chansim.NoiseParams(sigma=cfg.sigma, sigma_dir=_single(cfg, "sigma_dir"),
                                         eps=cfg.eps)
             observations = chansim.observe(scenario, noise,
                                            np.random.default_rng([cfg.seed, 1]))

@@ -90,6 +90,15 @@ class ErrorModel:
                                   0.0, 1.0))
         return out
 
+    def zero_below(self, x, sigma=None) -> np.ndarray:
+        """The half-width below which ``factors(x, half, sigma)`` is exactly
+        0: ``|x|`` for ``none``; for ``gaussian`` the larger of
+        ``x - _Z_HI sigma`` (the lower end saturates at 1) and
+        ``-x + _Z_LO sigma`` (the upper one at 0)."""
+        if self.kind == "none":
+            return np.abs(x)
+        return np.maximum(x - _Z_HI * sigma, -x + _Z_LO * sigma)
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -104,13 +113,18 @@ class OptimizerConfig:
     def __post_init__(self):
         for name, grid in (("grid_d", self.grid_d), ("grid_eps", self.grid_eps)):
             lo, hi, steps = grid
-            if not (all(map(math.isfinite, grid)) and hi > lo and int(steps) >= 2):
+            if not (all(map(math.isfinite, grid)) and hi > lo and steps >= 2):
                 raise InvalidParams(f"{name} must be finite with max > min and steps >= 2")
+            if not float(steps).is_integer():
+                raise InvalidParams(f"{name} steps must be a whole count, not {steps}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise InvalidParams("tolerance must be finite and positive")
         for name in ("refine_iters", "multistart_count"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
                 raise InvalidParams(f"{name} must be a finite count >= 0")
+            if not float(value).is_integer():
+                raise InvalidParams(f"{name} must be a whole count, not {value}")
 
 
 def soft_indicator(x: float, d_hyp: float, model: ErrorModel, mpc_index: int = 0):

@@ -243,6 +243,30 @@ class TestCli:
                           "sbx,sby,sbz,tau_a_meas,tau_b_meas,max,may,maz,mbx,mby,mbz")
         assert len(out.strip().splitlines()) == 1 + 6
 
+    def test_scenario_dump_one_count_per_observer(self, capsys):
+        rc = main(["scenario-dump", "--observers", "2", "--mpcs-per-observer", "3,5"])
+        assert rc == 0
+        observers = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert observers == ["0"] * 3 + ["1"] * 5
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["scenario-dump", "--mpcs-per-observer", "3,4"],
+                     "2 MPC counts for 3 observers", id="scenario-dump-counts"),
+        pytest.param(["scenario-dump", "--sigma-dir-deg", "1,2"], "sigma_dir takes one value",
+                     id="scenario-dump-sigma-dir"),
+        pytest.param(["scenario-dump", "--d", "1,2"], "d takes one value", id="scenario-dump-d"),
+        pytest.param(["surface", "--d", "1,2"], "d takes one value", id="surface-canonical-d"),
+        pytest.param(["surface", "--scenario", "random", "--d", "1:2:3"], "d takes one value",
+                     id="surface-random-d"),
+        pytest.param(["surface", "--scenario", "random", "--mpcs-per-observer", "2,3"],
+                     "2 MPC counts for 3 observers", id="surface-random-counts"),
+    ])
+    def test_single_scenario_settings_take_one_value(self, argv, message, capsys):
+        """A second value of a setting a single scenario has one of is an
+        error, not dropped."""
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_calibrate_cli(self, capsys):
         rc = main(["calibrate", "--samples", "1e5", "--seed", "2"])  # exponent form: a whole count
         assert rc == 0

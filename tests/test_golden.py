@@ -163,6 +163,9 @@ RUNS = {
     "na_gaussian_3x4_wide_sigma": _na_gaussian_wide_sigma,
     "na_gaussian_1x7": lambda: _na_gaussian_one_observer(7),
     "na_gaussian_1x8": lambda: _na_gaussian_one_observer(8),
+    "surface_noassoc_random_1x7": lambda: _cli_stdout(
+        ["surface", "--kind", "noassoc", "--scenario", "random", "--observers", "1",
+         "--mpcs-per-observer", "7", "--seed", "3"]),
 }
 
 GOLDEN = {
@@ -183,9 +186,23 @@ GOLDEN = {
     "surface_known_hard": "c3ad0dad123389653bf9a892143dd905283e7a52521f7956038665f82265fd51",
     "surface_noassoc_gaussian": "cba59922c7101955a2a58f8f3f695a6b6d625ca2c53089308060826ac2e06740",
     "surface_noassoc_hard": "64e2a0a56dc664f3bbd9e5f1674b15b9098fda8fd1f9a87551e7d6244c4d74f5",
+    "surface_noassoc_random_1x7": "891d7ce873f5aa4b46914dd0ef393ceb6e783c2f06e1f5362910b5463ff41a91",
 }
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_golden_bytes(name):
     assert _sha(RUNS[name]()) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_golden.py: each run's pinned and current
+    # hash side by side, for quoting both when a change of output is deliberate
+    mismatches = 0
+    for name in sorted(RUNS):
+        pinned, current = GOLDEN.get(name), _sha(RUNS[name]())
+        mismatches += current != pinned
+        print(f"{name}\n  pinned  {pinned}\n  current {current}"
+              + ("" if current == pinned else "  MISMATCH"))
+    print(f"{mismatches} of {len(RUNS)} runs differ from their pins")
+    raise SystemExit(1 if mismatches else 0)

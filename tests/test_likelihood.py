@@ -158,3 +158,14 @@ class TestMaximize2d:
     def test_bad_count_rejected(self, name, value):
         with pytest.raises(InvalidParams, match=f"{name} must be a finite count >= 0"):
             OptimizerConfig(**{name: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("refine_iters", 200.5), ("multistart_count", 2.9),
+        ("grid_d", (0.0, 1.0, 2.9)), ("grid_eps", (-1e-9, 1e-9, 10.5))])
+    def test_fractional_count_rejected(self, field, value):
+        """A fraction raises instead of being truncated; a whole float is a count."""
+        name = field if field in ("refine_iters", "multistart_count") else f"{field} steps"
+        with pytest.raises(InvalidParams, match=f"{name} must be a whole count"):
+            OptimizerConfig(**{field: value})
+        whole = float(int(value)) if np.isscalar(value) else value[:2] + (float(int(value[2])),)
+        OptimizerConfig(**{field: whole})

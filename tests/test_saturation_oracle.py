@@ -116,6 +116,21 @@ def test_stacked_sigma_of_the_noassoc_kernel():
     assert (got == 0.0).any() and (got == 1.0).any() and ((got > 0) & (got < 1)).any()
 
 
+@pytest.mark.parametrize("sigma", [1.0, 0.2e-9, 3e-9])
+def test_zero_below_implies_an_exact_zero(sigma):
+    """Wherever ``half < zero_below(x, sigma)`` on finite inputs, the factor
+    is exactly 0, for both kinds: the support bound of the association-free
+    likelihood prunes only points whose factors are 0."""
+    zp, zm = _pairs(2001, seed=int(sigma * 1e12) + 1)
+    x, half = _inputs(zp, zm, sigma)
+    finite = np.isfinite(x) & np.isfinite(half)
+    x, half = x[finite], half[finite]
+    for model, s in ((MODEL, sigma), (ErrorModel(kind="none"), None)):
+        below = half < model.zero_below(x, s)
+        assert below.sum() > 1000 and (~below).sum() > 1000
+        assert (model.factors(x[below], half[below], s) == 0.0).all()
+
+
 def test_non_finite_and_scalar_inputs():
     sigma = 0.2e-9
     x = np.array([np.nan, np.inf, -np.inf, 0.0, 1e-9, np.nan, np.inf])

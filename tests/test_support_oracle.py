@@ -1,12 +1,18 @@
 """Oracle for the support bound of the association-free likelihood.
 
 Where eps values are shared by several points, ``distest._noassoc_kernel``'s
-``loglik`` evaluates only the points above the bottleneck bound of its
-n <= 6 observers and gives every other point -inf.  ``_full`` is the
-unpruned per-observer evaluation of ``test_loglik_oracle``, run a thousand
-points at a time (every point has its bits in any chunk).  The pruned
-likelihood must give its bits at every point, and every point it prunes
-must be -inf there.
+``loglik`` evaluates only the points above its bound, below which some
+observer's factor matrix has an all-zero row or column, and gives every
+other point -inf.  ``_full`` is the unpruned per-observer evaluation of
+``test_loglik_oracle``, run a thousand points at a time (every point has
+its bits in any chunk).  The pruned likelihood must give its bits at every
+point it evaluates, and every point it prunes must be -inf there, with an
+all-zero row or column in the oracle's factor matrix of some observer.
+The permanent of such a matrix is 0, but the Gray-code permanent of
+observers of 7 and 8 MPCs gives a rounding residue, so the oracle's value
+at a pruned point is not always -inf.  ``_bottleneck`` is the n! bound the
+kernel used before, for observers of up to 6 MPCs; it is never below the
+row/column bound.
 """
 
 import functools
@@ -22,7 +28,7 @@ from uwbrel.geom import SPEED_OF_LIGHT as C
 from uwbrel.likelihood import ErrorModel
 
 from delay_sets import delay_set
-from test_loglik_oracle import _groups, _per_observer_loglik
+from test_loglik_oracle import _groups, _hall_zero, _per_observer_loglik
 
 BLOCK = distest._BLOCK
 SIGMAS = (0.05e-9, 0.2e-9, 2e-9)
@@ -70,6 +76,31 @@ def _half(d):
     return np.maximum(d, distest._D_FLOOR) / C
 
 
+def _assert_exact(obs, model, d, eps, evaluated):
+    """The oracle's bits at every evaluated point; -inf and an all-zero row
+    or column of some observer's matrix at every pruned one.  Returns the
+    pruned points and the points with such a row or column."""
+    evaluated.clear()
+    got = distest.loglik_no_assoc(obs, model, d, eps)
+    pruned = ~np.isin(_half(d), np.concatenate(evaluated))
+    want = _full(obs, model, d, eps)
+    np.testing.assert_array_equal(got[~pruned], want[~pruned], strict=True)
+    hall = _hall_zero(obs, model, d, eps)
+    assert np.isneginf(got[pruned]).all() and hall[pruned].all()
+    return pruned, hall
+
+
+def _assert_tight(model, pruned, hall):
+    """With the hard indicator the bound prunes exactly the points with an
+    all-zero row or column; with narrow Gaussian errors it misses only the
+    few whose zeros come from ``ndtr`` rounding to 0 or 1 short of the
+    saturation bounds."""
+    if model.kind == "none":
+        np.testing.assert_array_equal(pruned, hall)
+    elif model.sigma_per_mpc.max() < 1e-9:
+        assert pruned.sum() > 0.9 * hall.sum()
+
+
 @pytest.mark.parametrize("sizes", [[4, 4, 4], [1, 2, 3], [5, 6], [2, 6, 4, 1, 5, 3, 7]])
 def test_dense_grid(sizes):
     rng = np.random.default_rng(sum(sizes))
@@ -95,11 +126,9 @@ def test_random_points_every_pruned_point_is_neg_inf(n, evaluated):
     d[0, :3] = [0.0, distest._D_FLOOR / 2, distest._D_FLOOR]  # one d/c, at the floor
     eps = rng.uniform(-6e-9, 14e-9, 1500)
     for model in _models(rng, 8 + n):
-        evaluated.clear()
-        got = _assert_same(obs, model, d, eps)
-        pruned = ~np.isin(_half(d), np.concatenate(evaluated))
-        assert np.isneginf(got[pruned]).all()
-        if model.kind == "none" or model.sigma_per_mpc.max() < 1e-9:
+        pruned, hall = _assert_exact(obs, model, d, eps, evaluated)
+        _assert_tight(model, pruned, hall)
+        if model.kind == "none":
             assert pruned.mean() > 0.3
 
 
@@ -128,17 +157,51 @@ def test_nan_points_are_never_pruned():
 
 
 @pytest.mark.parametrize("n", [7, 8])
-def test_ryser_observers_add_no_bound(n, evaluated):
-    """A Gray-code permanent of a structurally zero matrix is not exactly 0,
-    so an observer of 7 or 8 MPCs alone prunes nothing."""
+def test_ryser_observers_prune_rows_and_columns(n, evaluated):
+    """An observer of 7 or 8 MPCs alone prunes the points where its matrix
+    has an all-zero row or column, which Ryser's formula would give a
+    rounding residue."""
     rng = np.random.default_rng(n)
     obs = _groups(rng, [n])
     d = rng.uniform(0.0, 3.0, (2, 100))
     eps = rng.uniform(-6e-9, 14e-9, 100)
     for model in _models(rng, n):
-        evaluated.clear()
-        _assert_same(obs, model, d, eps)
-        assert np.isin(_half(d), np.concatenate(evaluated)).all()
+        pruned, hall = _assert_exact(obs, model, d, eps, evaluated)
+        _assert_tight(model, pruned, hall)
+        if model.kind == "none" or model.sigma_per_mpc.max() < 1e-9:
+            assert pruned.any()
+
+
+def _bottleneck(model, x, sigma):
+    """The smallest over permutations p of the largest threshold
+    ``zero_below`` of entries (k, p(k)) of one observer's (n, n, E) residuals
+    ``x``, at each of the E eps: below it every one of the n! products has
+    a factor that is exactly 0."""
+    n = x.shape[0]
+    t = model.zero_below(x, sigma).reshape(n * n, -1)
+    return np.concatenate([t[distest._permutation_index(n), i:i + 1].max(axis=1).min(axis=0)
+                           for i in range(t.shape[1])])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hall_bound_never_above_the_bottleneck(n, evaluated):
+    """At each eps a point at the bottleneck value is evaluated.  Below it
+    the permanent is exactly 0, and with the hard indicator most points at
+    half of it are pruned.  The eps values are random, far outside the
+    delays and at every cross difference, where a threshold of the hard
+    indicator is 0."""
+    rng = np.random.default_rng(200 + n)
+    obs = _groups(rng, [n])
+    (x,) = distest._cross_diffs(obs)[1]
+    eps = np.concatenate([rng.uniform(-6e-9, 14e-9, 40), [-1e-6, 1e-6], x.ravel()])
+    for model in _models(rng, n):
+        s = None if model.kind == "none" else model.sigmas(n)[:, None, None]
+        bottleneck = np.maximum(_bottleneck(model, x[..., None] - eps, s), 0.0)
+        d = np.stack([bottleneck, bottleneck / 2]) * C
+        pruned, _ = _assert_exact(obs, model, d, eps, evaluated)
+        assert not pruned[0].any()
+        if model.kind == "none":
+            assert pruned[1].mean() > 0.5
 
 
 # --- block splits -------------------------------------------------------
