@@ -10,14 +10,14 @@ unknown-association variant pairs the delays within each observer (rows
 grouped by the set's ``groups``) in every way, so its per-observer
 permutation sum is a matrix permanent of soft-indicator matrices.  One
 kernel, ``permanent``, computes the permanents of a whole stack of
-matrices, each with the bits it gets alone; the hard-indicator search
-scores every candidate of an observer in one call to it.  The
-unknown-association likelihood has one body, ``_noassoc_kernel``: it is
-compiled once per estimate from the cross differences of ``_cross_diffs``
-and evaluates its (d, eps) points in fixed-size blocks.  Where several
-points share an eps, as on a grid, it evaluates only those above a bound
-below which some observer's factor matrix has an all-zero row or column,
-so that its permanent is exactly 0 (Hall 1935), and gives the rest -inf.
+matrices as sums of nonnegative products, each with the bits it gets
+alone; the hard-indicator search scores every candidate of an observer in
+one call to it.  The unknown-association likelihood has one body,
+``_noassoc_kernel``: it is compiled once per estimate from the cross
+differences of ``_cross_diffs`` and evaluates its (d, eps) points in
+fixed-size blocks.  Where several points share an eps, as on a grid, it
+skips the points below a bound where some observer's factor matrix has an
+all-zero row or column, giving them the -inf of their exact 0 permanent.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .likelihood import ErrorModel, OptimizerConfig, maximize_2d
 _C = SPEED_OF_LIGHT
 _D_FLOOR = 1e-6     # m; keeps the 1/d^K envelope finite when all factors stay positive
 
-PERMUTATION_CAP = 8  # exact permanents up to 8x8 (128 Gray-code Ryser steps)
+PERMUTATION_CAP = 8  # exact permanents up to 8x8 (1,024 products over 255 column sets)
 _BLOCK = 1024        # likelihood points per block; bounds the (n_obs, n, n, points) temporaries
 
 
@@ -167,51 +167,50 @@ def mle_async_gaussian(obs, model: ErrorModel,
 # --- permanents ---------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _permutation_index(n: int) -> np.ndarray:
-    """Flat positions ``i*n + p[i]`` of every permutation p of range(n), as a
-    read-only (n!, n) index into a matrix's n*n entries."""
-    perms = np.array(list(itertools.permutations(range(n))))
-    flat = np.arange(n) * n + perms
-    flat.flags.writeable = False
-    return flat
+def _subsets(n: int) -> tuple:
+    """The plan of ``permanent``'s recursion over n x n matrices: for each
+    row s, a pair ``(sub, col)`` of read-only (s+1, C(n, s+1)) arrays over
+    the (s+1)-column sets S in lexicographic order.  Entry [t, S] is the
+    t-th column j = S[t] in ``col`` and, in ``sub``, the index of S - {j}
+    among the s-column sets of the row before."""
+    plan, index = [], {(): 0}
+    for s in range(n):
+        sets = list(itertools.combinations(range(n), s + 1))
+        sub = np.array([[index[S[:t] + S[t + 1:]] for S in sets] for t in range(s + 1)])
+        col = np.array(sets).T
+        sub.flags.writeable = col.flags.writeable = False
+        plan.append((sub, col))
+        index = {S: i for i, S in enumerate(sets)}
+    return tuple(plan)
 
 
 def permanent(mats):
     """Exact permanents over the last two axes of ``mats`` (..., n, n).
 
-    Direct permutation enumeration up to 6x6 (no cancellation, exact for
-    the tiny indicator products the likelihood produces).  The entries are
-    gathered through a cached index into (..., n!, n, last batch axis);
-    numpy multiplies each permutation's n entries and adds the n! products
-    in permutation order, so every matrix gets the bits it gets alone.
-    Beyond 6x6, Ryser's formula in the Gray-code form of Nijenhuis & Wilf,
-    where each step adds or subtracts one column from the running row
-    sums, elementwise over the batch.  Both are exact on 0/1 matrices.  A
-    2-D input returns a float.
+    Expansion by rows over column sets: with f[{}] = 1 before row 0,
+    row s makes f[S] = sum over j in S, ascending, of
+    f[S - {j}] * a[s, j] for every (s+1)-column set S, and the permanent
+    is f of all n columns (n 2^(n-1) products in all).  Every term is a
+    product of entries, so on the likelihood's nonnegative matrices
+    nothing cancels and a matrix with no nonzero permutation product gets
+    exactly 0.  Each step is elementwise over the batch, so every matrix
+    gets the bits it gets alone.  A 2-D input returns a float; a 0 x 0
+    matrix has permanent 1.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim < 2 or mats.shape[-2] != mats.shape[-1]:
         raise InvalidParams("permanent needs square matrices over the last two axes")
-    n = mats.shape[-1]
-    if n <= 6:
-        rows = mats.reshape((mats.shape[:-2] or (1,)) + (n * n,))
-        entries = np.swapaxes(rows, -1, -2)                        # (..., n*n, last batch axis)
-        products = np.take(entries, _permutation_index(n), axis=-2).prod(axis=-2)
-        if products.shape[-1] > 1:                                 # in order, column by column
-            out = products.sum(axis=-2)
-        else:                                                      # sum() would add a lone column pairwise
-            out = np.add.accumulate(products, axis=-2)[..., -1, :]
-    else:
-        mats = np.ascontiguousarray(mats)                          # strided rows of 8 sum in another order
-        cols = np.ascontiguousarray(np.moveaxis(mats, -1, 0))      # (n, ..., n)
-        rowsums = cols[n - 1] - mats.sum(axis=-1) / 2.0            # subsets of the first n-1 columns
-        out = rowsums.prod(axis=-1)
-        for k in range(1, 1 << (n - 1)):
-            j = (k & -k).bit_length() - 1                          # the column that flips
-            rowsums += cols[j] if (k ^ (k >> 1)) >> j & 1 else -cols[j]
-            out += (-1) ** k * rowsums.prod(axis=-1)               # (-1)^(subset size)
-        out = (-1) ** (n - 1) * 2.0 * out
-    return float(out.reshape(())) if mats.ndim == 2 else out
+    rows = mats.transpose(-2, -1, *range(mats.ndim - 2))  # (n, n, ...)
+    f = np.ones((1,) + mats.shape[:-2])
+    for s, (sub, col) in enumerate(_subsets(mats.shape[-1])):
+        acc = f[sub[0]]                 # term by term: temporaries stay (sets, ...)
+        acc *= rows[s, col[0]]
+        for t in range(1, s + 1):
+            term = f[sub[t]]
+            term *= rows[s, col[t]]
+            acc += term
+        f = acc
+    return float(f[0]) if mats.ndim == 2 else f[0]
 
 
 def _cross_diffs(obs, mid=0.0):
@@ -249,10 +248,10 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
     much as the evaluation.  Entry (k, l) is exactly 0 for d/c below
     ``t_kl(eps) = ErrorModel.zero_below(x_kl - eps, s_k)``, so an observer's
     matrix has an all-zero row (column) below the largest row (column)
-    minimum of its thresholds, and its permanent is then 0 (the one-row and
-    one-column case of Hall's condition).  Points below the larger of the
-    two, taken over observers of every size (less a 1e-9 relative margin,
-    computed once per distinct eps), get -inf unevaluated.
+    minimum of its thresholds, and its permanent is then exactly 0.  Points
+    below the larger of the two, taken over observers of every size (less a
+    1e-9 relative margin, computed once per distinct eps), get unevaluated
+    the -inf an evaluation would give: the bound only saves time.
     """
     sizes = [m.shape[0] for m in cross]
     k_total = sum(sizes)

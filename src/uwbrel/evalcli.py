@@ -171,7 +171,7 @@ def run_trial(cfg: ExperimentConfig, point: int, trial: int):
     the observations, so DDN, TNA and SO then report DD's, TAU's and MV's
     outcome, failures included."""
     swept = _SWEEP_FIELDS[cfg.sweep]
-    d, sigma_dir, k_per = (getattr(cfg, name)[point if name == swept else 0]
+    d, sigma_dir, k_per = (getattr(cfg, name)[point] if name == swept else _single(cfg, name)
                            for name in ("d", "sigma_dir", "k_per_observer"))
     scenario = chansim.sample_scenario(d, cfg.sv, cfg.m_observers, [k_per] * cfg.m_observers,
                                        _trial_rng(cfg.seed, point, trial, 0))
@@ -250,10 +250,10 @@ def canonical_scenario(d: float, c: float = _C) -> Scenario:
 
 
 def _single(cfg: ExperimentConfig, name: str):
-    """The one value of a single-scenario setting; more raise ConfigError."""
+    """The one value of a setting that is not swept; more raise ConfigError."""
     values = getattr(cfg, name)
     if len(values) != 1:
-        raise ConfigError(f"{name} takes one value for a single scenario, not {len(values)}")
+        raise ConfigError(f"{name} takes one value unless swept, not {len(values)}")
     return values[0]
 
 

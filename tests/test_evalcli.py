@@ -260,10 +260,16 @@ class TestCli:
                      id="surface-random-d"),
         pytest.param(["surface", "--scenario", "random", "--mpcs-per-observer", "2,3"],
                      "2 MPC counts for 3 observers", id="surface-random-counts"),
+        pytest.param(["sweep", "--sweep", "mpc_count", "--d", "1,2", "--trials", "1"],
+                     "d takes one value", id="sweep-d"),
+        pytest.param(["sweep", "--sigma-dir-deg", "1,30", "--trials", "1"],
+                     "sigma_dir takes one value", id="sweep-sigma-dir"),
+        pytest.param(["sweep", "--mpcs-per-observer", "3,4", "--trials", "1"],
+                     "k_per_observer takes one value", id="sweep-mpcs-per-observer"),
     ])
     def test_single_scenario_settings_take_one_value(self, argv, message, capsys):
-        """A second value of a setting a single scenario has one of is an
-        error, not dropped."""
+        """A second value of a setting a single scenario has one of, or of a
+        setting a sweep does not step through, is an error, not dropped."""
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 

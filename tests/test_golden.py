@@ -114,7 +114,8 @@ def _na_gaussian_wide_sigma() -> str:
 
 def _na_gaussian_one_observer(k) -> str:
     """Gaussian NA on one scrambled observer of ``k`` >= 7 MPCs, whose
-    permanents take Ryser's path; the full ``repr`` shows every bit."""
+    permanents sum up to k 2^(k-1) products; the full ``repr`` shows every
+    bit."""
     sigma = 0.2e-9
     rng = np.random.default_rng([k, 11])
     scenario = chansim.sample_scenario(2.0, chansim.SvParams(), 1, [k], rng)
@@ -175,7 +176,7 @@ GOLDEN = {
     "library_results": "dca451941369485fba2ee10261bfc3efee12345a2380d643a086a0ef462d8440",
     "mpc_count_sweep": "3f0a097d7ba1136f2b9465d61f96d1141b7f65cbbcbc657fcb063bc23f9da2b3",
     "na_gaussian_1x7": "7ed4c04ba0173dec87ab28ca2dac60386a5be1c9de91901cd68670297a4d6a50",
-    "na_gaussian_1x8": "e57054c4836f86b20d61309468e9afcfbcaa4b43d448b4f647c42ad686ec5a78",
+    "na_gaussian_1x8": "9c3b6d23fa3bdee7825922fe096c8b45a696652861fc1d56f947ff0105f6b2b6",
     "na_gaussian_3x4": "f92ae017a046f00e53f027fcbf7f5239d514b4617cf9bdcf8c89008a7c8d8e09",
     "na_gaussian_3x4_wide_sigma": "6b73b498c8892cbf6c84f7874dfe1227d5996f96ca7466c6b226099cd65d57c8",
     "na_hard_k7_seed0": "b571d1835fcb939eeea31acc8616f8c2a5c9a4a33d51e9c3fd3a21baafe56098",
@@ -186,7 +187,7 @@ GOLDEN = {
     "surface_known_hard": "c3ad0dad123389653bf9a892143dd905283e7a52521f7956038665f82265fd51",
     "surface_noassoc_gaussian": "cba59922c7101955a2a58f8f3f695a6b6d625ca2c53089308060826ac2e06740",
     "surface_noassoc_hard": "64e2a0a56dc664f3bbd9e5f1674b15b9098fda8fd1f9a87551e7d6244c4d74f5",
-    "surface_noassoc_random_1x7": "891d7ce873f5aa4b46914dd0ef393ceb6e783c2f06e1f5362910b5463ff41a91",
+    "surface_noassoc_random_1x7": "080d44c7194258c48c68c467ff3788260183622dc27ddfb877b296a0626bff8d",
 }
 
 

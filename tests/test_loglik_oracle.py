@@ -1,19 +1,22 @@
-"""Oracle for the compiled association-free likelihood.
+"""Oracle for the compiled association-free likelihood and its permanent.
 
 ``_per_observer_loglik`` is the evaluation ``loglik_no_assoc`` did before it
 was compiled into ``distest._noassoc_kernel``: every point at once, one
-``permanent`` call per observer, the n <= 6 permanents by a fancy-index
-gather over the last two axes, their products added in permutation order.
-The blocked, batch-last kernel must give the same bits for every input,
-except -inf where its support bound prunes a point (some observer's
-matrix has an all-zero row or column there), and the batch-last
-``permanent`` the same bits as the gather.
+permanent per observer.  Its permanent, ``_permanent_by_masks``, is the
+expansion by rows of ``distest.permanent`` written independently, over
+column bitmasks instead of the kernel's cached plan: the same products,
+added in the same order, elementwise over any batch, so a 2-D matrix is
+computed with scalar arithmetic.  The blocked, batch-last kernel must give
+the same bits for every input, pruned by its support bound or not, and
+``permanent`` the same bits as the oracle.  The permanent is exactly 0
+where ``scipy.sparse.csgraph.maximum_bipartite_matching`` finds no perfect
+matching of the nonzero pattern (Hall 1935), and only there.
 """
-
-import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.special import ndtr
 
 from uwbrel import distest
@@ -25,22 +28,24 @@ from delay_sets import delay_set
 BLOCK = distest._BLOCK
 
 
-def _old_permanent(mats):
+def _permanent_by_masks(mats):
+    """The permanents over the last two axes: f[0] = 1, then for rows
+    s = 0..n-1 and every column mask S of s+1 bits, f[S] = the sum over
+    its bits j, ascending, of f[S - j] * mats[..., s, j], first term
+    first."""
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[-1]
-    if n <= 6:
-        perms = np.array(list(itertools.permutations(range(n))))
-        products = mats[..., np.arange(n)[None, :], perms].prod(axis=-1)
-        out = np.add.accumulate(products, axis=-1)[..., -1]  # in permutation order
-    else:
-        cols = np.ascontiguousarray(np.moveaxis(mats, -1, 0))
-        rowsums = cols[n - 1] - mats.sum(axis=-1) / 2.0
-        out = rowsums.prod(axis=-1)
-        for k in range(1, 1 << (n - 1)):
-            j = (k & -k).bit_length() - 1
-            rowsums += cols[j] if (k ^ (k >> 1)) >> j & 1 else -cols[j]
-            out += (-1) ** k * rowsums.prod(axis=-1)
-        out = (-1) ** (n - 1) * 2.0 * out
+    f = {0: np.ones(mats.shape[:-2])}
+    for s in range(n):
+        g = {}
+        for mask in range(1 << n):
+            if bin(mask).count("1") != s + 1:
+                continue
+            for j in (j for j in range(n) if mask >> j & 1):
+                term = f[mask & ~(1 << j)] * mats[..., s, j]
+                g[mask] = term if mask not in g else g[mask] + term
+        f = g
+    out = f[(1 << n) - 1]
     return float(out) if mats.ndim == 2 else out
 
 
@@ -74,7 +79,7 @@ def _per_observer_loglik(obs, model, d, eps):
     dd, shape, k_total, mats = _factors(obs, model, d, eps)
     ll = -k_total * np.log(np.maximum(dd, distest._D_FLOOR))
     for factors in mats:
-        ll = ll + distest._log0(_old_permanent(factors))
+        ll = ll + distest._log0(_permanent_by_masks(factors))
     out = ll.reshape(shape)
     return out if out.ndim else float(out)
 
@@ -128,23 +133,13 @@ def _assert_same(obs, model, d, eps):
     return got
 
 
-def _assert_same_or_hall_zero(obs, model, d, eps):
-    """The oracle's bits, except -inf at points where some observer's
-    matrix has an all-zero row or column: there the kernel may prune, and
-    a Gray-code permanent of the oracle gives a rounding residue."""
-    got = distest.loglik_no_assoc(obs, model, d, eps)
-    want = _per_observer_loglik(obs, model, d, eps)
-    want = np.where(np.isneginf(got) & _hall_zero(obs, model, d, eps), -np.inf, want)
-    np.testing.assert_array_equal(got, want, strict=True)
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_mixed_sizes_and_broadcast_shapes(seed):
     rng = np.random.default_rng(300 + seed)
     sizes_seen = set()
     for _ in range(6):
         sizes = list(rng.integers(1, 7, size=rng.integers(1, 4)))
-        sizes.append(7 + (seed + _) % 2)  # one Gray-code observer per input
+        sizes.append(7 + (seed + _) % 2)  # one observer of 7 or 8 per input
         sizes = list(rng.permutation(sizes))
         sizes.append(sizes[0])  # two observers of one size share a stack
         sizes_seen.update(int(n) for n in sizes)
@@ -154,7 +149,7 @@ def test_mixed_sizes_and_broadcast_shapes(seed):
             _assert_same(obs, model, d[0], eps[0])              # scalar
             _assert_same(obs, model, 0.0, eps[1])               # scalar at d = 0
             _assert_same(obs, model, d, eps)                    # 1-D
-            _assert_same_or_hall_zero(obs, model, d[:5, None], eps[None, :])  # 2-D, pruned
+            _assert_same(obs, model, d[:5, None], eps[None, :])  # 2-D, pruned
     assert {7, 8} <= sizes_seen
 
 
@@ -169,9 +164,8 @@ def test_every_size_one_to_eight_in_one_input():
 
 
 def test_single_points_on_observers_of_one_size():
-    """A one-point block adds each observer's n! products in permutation
-    order, as a batch does; observers stacked by size must not change
-    that."""
+    """A one-point block adds each observer's products in the order a
+    batch does; observers stacked by size must not change that."""
     rng = np.random.default_rng(23)
     sizes = [4, 5, 4, 6, 5, 6]
     obs = _groups(rng, sizes)
@@ -193,27 +187,77 @@ def test_block_edges(count):
 
 
 def test_grid_of_40000_points():
-    """The 200 x 200 grid scan of the benchmark's 3 x 4 setup, plus a mixed
-    set of smaller observers (sizes above 4 would make the all-at-once
-    oracle gather more than 100 MB)."""
+    """The 200 x 200 grid scan of the benchmark's 3 x 4 setup, a mixed set
+    of smaller observers and observers of 7 and 8 MPCs."""
     rng = np.random.default_rng(40000)
     d_grid = np.linspace(0.0, 4.0, 200)[:, None]
     e_grid = np.linspace(-2e-9, 10e-9, 200)[None, :]
-    for sizes in ([4, 4, 4], [3, 1, 4, 2]):
+    for sizes in ([4, 4, 4], [3, 1, 4, 2], [7, 8]):
         obs = _groups(rng, sizes)
         for model in _models(rng, sum(sizes)):
             got = _assert_same(obs, model, d_grid, e_grid)
             assert got.shape == (200, 200)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_batch_last_permanent_matches_fancy_index(n):
+    """Stacks of every shape, up to 40,000 matrices, get the oracle's bits."""
     rng = np.random.default_rng(60 + n)
-    # (40000,) stacks stop at n = 4: a 6 x 6 stack of that size gathers 1.4 GB
-    shapes = [(), (1,), (3,), (2, 3)] + [(40000,)] * (n <= 4)
-    for shape in shapes:
+    for shape in [(), (1,), (3,), (2, 3), (40000,)]:
         mats = rng.uniform(0.0, 1.0, shape + (n, n))
         mats[..., 0, 0] = rng.uniform(0.0, 1e-12, shape)  # mixed magnitudes
-        got, want = distest.permanent(mats), _old_permanent(mats)
+        got, want = distest.permanent(mats), _permanent_by_masks(mats)
         assert type(got) is type(want)
         np.testing.assert_array_equal(got, want, strict=True)
+
+
+def _zero_patterns(rng, n, count):
+    """``count`` random 0/1 patterns, the second half of them with a Hall
+    violation planted: k rows whose nonzeros lie in k - 1 columns.  From
+    n = 3 on, the planted patterns have no all-zero row or column."""
+    pats = rng.uniform(size=(count, n, n)) < rng.uniform(0.2, 0.9, (count, 1, 1))
+    for pat in pats[count // 2:]:
+        if n < 3:
+            pat[rng.integers(n)] = False
+            continue
+        k = rng.integers(2, n)
+        rows, cols = rng.permutation(n)[:k], rng.permutation(n)[:k - 1]
+        pat[np.ix_(rows, np.setdiff1d(np.arange(n), cols))] = False
+        pat[rows, rng.choice(cols, k)] = True
+        others = np.setdiff1d(np.arange(n), rows)
+        for c in np.setdiff1d(np.arange(n), cols):
+            pat[rng.choice(others), c] = True
+        for r in others:
+            pat[r, rng.integers(n)] = True
+    return pats
+
+
+def _perfect_matching(pat):
+    match = maximum_bipartite_matching(csr_matrix(pat.astype(float)), perm_type="column")
+    return bool((match >= 0).all())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exact_zero_exactly_without_a_perfect_matching(n):
+    """The permanent is exactly 0.0 where the nonzero pattern has no
+    perfect matching, Hall violations without an all-zero row or column
+    included, and positive where it has one."""
+    rng = np.random.default_rng(700 + n)
+    pats = _zero_patterns(rng, n, 400)
+    mats = np.where(pats, rng.uniform(1e-3, 1.0, pats.shape), 0.0)
+    got = distest.permanent(mats)
+    matched = np.array([_perfect_matching(p) for p in pats])
+    np.testing.assert_array_equal(got > 0.0, matched)
+    assert (got[~matched] == 0.0).all() and (~matched).sum() >= 200
+    lines = ~pats.any(axis=2).all(axis=1) | ~pats.any(axis=1).all(axis=1)
+    if n >= 3:
+        assert (~matched & ~lines).sum() >= 200  # beyond any row or column test
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (2, 0, 0, 0)])
+def test_empty_matrices_have_permanent_one(shape):
+    got = distest.permanent(np.zeros(shape))
+    if len(shape) == 2:
+        assert type(got) is float and got == 1.0
+    else:
+        np.testing.assert_array_equal(got, np.ones(shape[:-2]), strict=True)
