@@ -12,9 +12,10 @@ permutation sum is a matrix permanent of soft-indicator matrices.  One
 kernel, ``permanent``, computes the permanents of a whole stack of
 matrices as sums of nonnegative products, each with the bits it gets
 alone; the hard-indicator search scores every candidate of an observer in
-one call to it.  The unknown-association likelihood has one body,
-``_noassoc_kernel``: it is compiled once per estimate from the cross
-differences of ``_cross_diffs`` and evaluates its (d, eps) points in
+one call to it on ``ErrorModel.factors``.  Both likelihoods have one body,
+``_noassoc_kernel``, compiled once per estimate from per-observer cross
+differences: known association is the case of one MPC per observer, whose
+1 x 1 permanent is its factor.  It evaluates its (d, eps) points in
 fixed-size blocks.  Where several points share an eps, as on a grid, it
 skips the points below a bound where some observer's factor matrix has an
 all-zero row or column, giving them the -inf of their exact 0 permanent.
@@ -98,29 +99,14 @@ def mvue_sync(obs) -> DistanceEstimate:
     return DistanceEstimate(d_hat=(k + 1) / k * _C * peak, eps_hat=0.0, method="mvue_sync")
 
 
-def _loglik_known(delta: np.ndarray, model: ErrorModel, d, eps):
-    """``loglik_known_assoc`` of the diffs ``delta``; MPC k's sigma is delta[k]'s."""
-    d = np.asarray(d, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    shape = np.broadcast_shapes(d.shape, eps.shape)
-    dd = np.broadcast_to(d, shape).ravel()
-    ee = np.broadcast_to(eps, shape).ravel()
-    half = np.maximum(dd, _D_FLOOR)[:, None] / _C
-    x = delta[None, :] - ee[:, None]
-    factors = model.factors(x, half, model.sigmas(delta.size) if model.kind == "gaussian" else None)
-    ll = -delta.size * np.log(np.maximum(dd, _D_FLOOR))
-    ll = ll + _log0(factors).sum(axis=1)
-    out = ll.reshape(shape)
-    return out if out.ndim else float(out)
-
-
 def loglik_known_assoc(obs, model: ErrorModel, d, eps):
     """Log of the known-association likelihood (1/d^K) * prod_k I_k(delta_k - eps, d)
     of the diffs delta_k = tau_b - tau_a of each row; MPC k's sigma is row k's.
 
-    Broadcasts over numpy arrays ``d`` (meters) and ``eps`` (seconds).
+    Broadcasts over numpy arrays ``d`` (meters) and ``eps`` (seconds).  It is
+    ``_noassoc_kernel`` over one-MPC observers: a 1 x 1 permanent is its entry.
     """
-    return _loglik_known(_delays(obs), model, d, eps)
+    return _noassoc_kernel(*_one_mpc_groups(_delays(obs)), model)(d, eps)
 
 
 def _default_config(delta_centered: np.ndarray) -> OptimizerConfig:
@@ -136,10 +122,10 @@ def mle_async_gaussian(obs, model: ErrorModel,
                        cfg: OptimizerConfig = None) -> DistanceEstimate:
     """Joint ML estimate of (distance, clock offset) under Gaussian errors.
 
-    The log objective is maximized by grid scan plus simplex refinement;
-    the noiseless closed form is always included as a refinement start.
-    Internally the diffs are midrange-centered so the estimate is exactly
-    shift-equivariant.
+    The log objective, the kernel of ``loglik_known_assoc``, is maximized
+    by grid scan plus simplex refinement; the noiseless closed form is
+    always included as a refinement start.  Internally the diffs are
+    midrange-centered so the estimate is exactly shift-equivariant.
     """
     delta = _delays(obs)
     _, _, mid = _async_range(delta)
@@ -149,12 +135,10 @@ def mle_async_gaussian(obs, model: ErrorModel,
     if cfg is None:
         cfg = _default_config(centered)
 
-    def objective(d, eps):
-        return _loglik_known(centered, model, d, eps)
-
     _, spread, apex_eps = _async_range(centered)  # the noiseless closed form's apex
     d_hat, eps_hat, value = maximize_2d(
-        objective, cfg, extra_starts=[(max((_C / 2.0) * spread, _D_FLOOR), apex_eps)]
+        _noassoc_kernel(*_one_mpc_groups(centered), model), cfg,
+        extra_starts=[(max((_C / 2.0) * spread, _D_FLOOR), apex_eps)]
     )
     return DistanceEstimate(
         d_hat=max(d_hat, 0.0),
@@ -230,9 +214,17 @@ def _cross_diffs(obs, mid=0.0):
     return rows, cross
 
 
+def _one_mpc_groups(delta: np.ndarray):
+    """``_cross_diffs`` of known association: every row its own observer,
+    whose 1 x 1 cross difference is its diff (bit for bit)."""
+    return [[k] for k in range(delta.size)], list(delta.reshape(-1, 1, 1))
+
+
 def _noassoc_kernel(rows, cross, model: ErrorModel):
     """The association-free log-likelihood of fixed cross differences, as a
     function ``loglik(d, eps)`` that broadcasts over ``d`` and ``eps``.
+    Known association is the case of one MPC per observer
+    (``_one_mpc_groups``): each 1 x 1 permanent is that MPC's factor.
 
     Observers of equal size share one (n_obs, n, n) cross-difference stack
     and one (n_obs, n) sigma stack (observer o's sigmas are those of its
@@ -330,14 +322,15 @@ def _noassoc_candidates(cross):
     return d_cand, e_cand
 
 
-def _noassoc_enumerate(cross):
+def _noassoc_enumerate(cross, model: ErrorModel):
     """Exact hard-indicator ML over the finite candidate set.
 
-    Each observer's feasibility matrices at every candidate are stacked and
-    scored in one ``permanent`` call.  Candidates are ranked by (number of
-    observers with a feasible permutation, then likelihood, then smallest
-    d), the first one winning a tie; when no candidate is feasible for
-    every observer the least-infeasible one is returned.
+    Each observer's feasibility matrices (``model.factors``) at every
+    candidate are stacked and scored in one ``permanent`` call.  Candidates
+    are ranked by (number of observers with a feasible permutation, then
+    likelihood, then smallest d), the first one winning a tie; when no
+    candidate is feasible for every observer the least-infeasible one is
+    returned.
     """
     k_total = sum(m.shape[0] for m in cross)
     d_cand, e_cand = _noassoc_candidates(cross)
@@ -345,8 +338,8 @@ def _noassoc_enumerate(cross):
     n_feas = np.zeros(d_cand.size, dtype=int)
     log_terms = np.zeros(d_cand.size)
     for mat in cross:  # observer by observer, so log_terms adds up in a fixed order
-        feas = np.abs(_C * (mat[None, :, :] - e_cand[:, None, None])) <= reach[:, None, None]
-        p = permanent(feas.astype(float))
+        p = permanent(model.factors(mat[None, :, :] - e_cand[:, None, None],
+                                    reach[:, None, None] / _C))
         n_feas += p > 0
         log_terms += np.log(np.where(p > 0, p, 1.0))  # an infeasible observer adds log 1 = 0
     value = -k_total * np.log(np.maximum(d_cand, _D_FLOOR)) + log_terms
@@ -366,15 +359,15 @@ def mle_async_noassoc(obs, model: ErrorModel,
     Gaussian errors: numerical maximization of the permanent-based
     likelihood, seeded from the coarse grid plus the best hard-indicator
     candidates.  Error model ``none``: exact enumeration over the finite
-    candidate set of wedge apexes and border intersections.
+    candidate set of wedge apexes and border intersections.  K < 2 raises
+    InsufficientMpcs.
     """
     _, raw = _cross_diffs(obs)
-    deltas = np.concatenate([m.ravel() for m in raw])
-    mid = (float(deltas.max()) + float(deltas.min())) / 2.0
+    _, _, mid = _async_range(np.concatenate([m.ravel() for m in raw]))  # one MPC: raises
     rows, cross = _cross_diffs(obs, mid)  # midrange-centered
 
     if model.kind == "none":
-        d_hat, eps_hat, value, feasible = _noassoc_enumerate(cross)
+        d_hat, eps_hat, value, feasible = _noassoc_enumerate(cross, model)
         return DistanceEstimate(
             d_hat=d_hat, eps_hat=eps_hat + mid, method="mle_async_noassoc",
             diagnostics={"loglik": value, "feasible": feasible},

@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sweep {self.sweep!r}")
         if self.trials < 1 or self.trials_na < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, not {self.seed}")
         if not self.d or not self.sigma_dir or not self.k_per_observer:
             raise ConfigError("sweep ranges must be nonempty")
         if not all(0.0 <= v < np.inf for v in (*self.d, self.sigma, *self.sigma_dir)):

@@ -89,6 +89,9 @@ class TestClosedForms:
             mvue_async(diff_set([1e-9]))
         with pytest.raises(InsufficientMpcs):
             mle_async_noiseless(diff_set([1e-9]))
+        for model in (ErrorModel(sigma_per_mpc=0.2e-9), ErrorModel(kind="none")):
+            with pytest.raises(InsufficientMpcs):
+                mle_async_noassoc(diff_set([1e-9]), model)
 
     def test_scale_property(self):
         base = np.array([-2e-9, 0.5e-9, 3e-9])

@@ -213,6 +213,8 @@ class TestCli:
         pytest.param(["sweep", "--sweep", "mpc_count", "--mpcs-per-observer", "2:3:3"],
                      id="fractional-mpc-range"),
         pytest.param(["calibrate", "--samples", "2.7"], id="fractional-samples"),
+        *(pytest.param([command, "--seed", "-1"], id=f"{command}-negative-seed")
+          for command in ("sweep", "surface", "calibrate", "scenario-dump")),
     ])
     def test_bad_estimator_exits_2(self, argv, capsys):
         rc = main(argv)

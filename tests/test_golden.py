@@ -173,7 +173,7 @@ GOLDEN = {
     "calibrate_small": "dce4bd4e81a7dea24e83c9c1d941d0c5e3c7c0c94cc23e6ebace17fb9b2dcf1d",
     "direction_error_sweep": "d1a70e60d09c253db172cb7850e59fd7ddfedb0d6ccb1203e1b6aae25697478f",
     "distance_closed_forms": "64941fb25159d9ebfc84924344ccd0f3b1af32546963140c06a46d38aa92a4cb",
-    "library_results": "dca451941369485fba2ee10261bfc3efee12345a2380d643a086a0ef462d8440",
+    "library_results": "17d5d51efc28ca2d3a248f93e4bcd40af5de47b68ff219e68ed09b0b71c36a7e",
     "mpc_count_sweep": "3f0a097d7ba1136f2b9465d61f96d1141b7f65cbbcbc657fcb063bc23f9da2b3",
     "na_gaussian_1x7": "7ed4c04ba0173dec87ab28ca2dac60386a5be1c9de91901cd68670297a4d6a50",
     "na_gaussian_1x8": "9c3b6d23fa3bdee7825922fe096c8b45a696652861fc1d56f947ff0105f6b2b6",

@@ -3,13 +3,15 @@
 ``_per_candidate_enumerate`` is the scalar loop the batched search
 replaced: one ``permanent`` call per candidate and observer, and a
 running tuple-key comparison.  The batched search must agree with it
-exactly, ties included.
+exactly, ties included; a set of one MPC has no spread to estimate from,
+and both raise InsufficientMpcs on it.
 """
 
 import numpy as np
 import pytest
 
 from uwbrel import distest
+from uwbrel.errors import InsufficientMpcs, UwbrelError
 from uwbrel.geom import SPEED_OF_LIGHT as C
 from uwbrel.likelihood import ErrorModel
 
@@ -42,6 +44,8 @@ def _per_candidate_estimate(tau_a, tau_b):
     centred as mle_async_noassoc centres it."""
     raw = np.concatenate([(np.asarray(tb)[None, :] - np.asarray(ta)[:, None]).ravel()
                           for ta, tb in zip(tau_a, tau_b)])
+    if raw.size < 2:
+        raise InsufficientMpcs("one MPC")
     mid = (float(raw.max()) + float(raw.min())) / 2.0
     cross = [(np.asarray(tb) - mid)[None, :] - np.asarray(ta)[:, None]
              for ta, tb in zip(tau_a, tau_b)]
@@ -73,6 +77,14 @@ def _estimate(tau_a, tau_b):
     return est.d_hat, est.eps_hat, est.diagnostics["loglik"], est.diagnostics["feasible"]
 
 
+def _outcome(estimate, tau_a, tau_b):
+    """The estimate's tuple, or the name of the library error it raised."""
+    try:
+        return estimate(tau_a, tau_b)
+    except UwbrelError as exc:
+        return type(exc).__name__
+
+
 @pytest.mark.parametrize("lattice", [True, False])
 def test_batched_search_matches_per_candidate_loop(lattice):
     rng = np.random.default_rng(2024 + lattice)
@@ -80,7 +92,7 @@ def test_batched_search_matches_per_candidate_loop(lattice):
     for _ in range(90):
         tau_a, tau_b = _random_groups(rng, lattice)
         sizes_seen.update(len(t) for t in tau_a)
-        assert _estimate(tau_a, tau_b) == _per_candidate_estimate(tau_a, tau_b)
+        assert _outcome(_estimate, tau_a, tau_b) == _outcome(_per_candidate_estimate, tau_a, tau_b)
     assert sizes_seen == set(range(1, 8))
 
 
@@ -101,7 +113,7 @@ def test_least_infeasible_candidate_matches(monkeypatch):
     infeasible = 0
     for i in range(20):
         tau_a, tau_b = _random_groups(rng, lattice=i % 2 == 0)
-        got = _estimate(tau_a, tau_b)
-        assert got == _per_candidate_estimate(tau_a, tau_b)
-        infeasible += not got[3]
+        got = _outcome(_estimate, tau_a, tau_b)
+        assert got == _outcome(_per_candidate_estimate, tau_a, tau_b)
+        infeasible += got != "InsufficientMpcs" and not got[3]
     assert infeasible >= 5
