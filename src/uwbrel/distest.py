@@ -17,14 +17,17 @@ one call to it on ``ErrorModel.factors``.  Both likelihoods have one body,
 differences: known association is the case of one MPC per observer, whose
 1 x 1 permanent is its factor.  It evaluates its (d, eps) points in
 fixed-size blocks.  Where several points share an eps, as on a grid, it
-skips the points below a bound where some observer's factor matrix has an
-all-zero row or column, giving them the -inf of their exact 0 permanent.
+evaluates only the points between two bounds on d: below the lower one
+some observer's factor matrix has an all-zero row or column, and a point
+gets the -inf of its exact 0 permanent; above the upper one every factor
+saturates at 1, and a point gets the value of permanents n_o!.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,15 +238,18 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
     point gets the bits it gets alone, in any batch.
 
     Where eps values are shared by several points (fewer eps values than
-    points, as on a grid), only the points above the support bound are
-    evaluated; where each point has its own eps, the bound would cost as
-    much as the evaluation.  Entry (k, l) is exactly 0 for d/c below
-    ``t_kl(eps) = ErrorModel.zero_below(x_kl - eps, s_k)``, so an observer's
-    matrix has an all-zero row (column) below the largest row (column)
-    minimum of its thresholds, and its permanent is then exactly 0.  Points
-    below the larger of the two, taken over observers of every size (less a
-    1e-9 relative margin, computed once per distinct eps), get unevaluated
-    the -inf an evaluation would give: the bound only saves time.
+    points, as on a grid), two bounds on d/c, computed once per distinct eps
+    over observers of every size, spare evaluations; where each point has
+    its own eps, they would cost as much as the evaluation.  Entry (k, l)
+    is exactly 0 for d/c below ``ErrorModel.zero_below(x_kl - eps, s_k)``,
+    so an observer's matrix has an all-zero row (column) below the largest
+    row (column) minimum of these, and its permanent is exactly 0: points
+    below the larger of the two (less a 1e-9 relative margin) get the -inf
+    an evaluation would give.  Entry (k, l) is exactly 1 above
+    ``ErrorModel.one_above(x_kl - eps, s_k)``: points above the largest of
+    these (plus a 1e-9 relative margin) have permanents of exactly n_o!
+    and get the envelope plus each log(n_o!) in observer order, the bits an
+    evaluation would give.
     """
     sizes = [m.shape[0] for m in cross]
     k_total = sum(sizes)
@@ -255,6 +261,14 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
         s = None if sig is None else np.stack([sig[rows[o]] for o in ids])[:, :, None, None]
         groups.append((ids, stack, s))
 
+    log_all_ones = _log0(np.array([math.factorial(n) for n in sizes], dtype=float))[:, None]
+
+    def total(dd, log_terms):
+        ll = -k_total * np.log(np.maximum(dd, _D_FLOOR))
+        for term in log_terms:  # observer by observer, in order
+            ll = ll + term
+        return ll
+
     def block(dd, ee):
         half = np.maximum(dd, _D_FLOOR) / _C
         permanents = np.empty((len(cross), dd.size))
@@ -262,35 +276,39 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
             x = stack - ee  # [o, k, l, p] = tau_b[l] - tau_a[k] - eps_p
             factors = model.factors(x, half, s)  # s: one sigma per A-side MPC (row)
             permanents[ids] = permanent(factors.transpose(0, 3, 1, 2))
-        ll = -k_total * np.log(np.maximum(dd, _D_FLOOR))
-        for term in _log0(permanents):  # observer by observer, in order
-            ll = ll + term
-        return ll
+        return total(dd, _log0(permanents))
 
     def support(eps):
-        """The largest row or column bound of the observers at each of the
-        1-D ``eps``, floored at 0 (d/c is positive)."""
-        lim = np.zeros(eps.size)
+        """The lower (largest row or column) and upper (largest saturation)
+        bounds on d/c of the observers at each of the 1-D ``eps``, the
+        lower one floored at 0 (d/c is positive)."""
+        lo, hi = np.zeros(eps.size), np.zeros(eps.size)
         for i in range(0, eps.size, _BLOCK):
             e = eps[i:i + _BLOCK]
             for _, stack, s in groups:
-                t = model.zero_below(stack - e, s)  # the bits of block()'s x
+                x = stack - e  # the bits of block()'s x
+                np.maximum(hi[i:i + _BLOCK], model.one_above(x, s).max(axis=(0, 1, 2)),
+                           out=hi[i:i + _BLOCK])
+                t = model.zero_below(x, s)
                 by_row, by_col = t.min(axis=2).max(axis=1), t.min(axis=1).max(axis=1)  # (n_obs, E)
-                np.maximum(lim[i:i + _BLOCK], np.maximum(by_row, by_col).max(axis=0),
-                           out=lim[i:i + _BLOCK])
-        return lim
+                np.maximum(lo[i:i + _BLOCK], np.maximum(by_row, by_col).max(axis=0),
+                           out=lo[i:i + _BLOCK])
+        return lo, hi
 
     def loglik(d, eps):
         eps = np.asarray(eps, dtype=float)
         d, ee = np.broadcast_arrays(np.asarray(d, dtype=float), eps)
         dd, ee = d.ravel(), ee.ravel()
+        out = np.full(dd.size, -np.inf)
         keep = np.arange(dd.size)
         if eps.size < dd.size:
-            lim = np.broadcast_to(support(eps.ravel()).reshape(eps.shape), d.shape).ravel()
-            keep = np.flatnonzero(~(np.maximum(dd, _D_FLOOR) / _C < lim * (1 - 1e-9)))
-        out = np.full(dd.size, -np.inf)
-        for lo in range(0, keep.size, _BLOCK):
-            part = keep[lo:lo + _BLOCK]
+            lo, hi = (b.reshape(eps.shape) for b in support(eps.ravel()))
+            half = np.maximum(d, _D_FLOOR) / _C
+            ones = (half > hi * (1 + 1e-9)).ravel()
+            out[ones] = total(dd[ones], log_all_ones)
+            keep = np.flatnonzero(~(half < lo * (1 - 1e-9)).ravel() & ~ones)
+        for i in range(0, keep.size, _BLOCK):
+            part = keep[i:i + _BLOCK]
             out[part] = block(dd[part], ee[part])
         return out.reshape(d.shape) if d.ndim else float(out[0])
 

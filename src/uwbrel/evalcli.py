@@ -439,14 +439,22 @@ _FLAGS = (
 )
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    """The flags, else the config file's keys; a config key that names no
-    flag, or a value its parser rejects, raises ConfigError."""
+# the settings a surface dump does not read: the canonical geometry fixes
+# its observers and MPCs, and no surface perturbs directions
+_SURFACE_UNUSED = {"canonical": ("observers", "mpcs_per_observer", "sigma_dir_deg"),
+                   "random": ("sigma_dir_deg",)}
+
+
+def _config_from_args(args):
+    """The configuration of the flags, else the config file's keys, and the
+    set of keys given either way; a config key that names no flag, or a
+    value its parser rejects, raises ConfigError."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     unknown = set(file_cfg) - {key for key, _, _ in _FLAGS}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     updates: dict = {}
+    given = set()
     for key, name, parse in _FLAGS:
         text = getattr(args, key, None)
         if text is None:
@@ -457,7 +465,8 @@ def _config_from_args(args) -> ExperimentConfig:
             updates[name] = parse(str(text))
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"bad value {text!r} for {key}: {exc}") from exc
-    return replace(ExperimentConfig(), **updates)
+        given.add(key)
+    return replace(ExperimentConfig(), **updates), given
 
 
 def _emit(text: str, path: str) -> None:
@@ -472,12 +481,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        cfg, given = _config_from_args(args)
         if args.command == "sweep":
             result = run_sweep(cfg)
             _emit(result.to_csv(), cfg.output_path)
         elif args.command == "surface":
             cfg = replace(cfg, sweep="surface")
+            unused = [key for key in _SURFACE_UNUSED.get(cfg.surface_scenario, ()) if key in given]
+            if unused:
+                raise ConfigError(f"a {cfg.surface_scenario} surface does not use "
+                                  f"{', '.join(unused)}")
             _emit(dump_surface(cfg), cfg.output_path)
         elif args.command == "calibrate":
             cfg = replace(cfg, sweep="calibrate")

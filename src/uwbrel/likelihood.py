@@ -9,10 +9,12 @@ which ``soft_indicator`` and both likelihoods in ``distest`` share; it
 calls ``ndtr`` only where the result is not already fixed at 0 or 1.
 
 ``maximize_2d`` scans a grid and refines its best cells with Nelder-Mead.
-All starts advance in lockstep, so every phase of the simplex method costs
-one objective call for all of them; the steps are those of scipy's
-``minimize(method="Nelder-Mead")``, so the result is the one a loop of
-scipy runs gives.
+All starts advance in lockstep, and each iteration costs one objective call
+for all of them, plus one when some start shrinks: the call evaluates the
+reflection together with every second point the iteration may need
+(expansion, outside and inside contraction), before the reflection's value
+picks one.  The steps are those of scipy's ``minimize(method="Nelder-Mead")``,
+so the result is the one a loop of scipy runs gives.
 """
 
 from __future__ import annotations
@@ -99,6 +101,13 @@ class ErrorModel:
             return np.abs(x)
         return np.maximum(x - _Z_HI * sigma, -x + _Z_LO * sigma)
 
+    def one_above(self, x, sigma=None) -> np.ndarray:
+        """The half-width above which, given a small relative margin for
+        rounding, ``factors(x, half, sigma)`` is exactly 1: ``|x|`` for
+        ``none``; ``|x| + _Z_HI sigma`` for ``gaussian``, where both band
+        ends saturate."""
+        return np.abs(x) if self.kind == "none" else np.abs(x) + _Z_HI * sigma
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -148,10 +157,13 @@ def _nelder_mead(fun, x0, maxiter: int, xatol: float, fatol: float):
 
     Each start takes the same steps, comparisons and arithmetic as its own
     scipy run, so it ends on the same bits; the starts advance in lockstep
-    and ``fun`` maps the (P, N) points of one phase (initial simplex,
-    reflection, second point, shrink) for every start that needs one to a
-    (P,) float array of their values.  Returns the best vertex (S, N), its
-    value (S,) and the number of points evaluated per start (S,).
+    and ``fun`` maps (P, N) points to a (P,) float array of their values.
+    After one call on the initial simplexes, each iteration makes one call
+    on the block [xr, xe, xo, xi] of every active start (the reflection
+    and, by scipy's formulas, the three second points it may lead to) and
+    one on the shrunk vertices of the starts that shrink.  Returns the best
+    vertex (S, N), its value (S,) and the number of points scipy evaluates
+    per start (S,), without the second points it does not take.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     n_starts, n = x0.shape
@@ -176,18 +188,19 @@ def _nelder_mead(fun, x0, maxiter: int, xatol: float, fatol: float):
         s, f = sim[a], fsim[a]
         xbar = np.add.reduce(s[:, :-1], 1) / n
         worst = s[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = fun(xr)
+        # the reflection and the three second points scipy may need after it
+        cand = np.stack([(1 + rho) * xbar - rho * worst,
+                         (1 + rho * chi) * xbar - rho * chi * worst,
+                         (1 + psi * rho) * xbar - psi * rho * worst,
+                         (1 - psi) * xbar + psi * worst], axis=1)
+        fcand = fun(cand.reshape(-1, n)).reshape(a.size, 4)
+        xr, fxr = cand[:, 0], fcand[:, 0]
         expand = fxr < f[:, 0]
         accept = ~expand & (fxr < f[:, -2])
         outside = ~expand & ~accept & (fxr < f[:, -1])
         inside = ~(expand | accept | outside)
-        x2 = np.where(expand[:, None], (1 + rho * chi) * xbar - rho * chi * worst,
-                      np.where(outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst,
-                               (1 - psi) * xbar + psi * worst))
-        f2 = np.full(a.size, np.nan)
-        if not accept.all():
-            f2[~accept] = fun(x2[~accept])
+        second = (np.arange(a.size), np.where(expand, 1, np.where(outside, 2, 3)))
+        x2, f2 = cand[second], fcand[second]
         take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f[:, -1]))
         take_r = accept | (expand & ~take2)
         shrink = (outside | inside) & ~take2
@@ -216,8 +229,10 @@ def maximize_2d(objective, cfg: OptimizerConfig, extra_starts=()):
     Each start is refined by Nelder-Mead on (d, eps / eps span) with
     ``maxiter = refine_iters``, ``xatol = tolerance / 10`` and
     ``fatol = 1e-12``, minimizing the negated objective (1e300 where it is
-    not finite).  The starts advance in lockstep, and each phase evaluates
-    its points through one call of ``objective`` on 1-D arrays.  When that
+    not finite).  The grid is the first call of ``objective``.  The starts
+    then advance in lockstep, with one call of ``objective`` on 1-D arrays
+    per iteration, which evaluates the reflection and all three second
+    points scipy may take after it, and one more per shrink.  When that
     gives every point the bits it gets alone, each start ends where
     ``scipy.optimize.minimize(method="Nelder-Mead")`` on the scalar
     objective ends.

@@ -275,6 +275,36 @@ class TestCli:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["surface", "--kind", "noassoc", "--observers", "1",
+                      "--mpcs-per-observer", "9"], "observers, mpcs_per_observer",
+                     id="canonical-counts"),
+        pytest.param(["surface", "--observers", "3"], "does not use observers",
+                     id="canonical-observers"),
+        pytest.param(["surface", "--scenario", "canonical", "--mpcs-per-observer", "3"],
+                     "does not use mpcs_per_observer", id="canonical-mpcs"),
+        pytest.param(["surface", "--sigma-dir-deg", "2"], "does not use sigma_dir_deg",
+                     id="canonical-sigma-dir"),
+        pytest.param(["surface", "--scenario", "random", "--sigma-dir-deg", "0"],
+                     "a random surface does not use sigma_dir_deg", id="random-sigma-dir"),
+    ])
+    def test_surface_rejects_settings_it_does_not_use(self, argv, message, capsys):
+        """A setting the surface's scenario ignores is an error, not dropped."""
+        assert main(argv + ["--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_surface_config_file_settings_it_does_not_use(self, tmp_path, capsys):
+        cfgfile = tmp_path / "surface.cfg"
+        cfgfile.write_text("observers = 2\nmpcs-per-observer = 3\n")
+        assert main(["surface", "--config", str(cfgfile), "--grid-steps", "4"]) == 2
+        assert "a canonical surface does not use observers, mpcs_per_observer" in (
+            capsys.readouterr().err)
+        out = tmp_path / "s.csv"
+        assert main(["surface", "--config", str(cfgfile), "--scenario", "random",
+                     "--grid-steps", "4", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 16
+
     def test_calibrate_cli(self, capsys):
         rc = main(["calibrate", "--samples", "1e5", "--seed", "2"])  # exponent form: a whole count
         assert rc == 0

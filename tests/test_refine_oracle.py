@@ -4,8 +4,10 @@
 ``scipy.optimize.minimize(method="Nelder-Mead")`` run on a scalar
 objective; ``_old_maximize_2d`` below is that maximizer.  Start for start,
 the lockstep ``_nelder_mead`` must end on the same bits of ``x`` and
-``fun`` after the same number of evaluations, and a lone start must
-evaluate the same points in the same order.  The NA likelihood and
+``fun`` after the same number of evaluations.  A lone start evaluates
+each iteration's reflection and all three second points scipy may take in
+one call; once the second points not taken are dropped, its points must be
+scipy's, in the same order.  The NA likelihood and
 ``permanent`` must give every point and matrix of a batch the bits it gets
 alone, since the refinement's points used to be evaluated one at a time.
 """
@@ -169,9 +171,55 @@ def _first_step(points, values):
     return name if len(points) == 5 else f"shrink after {name}"
 
 
+def _assert_speculation_matches(calls, points):
+    """A lone start's objective calls, (points, values) pairs, against the
+    points its scipy run evaluated.  The first call is the initial simplex.
+    Each iteration's call is the block [xr, xe, xo, xi] of scipy's formulas
+    at that iteration's simplex, and a shrink's call its shrunk vertices;
+    the branch is taken on the block's values as scipy takes it.  Dropping
+    the second points the branch does not take leaves scipy's points, bit
+    for bit and in order."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim, fsim = (np.array(v) for v in calls[0])
+    n = sim.shape[1]
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    kept = [calls[0][0]]
+    rest = iter(calls[1:])
+    for block, fblock in rest:
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+        xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+        xcc = (1 - psi) * xbar + psi * sim[-1]
+        np.testing.assert_array_equal(block, np.array([xr, xe, xc, xcc]), strict=True)
+        fxr, fxe, fxc, fxcc = fblock
+        if fxr < fsim[0]:
+            second, take = 1, (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            second, take = None, (xr, fxr)
+        elif fxr < fsim[-1]:
+            second, take = 2, (xc, fxc) if fxc <= fxr else None
+        else:
+            second, take = 3, (xcc, fxcc) if fxcc < fsim[-1] else None
+        kept += [block[:1]] if second is None else [block[:1], block[second:second + 1]]
+        if take is None:
+            shrunk, fshrunk = next(rest)
+            np.testing.assert_array_equal(shrunk, sim[0] + sigma * (sim[1:] - sim[0]), strict=True)
+            kept.append(shrunk)
+            sim[1:], fsim[1:] = shrunk, fshrunk
+        else:
+            sim[-1], fsim[-1] = take
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    np.testing.assert_array_equal(np.concatenate(kept), points, strict=True)
+
+
 def _assert_lockstep_matches(objective, starts, maxiter):
     """Every start as one lockstep batch, then each start alone: scipy's
-    bits, evaluation counts and (alone) point sequence."""
+    bits and evaluation counts, and (alone) scipy's points once the
+    speculative second points not taken are dropped."""
     x0 = np.array(starts, dtype=float)
     x0[:, 1] /= E_SPAN
     runs = [_scipy_run(objective, [d0, e0 / E_SPAN], maxiter) for d0, e0 in starts]
@@ -182,14 +230,14 @@ def _assert_lockstep_matches(objective, starts, maxiter):
         assert nfev[i] == res.nfev == len(points)
     neg = _batch_neg(objective)
     for start, (res, points, _) in zip(x0, runs):
-        seen = []
+        calls = []
 
         def recorded(z):
-            seen.append(np.array(z))
-            return neg(z)
+            calls.append((np.array(z), neg(z)))
+            return calls[-1][1]
 
         likelihood._nelder_mead(recorded, start[None, :], maxiter, XATOL, 1e-12)
-        np.testing.assert_array_equal(np.concatenate(seen), points, strict=True)
+        _assert_speculation_matches(calls, points)
     return runs
 
 

@@ -131,6 +131,34 @@ def test_zero_below_implies_an_exact_zero(sigma):
         assert (model.factors(x[below], half[below], s) == 0.0).all()
 
 
+@pytest.mark.parametrize("sigma", [1.0, 0.2e-9, 3e-9, np.geomspace(1e-12, 1e-8, 16)])
+def test_one_above_implies_an_exact_one(sigma):
+    """Wherever ``half > one_above(x, sigma) * (1 + 1e-9)`` on finite inputs,
+    the factor is exactly 1, for both kinds, with one sigma or one per MPC
+    along the last axis: the association-free likelihood gives the points
+    above that bound (its margin included) every factor 1 without
+    evaluating them.  Besides the edge scans, half-widths sit one and a
+    few ulps above the margin, at residuals up to 1e4 sigma, where
+    ``x +- half`` rounds the most."""
+    sig = np.atleast_1d(sigma)
+    zp, zm = _pairs(2001, seed=sig.size * 7 + int(sig[0] * 1e12) + 2)
+    cut = zp.size // sig.size * sig.size
+    x, half = _inputs(zp[:cut].reshape(-1, sig.size), zm[:cut].reshape(-1, sig.size), sig)
+    rng = np.random.default_rng(sig.size)
+    x_edge = rng.uniform(-1.0, 1.0, (6000, sig.size)) * np.geomspace(1e-3, 1e4, 6000)[:, None] * sig
+    x_edge[::50] = 0.0
+    for model, s in ((ErrorModel(sigma_per_mpc=sig), sig), (ErrorModel(kind="none"), None)):
+        edge = np.nextafter(model.one_above(x_edge, s) * (1 + 1e-9), np.inf)
+        xs = np.concatenate([x, x_edge, x_edge])
+        hs = np.concatenate([half, edge, edge * (1 + 4e-16)])
+        with np.errstate(invalid="ignore"):
+            above = np.isfinite(xs) & np.isfinite(hs) & (hs > model.one_above(xs, s) * (1 + 1e-9))
+            got = model.factors(xs, hs, s)
+        assert above[:len(x)].sum() > 1000 and (~above[:len(x)]).sum() > 1000
+        assert above[len(x):].all()
+        assert (got[above] == 1.0).all()
+
+
 def test_non_finite_and_scalar_inputs():
     sigma = 0.2e-9
     x = np.array([np.nan, np.inf, -np.inf, 0.0, 1e-9, np.nan, np.inf])

@@ -1,16 +1,20 @@
-"""Oracle for the support bound of the association-free likelihood.
+"""Oracle for the support and saturation bounds of the association-free
+likelihood.
 
 Where eps values are shared by several points, ``distest._noassoc_kernel``'s
-``loglik`` evaluates only the points above its bound, below which some
-observer's factor matrix has an all-zero row or column, and gives every
-other point -inf.  ``_full`` is the unpruned per-observer evaluation of
-``test_loglik_oracle``, run a thousand points at a time (every point has
-its bits in any chunk).  The pruned likelihood must give its bits at every
-point, and every point it prunes must have an all-zero row or column in
-the oracle's factor matrix of some observer, so that the exact permanent
-there is 0 and the oracle's value -inf: pruning only saves time.
-``_bottleneck`` is the n! bound the kernel used before, for observers of up
-to 6 MPCs; it is never below the row/column bound.
+``loglik`` evaluates only the points between its two bounds.  Below the
+lower one some observer's factor matrix has an all-zero row or column,
+and the point gets -inf; above the upper one every factor is 1, and the
+point gets the value of permanents n_o!.  ``_full`` is the unpruned
+per-observer evaluation of ``test_loglik_oracle``, run a thousand points at
+a time (every point has its bits in any chunk).  The pruned likelihood must
+give its bits at every point; every point it prunes to -inf must have an
+all-zero row or column in the oracle's factor matrix of some observer, so
+that the exact permanent there is 0 and the oracle's value -inf, and every
+finite point it does not evaluate must have every factor exactly 1: the
+bounds only save time.  ``_bottleneck`` is the n! bound the kernel used
+before, for observers of up to 6 MPCs; it is never below the row/column
+bound.
 """
 
 import functools
@@ -22,11 +26,12 @@ import pytest
 from scipy.special import ndtr
 
 from uwbrel import distest
+from uwbrel.evalcli import ExperimentConfig, run_trial
 from uwbrel.geom import SPEED_OF_LIGHT as C
 from uwbrel.likelihood import ErrorModel
 
 from delay_sets import delay_set
-from test_loglik_oracle import _groups, _hall_zero, _per_observer_loglik
+from test_loglik_oracle import _factors, _groups, _hall_zero, _per_observer_loglik
 
 BLOCK = distest._BLOCK
 SIGMAS = (0.05e-9, 0.2e-9, 2e-9)
@@ -74,15 +79,30 @@ def _half(d):
     return np.maximum(d, distest._D_FLOOR) / C
 
 
+def _all_one(obs, model, d, eps):
+    """Whether every factor of every observer's matrix is exactly 1 at each
+    point, so that each exact permanent is n_o!."""
+    _, shape, _, mats = _factors(obs, model, d, eps)
+    out = np.ones(int(np.prod(shape)), dtype=bool)
+    for factors in mats:
+        out &= (factors == 1.0).all(axis=(1, 2))
+    return out.reshape(shape)
+
+
 def _assert_exact(obs, model, d, eps, evaluated):
-    """The oracle's bits at every point; -inf and an all-zero row or
-    column of some observer's matrix at every pruned one.  Returns the
-    pruned points and the points with such a row or column."""
+    """The oracle's bits at every point.  Of the points the kernel does not
+    evaluate, each finite one has every factor of every observer exactly 1;
+    each other one is pruned: -inf, with an all-zero row or column of some
+    observer's matrix.  Returns the pruned points and the points with such
+    a row or column."""
     evaluated.clear()
     got = _assert_same(obs, model, d, eps)
-    pruned = ~np.isin(_half(d), np.concatenate(evaluated))
+    skipped = ~np.isin(_half(d), np.concatenate(evaluated))
+    saturated = skipped & np.isfinite(got)
+    pruned = skipped & ~saturated
     hall = _hall_zero(obs, model, d, eps)
     assert np.isneginf(got[pruned]).all() and hall[pruned].all()
+    assert _all_one(obs, model, d, eps)[saturated].all()
     return pruned, hall
 
 
@@ -198,6 +218,37 @@ def test_hall_bound_never_above_the_bottleneck(n, evaluated):
         assert not pruned[0].any()
         if model.kind == "none":
             assert pruned[1].mean() > 0.5
+
+
+def test_saturation_bound_fires_on_the_benchmark_grid(monkeypatch, evaluated):
+    """On the 200 x 200 grid of NA's Gaussian estimate in sweep trials of 3
+    observers x 4 MPCs (the benchmark's ``na_gaussian`` configuration),
+    thousands of finite points lie above the saturation bound and go
+    unevaluated; evaluated at one eps each, where no bound applies, every
+    finite point gets the same bits."""
+    kernels = []
+    maximize = distest.maximize_2d
+
+    def recording(objective, cfg, extra_starts=()):
+        kernels.append((objective, cfg))
+        return maximize(objective, cfg, extra_starts)
+
+    monkeypatch.setattr(distest, "maximize_2d", recording)
+    cfg = ExperimentConfig(d=(2.0,), sigma=0.2e-9, m_observers=3, k_per_observer=(4,),
+                           trials=2, trials_na=2, estimators=("NA",), seed=1)
+    for trial in range(cfg.trials):
+        run_trial(cfg, 0, trial)
+    assert len(kernels) == 2
+    for objective, opt in kernels:
+        d = np.linspace(*opt.grid_d[:2], int(opt.grid_d[2]))[:, None]
+        eps = np.linspace(*opt.grid_eps[:2], int(opt.grid_eps[2]))[None, :]
+        evaluated.clear()
+        got = objective(d, eps)
+        assert got.shape == (200, 200)
+        finite = np.isfinite(got)
+        assert finite.sum() - np.concatenate(evaluated).size > 5000
+        d, eps = np.broadcast_arrays(d, eps)
+        np.testing.assert_array_equal(objective(d[finite], eps[finite]), got[finite], strict=True)
 
 
 # --- block splits -------------------------------------------------------
