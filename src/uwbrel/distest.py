@@ -11,16 +11,19 @@ grouped by the set's ``groups``) in every way, so its per-observer
 permutation sum is a matrix permanent of soft-indicator matrices.  One
 kernel, ``permanent``, computes the permanents of a whole stack of
 matrices as sums of nonnegative products, each with the bits it gets
-alone; the hard-indicator search scores every candidate of an observer in
-one call to it on ``ErrorModel.factors``.  Both likelihoods have one body,
+alone.  The hard-indicator search calls it once per observer on
+``ErrorModel.factors``, at only the candidates that pass Hall's row/column
+test (``_zero_bound``); the rest have an all-zero row or column and a
+permanent of exactly 0.  Both likelihoods have one body,
 ``_noassoc_kernel``, compiled once per estimate from per-observer cross
 differences: known association is the case of one MPC per observer, whose
 1 x 1 permanent is its factor.  It evaluates its (d, eps) points in
 fixed-size blocks.  Where several points share an eps, as on a grid, it
 evaluates only the points between two bounds on d: below the lower one
-some observer's factor matrix has an all-zero row or column, and a point
-gets the -inf of its exact 0 permanent; above the upper one every factor
-saturates at 1, and a point gets the value of permanents n_o!.
+(the same ``_zero_bound``) some observer's factor matrix has an all-zero
+row or column, and a point gets the -inf of its exact 0 permanent; above
+the upper one every factor saturates at 1, and a point gets the value of
+permanents n_o!.
 """
 
 from __future__ import annotations
@@ -200,6 +203,14 @@ def permanent(mats):
     return float(f[0]) if mats.ndim == 2 else f[0]
 
 
+def _zero_bound(model: ErrorModel, x, sigma=None) -> np.ndarray:
+    """Hall's row/column test on the factor matrices of residuals ``x``,
+    batch last (..., n, n, points): the d/c below which some row or column
+    is all zeros (no perfect matching, so the permanent is exactly 0)."""
+    t = model.zero_below(x, sigma)
+    return np.maximum(t.min(axis=-2).max(axis=-2), t.min(axis=-3).max(axis=-2))
+
+
 def _cross_diffs(obs, mid=0.0):
     """Each observer's row indices and its cross differences
     ``[k, l] = (tau_b[l] - mid) - tau_a[k]``, observers in order of first
@@ -244,12 +255,12 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
     is exactly 0 for d/c below ``ErrorModel.zero_below(x_kl - eps, s_k)``,
     so an observer's matrix has an all-zero row (column) below the largest
     row (column) minimum of these, and its permanent is exactly 0: points
-    below the larger of the two (less a 1e-9 relative margin) get the -inf
-    an evaluation would give.  Entry (k, l) is exactly 1 above
-    ``ErrorModel.one_above(x_kl - eps, s_k)``: points above the largest of
-    these (plus a 1e-9 relative margin) have permanents of exactly n_o!
-    and get the envelope plus each log(n_o!) in observer order, the bits an
-    evaluation would give.
+    below the larger of the two (``_zero_bound``, less a 1e-9 relative
+    margin) get the -inf an evaluation would give.  Entry (k, l) is exactly
+    1 above ``ErrorModel.one_above(x_kl - eps, s_k)``: points above the
+    largest of these (plus a 1e-9 relative margin) have permanents of
+    exactly n_o! and get the envelope plus each log(n_o!) in observer
+    order, the bits an evaluation would give.
     """
     sizes = [m.shape[0] for m in cross]
     k_total = sum(sizes)
@@ -279,9 +290,9 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
         return total(dd, _log0(permanents))
 
     def support(eps):
-        """The lower (largest row or column) and upper (largest saturation)
-        bounds on d/c of the observers at each of the 1-D ``eps``, the
-        lower one floored at 0 (d/c is positive)."""
+        """The lower (largest ``_zero_bound``) and upper (largest
+        saturation) bounds on d/c of the observers at each of the 1-D
+        ``eps``, the lower one floored at 0 (d/c is positive)."""
         lo, hi = np.zeros(eps.size), np.zeros(eps.size)
         for i in range(0, eps.size, _BLOCK):
             e = eps[i:i + _BLOCK]
@@ -289,9 +300,7 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
                 x = stack - e  # the bits of block()'s x
                 np.maximum(hi[i:i + _BLOCK], model.one_above(x, s).max(axis=(0, 1, 2)),
                            out=hi[i:i + _BLOCK])
-                t = model.zero_below(x, s)
-                by_row, by_col = t.min(axis=2).max(axis=1), t.min(axis=1).max(axis=1)  # (n_obs, E)
-                np.maximum(lo[i:i + _BLOCK], np.maximum(by_row, by_col).max(axis=0),
+                np.maximum(lo[i:i + _BLOCK], _zero_bound(model, x, s).max(axis=0),
                            out=lo[i:i + _BLOCK])
         return lo, hi
 
@@ -343,21 +352,26 @@ def _noassoc_candidates(cross):
 def _noassoc_enumerate(cross, model: ErrorModel):
     """Exact hard-indicator ML over the finite candidate set.
 
-    Each observer's feasibility matrices (``model.factors``) at every
-    candidate are stacked and scored in one ``permanent`` call.  Candidates
-    are ranked by (number of observers with a feasible permutation, then
-    likelihood, then smallest d), the first one winning a tie; when no
-    candidate is feasible for every observer the least-infeasible one is
-    returned.
+    Observer by observer, the feasibility matrices (``model.factors``) of
+    the candidates that pass Hall's row/column test (``_zero_bound``, exact
+    for ``none``) are scored in one ``permanent`` call, on a stack that may
+    be empty; every other candidate has an all-zero row or column, so no
+    perfect matching, and gets p = 0.0, what ``permanent`` returns for it.
+    Candidates are ranked by (number of observers with a feasible
+    permutation, then likelihood, then smallest d), the first one winning a
+    tie; when no candidate is feasible for every observer the
+    least-infeasible one is returned.
     """
     k_total = sum(m.shape[0] for m in cross)
     d_cand, e_cand = _noassoc_candidates(cross)
-    reach = d_cand + 1e-9 * np.maximum(d_cand, 1.0)  # border candidates sit exactly on wedge edges
+    half = (d_cand + 1e-9 * np.maximum(d_cand, 1.0)) / _C  # border candidates sit on wedge edges
     n_feas = np.zeros(d_cand.size, dtype=int)
     log_terms = np.zeros(d_cand.size)
     for mat in cross:  # observer by observer, so log_terms adds up in a fixed order
-        p = permanent(model.factors(mat[None, :, :] - e_cand[:, None, None],
-                                    reach[:, None, None] / _C))
+        x = mat[..., None] - e_cand  # (n, n, candidates)
+        live = np.flatnonzero(half >= _zero_bound(model, x))
+        p = np.zeros(d_cand.size)  # the rest have an all-zero row or column: permanent 0
+        p[live] = permanent(model.factors(x[..., live], half[live]).transpose(2, 0, 1))
         n_feas += p > 0
         log_terms += np.log(np.where(p > 0, p, 1.0))  # an infeasible observer adds log 1 = 0
     value = -k_total * np.log(np.maximum(d_cand, _D_FLOOR)) + log_terms

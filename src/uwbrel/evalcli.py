@@ -439,10 +439,15 @@ _FLAGS = (
 )
 
 
-# the settings a surface dump does not read: the canonical geometry fixes
-# its observers and MPCs, and no surface perturbs directions
-_SURFACE_UNUSED = {"canonical": ("observers", "mpcs_per_observer", "sigma_dir_deg"),
-                   "random": ("sigma_dir_deg",)}
+# the keys each subcommand reads (a surface's by its scenario: the canonical
+# geometry fixes its observers and MPCs); any other key given is an error
+_SCENARIO_KEYS = ("d", "sigma_ns", "sigma_dir_deg", "observers", "mpcs_per_observer",
+                  "eps_ns", "seed", "out")
+_SURFACE_KEYS = ("d", "sigma_ns", "eps_ns", "seed", "out", "kind", "scenario", "grid_steps")
+_READS = {"sweep": _SCENARIO_KEYS + ("sweep", "trials", "trials_na", "estimators", "cond_gate"),
+          "a canonical surface": _SURFACE_KEYS,
+          "a random surface": _SURFACE_KEYS + ("observers", "mpcs_per_observer"),
+          "calibrate": ("seed", "samples", "out"), "scenario-dump": _SCENARIO_KEYS}
 
 
 def _config_from_args(args):
@@ -482,24 +487,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, given = _config_from_args(args)
+        if args.command in ("surface", "calibrate"):
+            cfg = replace(cfg, sweep=args.command)
+        cfg.validate()
+        reader = (f"a {cfg.surface_scenario} surface" if args.command == "surface"
+                  else args.command)
+        unused = [key for key, _, _ in _FLAGS if key in given and key not in _READS[reader]]
+        if unused:
+            raise ConfigError(f"{reader} does not use {', '.join(unused)}")
         if args.command == "sweep":
             result = run_sweep(cfg)
             _emit(result.to_csv(), cfg.output_path)
         elif args.command == "surface":
-            cfg = replace(cfg, sweep="surface")
-            unused = [key for key in _SURFACE_UNUSED.get(cfg.surface_scenario, ()) if key in given]
-            if unused:
-                raise ConfigError(f"a {cfg.surface_scenario} surface does not use "
-                                  f"{', '.join(unused)}")
             _emit(dump_surface(cfg), cfg.output_path)
         elif args.command == "calibrate":
-            cfg = replace(cfg, sweep="calibrate")
             report = calibrate(cfg)
             _emit(_calibrate_csv(report), cfg.output_path)
             if not report["passed"]:
                 return 3
         elif args.command == "scenario-dump":
-            cfg.validate()
             scenario = _one_scenario(cfg)
             noise = chansim.NoiseParams(sigma=cfg.sigma, sigma_dir=_single(cfg, "sigma_dir"),
                                         eps=cfg.eps)

@@ -191,6 +191,13 @@ class TestPermanent:
             assert got01[idx] == self._brute(zero_one[idx])
             assert got[idx] == pytest.approx(self._brute(floats[idx]), rel=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_empty_batch(self, n):
+        """No matrices in, no permanents out: the hard-indicator search
+        passes an observer with no candidate left as a (0, n, n) batch."""
+        got = permanent(np.ones((0, n, n)))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
     def test_2d_returns_float(self):
         assert type(permanent(np.ones((7, 7)))) is float
         assert permanent(np.ones((7, 7))) == 5040.0

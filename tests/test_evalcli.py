@@ -305,6 +305,47 @@ class TestCli:
                      "--grid-steps", "4", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 16
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["calibrate", "--samples", "1000", "--observers", "2", "--d", "3",
+                      "--sigma-dir-deg", "5", "--mpcs-per-observer", "7"],
+                     "calibrate does not use d, sigma_dir_deg, observers, mpcs_per_observer",
+                     id="calibrate-geometry"),
+        pytest.param(["calibrate", "--sigma-ns", "1", "--eps-ns", "2"],
+                     "calibrate does not use sigma_ns, eps_ns", id="calibrate-noise"),
+    ])
+    def test_calibrate_rejects_settings_it_does_not_use(self, argv, message, capsys):
+        assert main(argv + ["--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command, text, message", [
+        pytest.param(["surface", "--grid-steps", "3"], "trials = 7\nestimators = NA\n",
+                     "a canonical surface does not use trials, estimators", id="surface"),
+        pytest.param(["surface", "--scenario", "random"], "cond_gate = 10\n",
+                     "a random surface does not use cond_gate", id="random-surface"),
+        pytest.param(["calibrate"], "samples = 1000\ntrials_na = 3\n",
+                     "calibrate does not use trials_na", id="calibrate"),
+        pytest.param(["sweep", "--trials", "1"], "grid_steps = 4\nkind = noassoc\n",
+                     "sweep does not use kind, grid_steps", id="sweep"),
+        pytest.param(["scenario-dump"], "sweep = distance\nsamples = 10\n",
+                     "scenario-dump does not use sweep, samples", id="scenario-dump"),
+    ])
+    def test_config_file_keys_a_subcommand_does_not_use(self, tmp_path, command, text,
+                                                         message, capsys):
+        """A key a subcommand never reads is an error, whether from a flag or
+        from the config file, and the error names it."""
+        cfgfile = tmp_path / "extra.cfg"
+        cfgfile.write_text(text)
+        assert main(command + ["--config", str(cfgfile), "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_calibrate_config_file_of_the_keys_it_reads(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cal.cfg"
+        cfgfile.write_text("samples = 1e5\nseed = 2\nout = -\n")
+        assert main(["calibrate", "--config", str(cfgfile)]) == 0
+        assert "passed" in capsys.readouterr().out
+
     def test_calibrate_cli(self, capsys):
         rc = main(["calibrate", "--samples", "1e5", "--seed", "2"])  # exponent form: a whole count
         assert rc == 0
