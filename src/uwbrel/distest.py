@@ -18,12 +18,13 @@ permanent of exactly 0.  Both likelihoods have one body,
 ``_noassoc_kernel``, compiled once per estimate from per-observer cross
 differences: known association is the case of one MPC per observer, whose
 1 x 1 permanent is its factor.  It evaluates its (d, eps) points in
-fixed-size blocks.  Where several points share an eps, as on a grid, it
-evaluates only the points between two bounds on d: below the lower one
-(the same ``_zero_bound``) some observer's factor matrix has an all-zero
-row or column, and a point gets the -inf of its exact 0 permanent; above
-the upper one every factor saturates at 1, and a point gets the value of
-permanents n_o!.
+fixed-size blocks.  Where several points share an eps, as on a grid, or a
+call has a block of points, it evaluates only the points between two
+bounds on d: below the lower one (the same ``_zero_bound``) some
+observer's factor matrix has an all-zero row or column, and a point gets
+the -inf of its exact 0 permanent; above the upper one every factor
+saturates at 1, and a point gets the value of permanents n_o!.  The ML
+estimators' grids are a branch and bound on top of that (``top``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import InsufficientMpcs, InvalidParams, PermutationCapExceeded
 from .geom import SPEED_OF_LIGHT
-from .likelihood import ErrorModel, OptimizerConfig, maximize_2d
+from .likelihood import ErrorModel, OptimizerConfig, best_first, maximize_2d
 
 _C = SPEED_OF_LIGHT
 _D_FLOOR = 1e-6     # m; keeps the 1/d^K envelope finite when all factors stay positive
@@ -143,7 +144,7 @@ def mle_async_gaussian(obs, model: ErrorModel,
 
     _, spread, apex_eps = _async_range(centered)  # the noiseless closed form's apex
     d_hat, eps_hat, value = maximize_2d(
-        _noassoc_kernel(*_one_mpc_groups(centered), model), cfg,
+        _noassoc_kernel(*_one_mpc_groups(centered), model, top=cfg.grid_starts), cfg,
         extra_starts=[(max((_C / 2.0) * spread, _D_FLOOR), apex_eps)]
     )
     return DistanceEstimate(
@@ -234,7 +235,7 @@ def _one_mpc_groups(delta: np.ndarray):
     return [[k] for k in range(delta.size)], list(delta.reshape(-1, 1, 1))
 
 
-def _noassoc_kernel(rows, cross, model: ErrorModel):
+def _noassoc_kernel(rows, cross, model: ErrorModel, top: int = 0):
     """The association-free log-likelihood of fixed cross differences, as a
     function ``loglik(d, eps)`` that broadcasts over ``d`` and ``eps``.
     Known association is the case of one MPC per observer
@@ -250,8 +251,9 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
 
     Where eps values are shared by several points (fewer eps values than
     points, as on a grid), two bounds on d/c, computed once per distinct eps
-    over observers of every size, spare evaluations; where each point has
-    its own eps, they would cost as much as the evaluation.  Entry (k, l)
+    over observers of every size, spare evaluations; per point they cost a
+    third of an evaluation and are taken only in a call of ``_BLOCK``
+    points or more, such as the hard-indicator candidates.  Entry (k, l)
     is exactly 0 for d/c below ``ErrorModel.zero_below(x_kl - eps, s_k)``,
     so an observer's matrix has an all-zero row (column) below the largest
     row (column) minimum of these, and its permanent is exactly 0: points
@@ -261,6 +263,15 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
     largest of these (plus a 1e-9 relative margin) have permanents of
     exactly n_o! and get the envelope plus each log(n_o!) in observer
     order, the bits an evaluation would give.
+
+    With ``top`` = k > 0 a grid is a branch and bound (Land & Doig 1960)
+    for its k best cells: seeded by the saturated cells, it evaluates the
+    cells between the bounds in ascending d, in blocks doubling from
+    ``_BLOCK // 8``, and gives -inf unevaluated to each cell whose envelope
+    ``total(d, log_all_ones)`` (its value if every factor were 1, an upper
+    bound in floating point too: each permanent is at most n_o! and
+    ``total`` adds in the same order) is below the k-th best value so far,
+    less a 1e-9 relative margin.  The k best cells keep bits and order.
     """
     sizes = [m.shape[0] for m in cross]
     k_total = sum(sizes)
@@ -292,7 +303,8 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
     def support(eps):
         """The lower (largest ``_zero_bound``) and upper (largest
         saturation) bounds on d/c of the observers at each of the 1-D
-        ``eps``, the lower one floored at 0 (d/c is positive)."""
+        ``eps`` (a grid's distinct eps, or each point of a large call), the
+        lower one floored at 0 (d/c is positive)."""
         lo, hi = np.zeros(eps.size), np.zeros(eps.size)
         for i in range(0, eps.size, _BLOCK):
             e = eps[i:i + _BLOCK]
@@ -310,15 +322,28 @@ def _noassoc_kernel(rows, cross, model: ErrorModel):
         dd, ee = d.ravel(), ee.ravel()
         out = np.full(dd.size, -np.inf)
         keep = np.arange(dd.size)
-        if eps.size < dd.size:
+        grid = eps.size < dd.size
+        if grid or dd.size >= _BLOCK:
             lo, hi = (b.reshape(eps.shape) for b in support(eps.ravel()))
             half = np.maximum(d, _D_FLOOR) / _C
             ones = (half > hi * (1 + 1e-9)).ravel()
             out[ones] = total(dd[ones], log_all_ones)
             keep = np.flatnonzero(~(half < lo * (1 - 1e-9)).ravel() & ~ones)
-        for i in range(0, keep.size, _BLOCK):
-            part = keep[i:i + _BLOCK]
+        found = out[ones] if top and grid else None  # the best values so far
+        step = _BLOCK
+        if found is not None:  # branch and bound, in ascending d: a falling envelope
+            keep = keep[np.argsort(dd[keep], kind="stable")]
+            step = _BLOCK // 8  # the best cells lie just above the lower bound
+        while True:
+            if found is not None and found.size >= top:
+                found = np.partition(found, -top)[-top:]  # found[0]: the k-th best
+                keep = keep[total(dd[keep], log_all_ones) >= found[0] - 1e-9 * (1 + abs(found[0]))]
+            if not keep.size:
+                break
+            part, keep, step = keep[:step], keep[step:], min(2 * step, _BLOCK)
             out[part] = block(dd[part], ee[part])
+            if found is not None:
+                found = np.concatenate([found, np.fmax(out[part], -np.inf)])  # NaN as -inf
         return out.reshape(d.shape) if d.ndim else float(out[0])
 
     return loglik
@@ -408,14 +433,14 @@ def mle_async_noassoc(obs, model: ErrorModel,
     if cfg is None:
         cfg = _default_config(np.concatenate([m.ravel() for m in cross]))
 
-    objective = _noassoc_kernel(rows, cross, model)
+    objective = _noassoc_kernel(rows, cross, model, top=cfg.grid_starts)
 
     # hard-indicator candidates pre-scored on the smooth objective make
     # good starts: the gaussian peaks sit near wedge apexes/intersections
     d_cand, e_cand = _noassoc_candidates(cross)
     scores = objective(d_cand, e_cand)
-    top = np.argsort(scores)[::-1][: max(2, cfg.multistart_count // 2)]
-    extra = [(max(float(d_cand[i]), _D_FLOOR), float(e_cand[i])) for i in top]
+    extra = [(max(float(d_cand[i]), _D_FLOOR), float(e_cand[i]))
+             for i in best_first(scores, max(2, cfg.multistart_count // 2))]
 
     d_hat, eps_hat, value = maximize_2d(objective, cfg, extra_starts=extra)
     return DistanceEstimate(

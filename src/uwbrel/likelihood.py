@@ -135,6 +135,11 @@ class OptimizerConfig:
             if not float(value).is_integer():
                 raise InvalidParams(f"{name} must be a whole count, not {value}")
 
+    @property
+    def grid_starts(self) -> int:
+        """The number of best grid cells ``maximize_2d`` refines (at least 1)."""
+        return max(1, int(self.multistart_count))
+
 
 def soft_indicator(x: float, d_hyp: float, model: ErrorModel, mpc_index: int = 0):
     """Probability that a residual delay difference ``x`` is consistent with
@@ -166,6 +171,9 @@ def _nelder_mead(fun, x0, maxiter: int, xatol: float, fatol: float):
     per start (S,), without the second points it does not take.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    # [xbar, worst] coefficients of xr, xe, xo and xi: a - b equals a + (-b) bit for bit
+    steps = np.array([[1 + rho, -rho], [1 + rho * chi, -rho * chi],
+                      [1 + psi * rho, -psi * rho], [1 - psi, psi]])
     n_starts, n = x0.shape
     sim = np.repeat(np.asarray(x0, dtype=float)[:, None, :], n + 1, axis=1)
     for k in range(n):
@@ -174,9 +182,10 @@ def _nelder_mead(fun, x0, maxiter: int, xatol: float, fatol: float):
     fsim = fun(sim.reshape(-1, n)).reshape(n_starts, n + 1)
     nfev = np.full(n_starts, n + 1)
     active = np.ones(n_starts, dtype=bool)
+    rows = np.arange(n_starts)[:, None]
     for _ in range(2):  # scipy sorts the first simplex twice
         ind = np.argsort(fsim, axis=1)
-        sim, fsim = np.take_along_axis(sim, ind[..., None], 1), np.take_along_axis(fsim, ind, 1)
+        sim, fsim = sim[rows, ind], fsim[rows, ind]
 
     iterations = 1
     while iterations < maxiter:
@@ -189,10 +198,7 @@ def _nelder_mead(fun, x0, maxiter: int, xatol: float, fatol: float):
         xbar = np.add.reduce(s[:, :-1], 1) / n
         worst = s[:, -1]
         # the reflection and the three second points scipy may need after it
-        cand = np.stack([(1 + rho) * xbar - rho * worst,
-                         (1 + rho * chi) * xbar - rho * chi * worst,
-                         (1 + psi * rho) * xbar - psi * rho * worst,
-                         (1 - psi) * xbar + psi * worst], axis=1)
+        cand = steps[:, :1] * xbar[:, None] + steps[:, 1:] * worst[:, None]
         fcand = fun(cand.reshape(-1, n)).reshape(a.size, 4)
         xr, fxr = cand[:, 0], fcand[:, 0]
         expand = fxr < f[:, 0]
@@ -213,8 +219,20 @@ def _nelder_mead(fun, x0, maxiter: int, xatol: float, fatol: float):
         nfev[a] += 1 + ~accept + n * shrink
         iterations += 1
         ind = np.argsort(f, axis=1)
-        sim[a], fsim[a] = np.take_along_axis(s, ind[..., None], 1), np.take_along_axis(f, ind, 1)
+        rows = np.arange(a.size)[:, None]
+        sim[a], fsim[a] = s[rows, ind], f[rows, ind]
     return sim[:, 0], fsim.min(axis=1), nfev
+
+
+def best_first(values, count: int) -> np.ndarray:
+    """The indices of the ``count`` largest of the 1-D ``values`` (no NaN),
+    value descending and, among equal values, lowest index first: the order
+    of a full stable sort, found with ``np.partition``."""
+    count = min(count, values.size)
+    kth = np.partition(values, -count)[-count]
+    above = np.flatnonzero(values > kth)
+    above = above[np.lexsort((above, -values[above]))]
+    return np.concatenate([above, np.flatnonzero(values == kth)[: count - above.size]])
 
 
 def maximize_2d(objective, cfg: OptimizerConfig, extra_starts=()):
@@ -222,9 +240,11 @@ def maximize_2d(objective, cfg: OptimizerConfig, extra_starts=()):
 
     The objective must accept numpy-broadcast arrays.  Refinement starts
     from any ``extra_starts`` (d, eps) pairs plus the best
-    ``multistart_count`` grid cells; the result never falls below the best
-    grid value.  Ties break toward the lowest d, then the lowest eps, and
-    between refined starts toward the earlier one.
+    ``multistart_count`` (at least 1) finite grid cells; the result never
+    falls below the best grid value.  Ties break toward the lowest d, then
+    the lowest eps (``best_first``, the same on every machine), and between
+    refined starts toward the earlier one.  Only those best cells and their
+    order matter, so a grid objective may report any other cell as -inf.
 
     Each start is refined by Nelder-Mead on (d, eps / eps span) with
     ``maxiter = refine_iters``, ``xatol = tolerance / 10`` and
@@ -248,15 +268,12 @@ def maximize_2d(objective, cfg: OptimizerConfig, extra_starts=()):
     if not np.any(np.isfinite(vals)):
         raise DegenerateObjective("objective is -inf/NaN on the whole grid")
 
-    # argmax with (lowest d, lowest eps) tie-break: first flat index wins
+    # (lowest d, lowest eps) tie-break: first flat index wins
     flat = np.where(np.isnan(vals), -np.inf, vals).ravel()
-    order = np.argsort(flat)[::-1]
-    starts = list(extra_starts)
-    for idx in order[: max(1, int(cfg.multistart_count))]:
-        if not np.isfinite(flat[idx]):
-            break
-        starts.append((d_grid[idx // len(e_grid)], e_grid[idx % len(e_grid)]))
-    best_idx = int(np.argmax(flat))
+    order = best_first(flat, cfg.grid_starts)
+    starts = list(extra_starts) + [(d_grid[i // len(e_grid)], e_grid[i % len(e_grid)])
+                                   for i in order if np.isfinite(flat[i])]
+    best_idx = order[0]
     best = (float(d_grid[best_idx // len(e_grid)]), float(e_grid[best_idx % len(e_grid)]),
             float(flat[best_idx]))
     if not starts:

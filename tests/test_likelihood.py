@@ -4,7 +4,9 @@ from scipy.stats import norm
 
 from uwbrel.errors import DegenerateObjective, InvalidParams
 from uwbrel.geom import SPEED_OF_LIGHT as C
-from uwbrel.likelihood import ErrorModel, OptimizerConfig, maximize_2d, soft_indicator
+from uwbrel import likelihood
+from uwbrel.likelihood import (ErrorModel, OptimizerConfig, best_first, maximize_2d,
+                               soft_indicator)
 
 GAUSS_1NS = ErrorModel(kind="gaussian", sigma_per_mpc=1e-9)
 
@@ -169,3 +171,72 @@ class TestMaximize2d:
             OptimizerConfig(**{field: value})
         whole = float(int(value)) if np.isscalar(value) else value[:2] + (float(int(value[2])),)
         OptimizerConfig(**{field: whole})
+
+
+class TestStartOrder:
+    """Starts go by value descending, then lowest index, on every machine:
+    ``np.argsort``'s order among equal values depends on its SIMD path."""
+
+    @staticmethod
+    def _full_sort(values, count):
+        return np.lexsort((np.arange(values.size), -values))[:count]
+
+    def test_duplicated_values(self):
+        values = np.array([1.0, 3.0, 3.0, 2.0, 3.0, -np.inf, 3.0, 2.0, -np.inf])
+        for count, want in ((1, [1]), (3, [1, 2, 4]), (5, [1, 2, 4, 6, 3]),
+                            (7, [1, 2, 4, 6, 3, 7, 0]), (9, [1, 2, 4, 6, 3, 7, 0, 5, 8]),
+                            (12, [1, 2, 4, 6, 3, 7, 0, 5, 8])):
+            np.testing.assert_array_equal(best_first(values, count), want)
+
+    def test_matches_a_full_stable_sort(self):
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 7, 300, 40_000):
+            values = rng.integers(-3, 4, size).astype(float)
+            values[rng.random(size) < 0.3] = -np.inf
+            for count in (1, 2, 8, size):
+                np.testing.assert_array_equal(best_first(values, count),
+                                              self._full_sort(values, count))
+
+    def _starts(self, monkeypatch, objective, cfg):
+        seen = []
+        simplex = likelihood._nelder_mead
+
+        def recording(fun, x0, *args):
+            seen.append(x0.copy())
+            return simplex(fun, x0, *args)
+
+        monkeypatch.setattr(likelihood, "_nelder_mead", recording)
+        result = maximize_2d(objective, cfg)
+        (x0,) = seen
+        return x0, result
+
+    def test_plateau_grid(self, monkeypatch):
+        """A plateau of 30 equal best cells: the 8 of lowest d, then lowest
+        eps, are refined, and the best cell is the first of them."""
+        cfg = OptimizerConfig(grid_d=(0.0, 9.0, 10), grid_eps=(0.0, 9.0, 10), refine_iters=0)
+        d_grid = e_grid = np.arange(10.0)
+
+        def objective(d, eps):
+            d, eps = np.broadcast_arrays(d, eps)
+            return np.where((d >= 3) & (d <= 7) & (eps >= 2) & (eps <= 7), 1.0, -d - eps)
+
+        x0, (d, eps, value) = self._starts(monkeypatch, objective, cfg)
+        want = [(dv, ev) for dv in d_grid for ev in e_grid if 3 <= dv <= 7 and 2 <= ev <= 7][:8]
+        np.testing.assert_array_equal(x0 * [1.0, 9.0], want)
+        assert (d, eps, value) == (3.0, 2.0, 1.0)
+
+    def test_fewer_finite_cells_than_starts(self, monkeypatch):
+        cfg = OptimizerConfig(grid_d=(0.0, 9.0, 10), grid_eps=(0.0, 9.0, 10), refine_iters=0)
+
+        def objective(d, eps):
+            d, eps = np.broadcast_arrays(d, eps)
+            return np.where((eps == 4) & (d >= 6), 2.0, np.where(d + eps == 3, 1.0, -np.inf))
+
+        x0, _ = self._starts(monkeypatch, objective, cfg)
+        want = [(6, 4), (7, 4), (8, 4), (9, 4), (0, 3), (1, 2), (2, 1), (3, 0)]
+        np.testing.assert_array_equal(x0 * [1.0, 9.0], want)
+        cfg = OptimizerConfig(grid_d=(0.0, 9.0, 10), grid_eps=(0.0, 9.0, 10), refine_iters=0,
+                              multistart_count=20)
+        x0, _ = self._starts(monkeypatch, objective, cfg)
+        assert len(x0) == 8
+

@@ -32,7 +32,7 @@ def _old_maximize_2d(objective, cfg, extra_starts=()):
     e_grid = np.linspace(e_lo, e_hi, int(e_steps))
     vals = np.asarray(objective(d_grid[:, None], e_grid[None, :]), dtype=float)
     flat = np.where(np.isnan(vals), -np.inf, vals).ravel()
-    order = np.argsort(flat)[::-1]
+    order = np.lexsort((np.arange(flat.size), -flat))  # value descending, then lowest index
     starts = list(extra_starts)
     for idx in order[: max(1, int(cfg.multistart_count))]:
         if not np.isfinite(flat[idx]):
