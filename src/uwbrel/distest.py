@@ -18,11 +18,11 @@ permanent of exactly 0.  Both likelihoods have one body,
 ``_noassoc_kernel``, compiled once per estimate from per-observer cross
 differences: known association is the case of one MPC per observer, whose
 1 x 1 permanent is its factor.  It evaluates its (d, eps) points in
-fixed-size blocks.  Where several points share an eps, as on a grid, or a
-call has a block of points, it evaluates only the points between two
-bounds on d: below the lower one (the same ``_zero_bound``) some
-observer's factor matrix has an all-zero row or column, and a point gets
-the -inf of its exact 0 permanent; above the upper one every factor
+fixed-size blocks: a call of less than a block with an eps per point (a
+simplex step) directly, any other call, such as a grid, only at the points
+between two bounds on d: below the lower one (the same ``_zero_bound``)
+some observer's factor matrix has an all-zero row or column, and a point
+gets the -inf of its exact 0 permanent; above the upper one every factor
 saturates at 1, and a point gets the value of permanents n_o!.  The ML
 estimators' grids are a branch and bound on top of that (``top``).
 """
@@ -48,9 +48,8 @@ _BLOCK = 1024        # likelihood points per block; bounds the (n_obs, n, n, poi
 
 
 def _log0(values: np.ndarray) -> np.ndarray:
-    """log with log(0) = -inf and no runtime warning."""
-    with np.errstate(divide="ignore"):
-        return np.log(np.maximum(values, 0.0))
+    """log with log(0) = -inf (NaN stays NaN) and no runtime warning."""
+    return np.log(values, out=np.full(values.shape, -np.inf), where=~(values <= 0.0))
 
 
 @dataclass(frozen=True)
@@ -249,11 +248,11 @@ def _noassoc_kernel(rows, cross, model: ErrorModel, top: int = 0):
     in observer order.  Every step is elementwise over the points, so each
     point gets the bits it gets alone, in any batch.
 
-    Where eps values are shared by several points (fewer eps values than
-    points, as on a grid), two bounds on d/c, computed once per distinct eps
-    over observers of every size, spare evaluations; per point they cost a
-    third of an evaluation and are taken only in a call of ``_BLOCK``
-    points or more, such as the hard-indicator candidates.  Entry (k, l)
+    A call of fewer than ``_BLOCK`` points, d and eps of one shape (each
+    simplex step), is evaluated directly.  Any other call, such as a grid
+    or the hard-indicator candidates, first takes two bounds on d/c, once
+    per distinct eps over observers of every size (a third of an
+    evaluation each), which spare evaluations.  Entry (k, l)
     is exactly 0 for d/c below ``ErrorModel.zero_below(x_kl - eps, s_k)``,
     so an observer's matrix has an all-zero row (column) below the largest
     row (column) minimum of these, and its permanent is exactly 0: points
@@ -278,7 +277,7 @@ def _noassoc_kernel(rows, cross, model: ErrorModel, top: int = 0):
     sig = model.sigmas(k_total) if model.kind == "gaussian" else None
     groups = []  # (observer indices, (n_obs, n, n, 1) cross, (n_obs, n, 1, 1) sigma or None)
     for n in sorted(set(sizes)):
-        ids = [o for o, size in enumerate(sizes) if size == n]
+        ids = np.flatnonzero(np.array(sizes) == n)
         stack = np.stack([cross[o] for o in ids])[..., None]
         s = None if sig is None else np.stack([sig[rows[o]] for o in ids])[:, :, None, None]
         groups.append((ids, stack, s))
@@ -288,7 +287,7 @@ def _noassoc_kernel(rows, cross, model: ErrorModel, top: int = 0):
     def total(dd, log_terms):
         ll = -k_total * np.log(np.maximum(dd, _D_FLOOR))
         for term in log_terms:  # observer by observer, in order
-            ll = ll + term
+            ll += term
         return ll
 
     def block(dd, ee):
@@ -317,19 +316,19 @@ def _noassoc_kernel(rows, cross, model: ErrorModel, top: int = 0):
         return lo, hi
 
     def loglik(d, eps):
-        eps = np.asarray(eps, dtype=float)
-        d, ee = np.broadcast_arrays(np.asarray(d, dtype=float), eps)
+        d, eps = np.asarray(d, dtype=float), np.asarray(eps, dtype=float)
+        if d.shape == eps.shape and d.size < _BLOCK:  # an eps per point: no bounds
+            out = block(d.ravel(), eps.ravel())
+            return out.reshape(d.shape) if d.ndim else float(out[0])
+        d, ee = np.broadcast_arrays(d, eps)
         dd, ee = d.ravel(), ee.ravel()
         out = np.full(dd.size, -np.inf)
-        keep = np.arange(dd.size)
-        grid = eps.size < dd.size
-        if grid or dd.size >= _BLOCK:
-            lo, hi = (b.reshape(eps.shape) for b in support(eps.ravel()))
-            half = np.maximum(d, _D_FLOOR) / _C
-            ones = (half > hi * (1 + 1e-9)).ravel()
-            out[ones] = total(dd[ones], log_all_ones)
-            keep = np.flatnonzero(~(half < lo * (1 - 1e-9)).ravel() & ~ones)
-        found = out[ones] if top and grid else None  # the best values so far
+        lo, hi = (b.reshape(eps.shape) for b in support(eps.ravel()))
+        half = np.maximum(d, _D_FLOOR) / _C
+        ones = (half > hi * (1 + 1e-9)).ravel()
+        out[ones] = total(dd[ones], log_all_ones)
+        keep = np.flatnonzero(~(half < lo * (1 - 1e-9)).ravel() & ~ones)
+        found = out[ones] if top and eps.size < dd.size else None  # a grid's best values so far
         step = _BLOCK
         if found is not None:  # branch and bound, in ascending d: a falling envelope
             keep = keep[np.argsort(dd[keep], kind="stable")]
@@ -440,7 +439,7 @@ def mle_async_noassoc(obs, model: ErrorModel,
     d_cand, e_cand = _noassoc_candidates(cross)
     scores = objective(d_cand, e_cand)
     extra = [(max(float(d_cand[i]), _D_FLOOR), float(e_cand[i]))
-             for i in best_first(scores, max(2, cfg.multistart_count // 2))]
+             for i in best_first(scores, max(2, cfg.grid_starts // 2))]
 
     d_hat, eps_hat, value = maximize_2d(objective, cfg, extra_starts=extra)
     return DistanceEstimate(

@@ -8,18 +8,20 @@ set-membership indicator.  That factor has one body, ``ErrorModel.factors``,
 which ``soft_indicator`` and both likelihoods in ``distest`` share; it
 calls ``ndtr`` only where the result is not already fixed at 0 or 1.
 
-``maximize_2d`` scans a grid and refines its best cells with Nelder-Mead.
-All starts advance in lockstep, and each iteration costs one objective call
-for all of them, plus one when some start shrinks: the call evaluates the
-reflection together with every second point the iteration may need
-(expansion, outside and inside contraction), before the reflection's value
-picks one.  The steps are those of scipy's ``minimize(method="Nelder-Mead")``,
-so the result is the one a loop of scipy runs gives.
+``maximize_2d`` scans a grid and refines its best cells with Nelder-Mead,
+all starts in lockstep: each iteration costs one objective call for all of
+them, plus one when some start shrinks, on the reflection and every second
+point the iteration may need (expansion, outside and inside contraction).
+Between calls the simplexes are held in Python floats and take the steps
+of scipy's ``minimize(method="Nelder-Mead")`` with numpy's rounding, so the
+result is the one a loop of scipy runs gives.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,78 +163,107 @@ def _nelder_mead(fun, x0, maxiter: int, xatol: float, fatol: float):
     ``xatol`` and ``fatol`` set (no bounds, not adaptive).
 
     Each start takes the same steps, comparisons and arithmetic as its own
-    scipy run, so it ends on the same bits; the starts advance in lockstep
-    and ``fun`` maps (P, N) points to a (P,) float array of their values.
-    After one call on the initial simplexes, each iteration makes one call
-    on the block [xr, xe, xo, xi] of every active start (the reflection
-    and, by scipy's formulas, the three second points it may lead to) and
-    one on the shrunk vertices of the starts that shrink.  Returns the best
-    vertex (S, N), its value (S,) and the number of points scipy evaluates
-    per start (S,), without the second points it does not take.
+    scipy run, in Python floats, which round as numpy's ufuncs do, so it
+    ends on the same bits; the starts advance in lockstep and ``fun`` maps
+    (P, N) points to a (P,) float array of their values.  After one call on
+    the initial simplexes, each iteration makes one call on the block
+    [xr, xe, xo, xi] of every active start (the reflection and, by scipy's
+    formulas, the three second points it may lead to) and one on the shrunk
+    vertices of the starts that shrink.  Returns the best vertex (S, N), its
+    value (S,) and the number of points scipy evaluates per start (S,),
+    without the second points it does not take.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    # [xbar, worst] coefficients of xr, xe, xo and xi: a - b equals a + (-b) bit for bit
-    steps = np.array([[1 + rho, -rho], [1 + rho * chi, -rho * chi],
-                      [1 + psi * rho, -psi * rho], [1 - psi, psi]])
-    n_starts, n = x0.shape
-    sim = np.repeat(np.asarray(x0, dtype=float)[:, None, :], n + 1, axis=1)
-    for k in range(n):
-        y = sim[:, k + 1, k]
-        sim[:, k + 1, k] = np.where(y != 0, (1 + 0.05) * y, 0.00025)
-    fsim = fun(sim.reshape(-1, n)).reshape(n_starts, n + 1)
-    nfev = np.full(n_starts, n + 1)
-    active = np.ones(n_starts, dtype=bool)
-    rows = np.arange(n_starts)[:, None]
-    for _ in range(2):  # scipy sorts the first simplex twice
-        ind = np.argsort(fsim, axis=1)
-        sim, fsim = sim[rows, ind], fsim[rows, ind]
+    rho, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
+    # [xbar, worst] coefficients of xr, xe, xo and xi: a + b equals a - (-b) bit for bit
+    steps = [(1 + rho, rho), (1 + rho * chi, rho * chi),
+             (1 + psi * rho, psi * rho), (1 - psi, -psi)]
+    n = x0.shape[1]
+
+    def call(flat):
+        return fun(np.array(flat, dtype=float).reshape(-1, n)).tolist()
+
+    def sort(i):
+        """Reorder start i's simplex as ``np.argsort`` of its values does: move
+        its last vertex, mostly the only new one, into place; unless the values
+        then strictly increase, take numpy's order (on ties, the machine's)."""
+        f, sim = fsims[i], sims[i]
+        at = bisect.bisect_right(f, f[-1], 0, n)
+        f.insert(at, f.pop())
+        sim.insert(at, sim.pop())
+        if not all(map(operator.lt, f, f[1:])):
+            f.append(f.pop(at))
+            sim.append(sim.pop(at))
+            ind = np.argsort(f).tolist()
+            sims[i], fsims[i] = [sim[j] for j in ind], [f[j] for j in ind]
+
+    sims = [[x] + [x[:k] + [(1 + 0.05) * x[k] if x[k] != 0 else 0.00025] + x[k + 1:]
+                   for k in range(n)] for x in np.asarray(x0, dtype=float).tolist()]
+    values = call([c for sim in sims for x in sim for c in x])
+    fsims = [values[i:i + n + 1] for i in range(0, len(values), n + 1)]
+    nfev = [n + 1] * len(sims)
+    active = range(len(sims))
+    for i in [*active, *active]:  # scipy sorts the first simplex twice
+        sort(i)
 
     iterations = 1
     while iterations < maxiter:
-        active &= ~((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
-                    & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
-        a = np.flatnonzero(active)
-        if a.size == 0:
+        # scipy's test; the values are sorted, NaN last, so max |f0 - f| is |f0 - f[-1]|
+        active = [i for i in active if not (
+            abs(fsims[i][0] - fsims[i][-1]) <= fatol
+            and all(abs(v - b) <= xatol for x in sims[i][1:] for v, b in zip(x, sims[i][0])))]
+        if not active:
             break
-        s, f = sim[a], fsim[a]
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        # the reflection and the three second points scipy may need after it
-        cand = steps[:, :1] * xbar[:, None] + steps[:, 1:] * worst[:, None]
-        fcand = fun(cand.reshape(-1, n)).reshape(a.size, 4)
-        xr, fxr = cand[:, 0], fcand[:, 0]
-        expand = fxr < f[:, 0]
-        accept = ~expand & (fxr < f[:, -2])
-        outside = ~expand & ~accept & (fxr < f[:, -1])
-        inside = ~(expand | accept | outside)
-        second = (np.arange(a.size), np.where(expand, 1, np.where(outside, 2, 3)))
-        x2, f2 = cand[second], fcand[second]
-        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f[:, -1]))
-        take_r = accept | (expand & ~take2)
-        shrink = (outside | inside) & ~take2
-        s[:, -1] = np.where(take2[:, None], x2, np.where(take_r[:, None], xr, worst))
-        f[:, -1] = np.where(take2, f2, np.where(take_r, fxr, f[:, -1]))
-        if shrink.any():
-            shrunk = s[shrink, :1] + sigma * (s[shrink, 1:] - s[shrink, :1])
-            s[shrink, 1:] = shrunk
-            f[shrink, 1:] = fun(shrunk.reshape(-1, n)).reshape(-1, n)
-        nfev[a] += 1 + ~accept + n * shrink
+        block = []  # flat: [xr, xe, xo, xi] of each active start
+        for i in active:
+            xbar = sims[i][0]
+            for x in sims[i][1:-1]:  # np.add.reduce over the vertices: one after another
+                xbar = list(map(operator.add, xbar, x))
+            pairs = [(b / n, w) for b, w in zip(xbar, sims[i][-1])]
+            block += [p * b - q * w for p, q in steps for b, w in pairs]
+        fblock = call(block)
+        shrink = []
+        for j, i in enumerate(active):
+            fxr, fxe, fxo, fxi = fblock[4 * j:4 * j + 4]
+            sim, f = sims[i], fsims[i]
+            nfev[i] += 2
+            if fxr < f[0]:
+                k = 1 if fxe < fxr else 0
+            elif fxr < f[-2]:
+                k = 0
+                nfev[i] -= 1
+            elif fxr < f[-1]:
+                k = 2 if fxo <= fxr else -1
+            else:
+                k = 3 if fxi < f[-1] else -1
+            if k >= 0:
+                sim[-1], f[-1] = block[(4 * j + k) * n:(4 * j + k + 1) * n], fblock[4 * j + k]
+                sort(i)
+            else:
+                shrink.append(i)
+                sim[1:] = [[b + sigma * (v - b) for b, v in zip(sim[0], x)] for x in sim[1:]]
+        if shrink:
+            values = call([c for i in shrink for x in sims[i][1:] for c in x])
+            for j, i in enumerate(shrink):
+                fsims[i][1:] = values[n * j:n * j + n]
+                nfev[i] += n
+                sort(i)
         iterations += 1
-        ind = np.argsort(f, axis=1)
-        rows = np.arange(a.size)[:, None]
-        sim[a], fsim[a] = s[rows, ind], f[rows, ind]
-    return sim[:, 0], fsim.min(axis=1), nfev
+    return (np.array([sim[0] for sim in sims]).reshape(-1, n), np.array(fsims).min(axis=1),
+            np.array(nfev))
 
 
 def best_first(values, count: int) -> np.ndarray:
     """The indices of the ``count`` largest of the 1-D ``values`` (no NaN),
     value descending and, among equal values, lowest index first: the order
-    of a full stable sort, found with ``np.partition``."""
+    of a full stable sort, found with ``np.partition`` of the values above
+    -inf, or of all of them when fewer than ``count`` are."""
     count = min(count, values.size)
-    kth = np.partition(values, -count)[-count]
-    above = np.flatnonzero(values > kth)
+    live = np.flatnonzero(values > -np.inf)
+    live = live if live.size >= count else np.arange(values.size)  # else the count-th is -inf
+    kth = np.partition(values[live], -count)[-count]
+    above = live[values[live] > kth]
     above = above[np.lexsort((above, -values[above]))]
-    return np.concatenate([above, np.flatnonzero(values == kth)[: count - above.size]])
+    return np.concatenate([above, live[values[live] == kth][: count - above.size]])
 
 
 def maximize_2d(objective, cfg: OptimizerConfig, extra_starts=()):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -367,3 +369,62 @@ class TestRowOrder:
         contiguous, interleaved = self._pair()
         a, b = estimate(contiguous), estimate(interleaved)
         assert repr(a) == repr(b)
+
+
+def _scrambled(rng, sizes):
+    """Observers of the given sizes, B side scrambled and 4 ns late."""
+    tau_a = [rng.uniform(20e-9, 80e-9, n) for n in sizes]
+    tau_b = [rng.permutation(ta + rng.uniform(-3e-9, 3e-9, ta.size) + 4e-9) for ta in tau_a]
+    return delay_set(tau_a, tau_b)
+
+
+class TestWholeFloatCounts:
+    """``OptimizerConfig`` accepts whole float counts; they give both ML
+    estimators the bits of the integer counts."""
+
+    @pytest.mark.parametrize("starts, iters", [(8, 200), (5, 40), (1, 3)])
+    def test_float_counts_give_the_integer_bits(self, starts, iters):
+        obs = _scrambled(np.random.default_rng(16), [4, 4, 4])
+        model = ErrorModel(sigma_per_mpc=0.2e-9)
+        cfg = OptimizerConfig(grid_d=(0.0, 20.0, 80), grid_eps=(-60e-9, 60e-9, 80),
+                              multistart_count=starts, refine_iters=iters)
+        floats = replace(cfg, multistart_count=float(starts), refine_iters=float(iters))
+        for estimate in (mle_async_noassoc, mle_async_gaussian):
+            assert repr(estimate(obs, model, floats)) == repr(estimate(obs, model, cfg))
+
+
+class TestConcurrency:
+    """Estimators are pure functions, safe to call concurrently (README):
+    threads that interleave often get the bits of sequential runs."""
+
+    def test_threads_give_the_bits_of_sequential_runs(self):
+        rng = np.random.default_rng(17)
+        gaussian = ErrorModel(sigma_per_mpc=0.2e-9)
+        jobs = [
+            lambda obs=_scrambled(rng, [4, 4, 4]): mle_async_noassoc(obs, gaussian),
+            lambda obs=_scrambled(rng, [7]): mle_async_noassoc(obs, ErrorModel(kind="none")),
+            lambda obs=_scrambled(rng, [4, 3, 4]): mle_async_gaussian(obs, gaussian),
+        ]
+        want = [repr(job()) for job in jobs]
+        got = [[] for _ in range(4)]  # threads: more than a 2-core machine's cores
+
+        def work(t):
+            for _ in range(2):
+                for j in range(len(jobs)):
+                    j = (j + t) % len(jobs)  # each thread in its own order
+                    got[t].append((j, repr(jobs[j]())))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(got))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for results in got:
+            assert len(results) == 2 * len(jobs)
+            assert all(text == want[j] for j, text in results)

@@ -197,6 +197,21 @@ class TestStartOrder:
                 np.testing.assert_array_equal(best_first(values, count),
                                               self._full_sort(values, count))
 
+    @pytest.mark.parametrize("finite", [0, 1, 7, 8, 9, 200])
+    def test_mostly_minus_inf(self, finite):
+        """A grid after the branch and bound: nearly every value is -inf, and
+        there are fewer, exactly ``count`` or more finite values than
+        ``count``, with ties at the count-th value."""
+        rng = np.random.default_rng(finite)
+        values = np.full(40_000, -np.inf)
+        at = rng.choice(values.size, finite, replace=False)
+        values[at] = rng.integers(-2, 2, finite).astype(float)
+        if finite > 8:
+            values[at[:2]] = np.inf
+        for count in (1, 2, 8, 20):
+            np.testing.assert_array_equal(best_first(values, count),
+                                          self._full_sort(values, count))
+
     def _starts(self, monkeypatch, objective, cfg):
         seen = []
         simplex = likelihood._nelder_mead

@@ -186,6 +186,62 @@ def test_block_edges(count):
         assert np.isfinite(got).any()
 
 
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The number of points of each ``ErrorModel.factors`` call."""
+    sizes, factors = [], ErrorModel.factors
+
+    def counting(self, x, half, sigma=None):
+        sizes.append(np.size(half))
+        return factors(self, x, half, sigma)
+
+    monkeypatch.setattr(ErrorModel, "factors", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_points_with_their_own_eps(count, evaluated):
+    """d and eps of one shape, as in a simplex step: below a block, every
+    point is evaluated in one call per observer size, with no bounds taken;
+    from a block on, the bounds spare the saturated points.  Either way
+    the oracle's bits and shape."""
+    rng = np.random.default_rng(900 + count)
+    sizes = [4, 2, 4, 1]
+    obs = _groups(rng, sizes)
+    for model in _models(rng, sum(sizes)):
+        d, eps = _points(rng, count)
+        d[1::7] = 30.0  # every factor saturates at 1
+        evaluated.clear()
+        assert _assert_same(obs, model, d, eps).shape == (count,)
+        if count < BLOCK:
+            assert evaluated == [count] * 3
+        else:
+            assert sum(evaluated) < 3 * count
+
+
+def test_own_eps_shapes_nan_and_broadcast(evaluated):
+    """A scalar point and a 2-D array of points with their own eps take the
+    direct path; a NaN eps gives NaN (Gaussian) or -inf (hard indicator)
+    there as in the oracle.  A d array against one eps is a grid: its
+    saturated points are not evaluated."""
+    rng = np.random.default_rng(901)
+    sizes = [4, 2, 4, 1]
+    obs = _groups(rng, sizes)
+    for model in _models(rng, sum(sizes)):
+        d, eps = _points(rng, 15)
+        d[1::7] = 30.0
+        evaluated.clear()
+        assert type(_assert_same(obs, model, d[2], eps[2])) is float
+        assert _assert_same(obs, model, d.reshape(3, 5), eps.reshape(3, 5)).shape == (3, 5)
+        with_nan = np.where(np.arange(15) == 4, np.nan, eps)
+        got = _assert_same(obs, model, d, with_nan)
+        assert np.isnan(got).tolist() == [i == 4 and model.kind == "gaussian" for i in range(15)]
+        assert evaluated == [1] * 3 + [15] * 6
+        evaluated.clear()
+        assert _assert_same(obs, model, d, eps[2]).shape == (15,)
+        assert sum(evaluated) < 3 * 15
+
+
 def test_grid_of_40000_points():
     """The 200 x 200 grid scan of the benchmark's 3 x 4 setup, a mixed set
     of smaller observers and observers of 7 and 8 MPCs."""

@@ -269,6 +269,57 @@ def test_first_steps_cover_every_branch():
             "shrink after inside"} <= seen
 
 
+def _quadratic_n(z):
+    """A tilted quadratic over the last axis of ``z``, of any length N."""
+    z = np.asarray(z, dtype=float)
+    total = 0.4 * z[..., 0] * z[..., -1]
+    for i in range(z.shape[-1]):
+        u = z[..., i] - 0.3 * (i + 1)
+        total = total + (i + 1.0) * u * u
+    return total
+
+
+def _banana_n(z):
+    """Rosenbrock's valley over the last axis of ``z``; for N = 1, a quartic
+    with its minimum off the start."""
+    z = np.asarray(z, dtype=float)
+    total = (1.0 - z[..., 0]) * (1.0 - z[..., 0])
+    for i in range(z.shape[-1]):
+        v = (z[..., i + 1] if i + 1 < z.shape[-1] else 0.5) - z[..., i] * z[..., i]
+        total = total + 20.0 * v * v
+    return total
+
+
+def _terraced_n(z):
+    """Narrow plateaus in every coordinate but the first, which does not
+    count: a first simplex whose other coordinates step towards 0.7 has its
+    two worst values tied, at x0 and its first-coordinate step.  numpy's
+    sort of N + 1 = 4 values can order such a tie otherwise than a stable
+    sort, depending on its SIMD dispatch."""
+    z = np.asarray(z, dtype=float)
+    return np.floor(30.0 * np.abs(z[..., 1:] - 0.7)).sum(axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("maxiter", [1, 3, 600])
+def test_other_dimensions(n, maxiter):
+    """``_nelder_mead`` in N = 1 and N = 3 ends on scipy's bits and
+    evaluation counts, start for start."""
+    rng = np.random.default_rng(10 * n + maxiter)
+    x0 = rng.uniform(-1.5, 1.5, (8, n))
+    x0[:, 1:] = rng.uniform(0.1, 0.6, (8, n - 1))
+    x0[0] = 0.0  # every coordinate steps to 0.00025
+    x0[1, 0] = 0.0
+    for objective in (_quadratic_n, _banana_n, _terraced_n):
+        x, fun, nfev = likelihood._nelder_mead(objective, x0, maxiter, XATOL, 1e-12)
+        for i, start in enumerate(x0):
+            res = minimize(objective, start, method="Nelder-Mead",
+                           options={"maxiter": maxiter, "xatol": XATOL, "fatol": 1e-12})
+            np.testing.assert_array_equal(x[i], res.x, strict=True)
+            assert fun[i].tobytes() == np.float64(res.fun).tobytes()
+            assert nfev[i] == res.nfev
+
+
 @pytest.mark.parametrize("maxiter", [1, 3, 200])
 def test_noassoc_kernel_objective(maxiter):
     """The NA objective: scipy evaluated its scalar ``loglik``, the
