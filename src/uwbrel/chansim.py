@@ -205,16 +205,18 @@ def observe(scenario: Scenario, noise: NoiseParams, rng_seed) -> Observations:
         e_a[rows] = e
 
     # the scalars are drawn MPC by MPC in the stream's fixed order: tau_a
-    # noise, tau_b noise, then (alpha, phi) for dir_a and for dir_b; the
-    # normal and uniform draws interleave, so no batch draw gives these bits
+    # noise, tau_b noise, then (alpha, phi) for dir_a and for dir_b; with
+    # direction noise the normal and uniform draws interleave, so a loop draws them
     side_sigma = noise.sigma / np.sqrt(2.0)
     draws = np.zeros((len(truth), 6))
-    for row in draws:
-        if side_sigma > 0:
-            row[:2] = rng.normal(0.0, side_sigma), rng.normal(0.0, side_sigma)
-        if noise.sigma_dir > 0:
+    if noise.sigma_dir > 0:
+        for row in draws:
+            if side_sigma > 0:
+                row[:2] = rng.normal(0.0, side_sigma), rng.normal(0.0, side_sigma)
             for j in (2, 4):
                 row[j:j + 2] = rng.normal(0.0, noise.sigma_dir), rng.uniform(0.0, 2.0 * np.pi)
+    elif side_sigma > 0:  # normals only: one batch draw is the same stream
+        draws[:, :2] = rng.normal(0.0, side_sigma, size=(len(truth), 2))
 
     dir_a, dir_b = truth.dir_a, truth.dir_b
     if noise.sigma_dir > 0:

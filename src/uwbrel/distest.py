@@ -11,7 +11,10 @@ grouped by the set's ``groups``) in every way, so its per-observer
 permutation sum is a matrix permanent of soft-indicator matrices.  One
 kernel, ``permanent``, computes the permanents of a whole stack of
 matrices as sums of nonnegative products, each with the bits it gets
-alone.  The hard-indicator search calls it once per observer on
+alone; it reads a stack stored batch last, (n, n, ...), without a copy,
+and gathers each row of its recursion in one step when that row's terms
+number at most ``_FUSE`` (small calls) and term by term otherwise.  The
+hard-indicator search calls it once per observer on
 ``ErrorModel.factors``, at only the candidates that pass Hall's row/column
 test (``_zero_bound``); the rest have an all-zero row or column and a
 permanent of exactly 0.  Both likelihoods have one body,
@@ -44,7 +47,8 @@ _C = SPEED_OF_LIGHT
 _D_FLOOR = 1e-6     # m; keeps the 1/d^K envelope finite when all factors stay positive
 
 PERMUTATION_CAP = 8  # exact permanents up to 8x8 (1,024 products over 255 column sets)
-_BLOCK = 1024        # likelihood points per block; bounds the (n_obs, n, n, points) temporaries
+_BLOCK = 1024        # likelihood points per block; bounds the (n, n, n_obs, points) temporaries
+_FUSE = 1 << 14      # entries up to which a permanent row gathers all its terms at once
 
 
 def _log0(values: np.ndarray) -> np.ndarray:
@@ -183,32 +187,44 @@ def permanent(mats):
     is f of all n columns (n 2^(n-1) products in all).  Every term is a
     product of entries, so on the likelihood's nonnegative matrices
     nothing cancels and a matrix with no nonzero permutation product gets
-    exactly 0.  Each step is elementwise over the batch, so every matrix
-    gets the bits it gets alone.  A 2-D input returns a float; a 0 x 0
-    matrix has permanent 1.
+    exactly 0.  The rows run over the (n, n, ...) transpose, contiguous for
+    a batch-last stack passed as a transposed view, as the likelihood and
+    the hard search pass theirs.  Row 0 is a[0] itself (1.0 * a is a).  A
+    later row whose (s+1, C(n, s+1), batch) terms number at most ``_FUSE``
+    is gathered in one step and added in ascending j, a larger one term by
+    term.  Each step is elementwise over the batch, in one order, so every
+    matrix gets the bits it gets alone.  A 2-D input returns a float; a
+    0 x 0 matrix has permanent 1.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim < 2 or mats.shape[-2] != mats.shape[-1]:
         raise InvalidParams("permanent needs square matrices over the last two axes")
     rows = mats.transpose(-2, -1, *range(mats.ndim - 2))  # (n, n, ...)
-    f = np.ones((1,) + mats.shape[:-2])
-    for s, (sub, col) in enumerate(_subsets(mats.shape[-1])):
-        acc = f[sub[0]]                 # term by term: temporaries stay (sets, ...)
-        acc *= rows[s, col[0]]
-        for t in range(1, s + 1):
-            term = f[sub[t]]
-            term *= rows[s, col[t]]
-            acc += term
-        f = acc
+    f = rows[0].copy() if mats.shape[-1] else np.ones((1,) + mats.shape[:-2])  # row 0
+    for s, (sub, col) in enumerate(_subsets(mats.shape[-1])[1:], 1):
+        if sub.size * f[0].size <= _FUSE:  # the whole row in one gather
+            acc = f.take(sub, axis=0)
+            acc *= rows[s].take(col, axis=0)
+            f = acc[0]
+            for t in range(1, s + 1):
+                f += acc[t]
+        else:
+            acc = f[sub[0]]  # term by term: temporaries stay (sets, ...)
+            acc *= rows[s, col[0]]
+            for t in range(1, s + 1):
+                term = f[sub[t]]
+                term *= rows[s, col[t]]
+                acc += term
+            f = acc
     return float(f[0]) if mats.ndim == 2 else f[0]
 
 
 def _zero_bound(model: ErrorModel, x, sigma=None) -> np.ndarray:
     """Hall's row/column test on the factor matrices of residuals ``x``,
-    batch last (..., n, n, points): the d/c below which some row or column
-    is all zeros (no perfect matching, so the permanent is exactly 0)."""
+    batch last (n, n, ...): the d/c below which some row or column is all
+    zeros (no perfect matching, so the permanent is exactly 0)."""
     t = model.zero_below(x, sigma)
-    return np.maximum(t.min(axis=-2).max(axis=-2), t.min(axis=-3).max(axis=-2))
+    return np.maximum(t.min(axis=1).max(axis=0), t.min(axis=0).max(axis=0))
 
 
 def _cross_diffs(obs, mid=0.0):
@@ -240,13 +256,15 @@ def _noassoc_kernel(rows, cross, model: ErrorModel, top: int = 0):
     Known association is the case of one MPC per observer
     (``_one_mpc_groups``): each 1 x 1 permanent is that MPC's factor.
 
-    Observers of equal size share one (n_obs, n, n) cross-difference stack
-    and one (n_obs, n) sigma stack (observer o's sigmas are those of its
-    rows ``rows[o]``), both built here once.  Points are evaluated
-    ``_BLOCK`` at a time in a batch-last (n_obs, n, n, points) layout, with
-    one ``permanent`` call per size; the per-observer log terms are added
-    in observer order.  Every step is elementwise over the points, so each
-    point gets the bits it gets alone, in any batch.
+    Observers of equal size share one (n, n, n_obs) cross-difference stack
+    and one (n, n_obs) sigma stack (observer o's sigmas are those of its
+    rows ``rows[o]``), both built here once, batch last.  Points are
+    evaluated ``_BLOCK`` at a time in a (n, n, n_obs, points) layout, with
+    one ``permanent`` call per size on the (n_obs, points, n, n) transpose
+    of the factors, a view whose own transpose is the contiguous stack;
+    the per-observer log terms are added in observer order.  Every step
+    is elementwise over the points, so each point gets the bits it gets
+    alone, in any batch.
 
     A call of fewer than ``_BLOCK`` points, d and eps of one shape (each
     simplex step), is evaluated directly.  Any other call, such as a grid
@@ -275,29 +293,28 @@ def _noassoc_kernel(rows, cross, model: ErrorModel, top: int = 0):
     sizes = [m.shape[0] for m in cross]
     k_total = sum(sizes)
     sig = model.sigmas(k_total) if model.kind == "gaussian" else None
-    groups = []  # (observer indices, (n_obs, n, n, 1) cross, (n_obs, n, 1, 1) sigma or None)
+    groups = []  # (observer indices, (n, n, n_obs, 1) cross, (n, 1, n_obs, 1) sigma or None)
     for n in sorted(set(sizes)):
         ids = np.flatnonzero(np.array(sizes) == n)
-        stack = np.stack([cross[o] for o in ids])[..., None]
-        s = None if sig is None else np.stack([sig[rows[o]] for o in ids])[:, :, None, None]
+        stack = np.stack([cross[o] for o in ids], axis=-1)[..., None]
+        s = None if sig is None else np.stack([sig[rows[o]] for o in ids], -1)[:, None, :, None]
         groups.append((ids, stack, s))
+    order = np.argsort(np.concatenate([g[0] for g in groups]))  # observer o's permanents row
 
     log_all_ones = _log0(np.array([math.factorial(n) for n in sizes], dtype=float))[:, None]
 
-    def total(dd, log_terms):
-        ll = -k_total * np.log(np.maximum(dd, _D_FLOOR))
+    def total(dm, log_terms):  # dm: d floored at _D_FLOOR
+        ll = -k_total * np.log(dm)
         for term in log_terms:  # observer by observer, in order
             ll += term
         return ll
 
-    def block(dd, ee):
-        half = np.maximum(dd, _D_FLOOR) / _C
-        permanents = np.empty((len(cross), dd.size))
-        for ids, stack, s in groups:
-            x = stack - ee  # [o, k, l, p] = tau_b[l] - tau_a[k] - eps_p
-            factors = model.factors(x, half, s)  # s: one sigma per A-side MPC (row)
-            permanents[ids] = permanent(factors.transpose(0, 3, 1, 2))
-        return total(dd, _log0(permanents))
+    def block(dm, ee):
+        half = dm / _C  # x = stack - ee: [k, l, o, p] = tau_b[l] - tau_a[k] - eps_p; s: row sigmas
+        permanents = [permanent(model.factors(stack - ee, half, s).transpose(2, 3, 0, 1))
+                      for _, stack, s in groups]
+        return total(dm, _log0(permanents[0] if len(groups) == 1
+                               else np.concatenate(permanents)[order]))
 
     def support(eps):
         """The lower (largest ``_zero_bound``) and upper (largest
@@ -318,15 +335,16 @@ def _noassoc_kernel(rows, cross, model: ErrorModel, top: int = 0):
     def loglik(d, eps):
         d, eps = np.asarray(d, dtype=float), np.asarray(eps, dtype=float)
         if d.shape == eps.shape and d.size < _BLOCK:  # an eps per point: no bounds
-            out = block(d.ravel(), eps.ravel())
+            out = block(np.maximum(d.ravel(), _D_FLOOR), eps.ravel())
             return out.reshape(d.shape) if d.ndim else float(out[0])
         d, ee = np.broadcast_arrays(d, eps)
         dd, ee = d.ravel(), ee.ravel()
         out = np.full(dd.size, -np.inf)
         lo, hi = (b.reshape(eps.shape) for b in support(eps.ravel()))
-        half = np.maximum(d, _D_FLOOR) / _C
+        dm = np.maximum(d, _D_FLOOR)
+        half, dm = dm / _C, dm.ravel()
         ones = (half > hi * (1 + 1e-9)).ravel()
-        out[ones] = total(dd[ones], log_all_ones)
+        out[ones] = total(dm[ones], log_all_ones)
         keep = np.flatnonzero(~(half < lo * (1 - 1e-9)).ravel() & ~ones)
         found = out[ones] if top and eps.size < dd.size else None  # a grid's best values so far
         step = _BLOCK
@@ -336,11 +354,11 @@ def _noassoc_kernel(rows, cross, model: ErrorModel, top: int = 0):
         while True:
             if found is not None and found.size >= top:
                 found = np.partition(found, -top)[-top:]  # found[0]: the k-th best
-                keep = keep[total(dd[keep], log_all_ones) >= found[0] - 1e-9 * (1 + abs(found[0]))]
+                keep = keep[total(dm[keep], log_all_ones) >= found[0] - 1e-9 * (1 + abs(found[0]))]
             if not keep.size:
                 break
             part, keep, step = keep[:step], keep[step:], min(2 * step, _BLOCK)
-            out[part] = block(dd[part], ee[part])
+            out[part] = block(dm[part], ee[part])
             if found is not None:
                 found = np.concatenate([found, np.fmax(out[part], -np.inf)])  # NaN as -inf
         return out.reshape(d.shape) if d.ndim else float(out[0])

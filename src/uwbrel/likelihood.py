@@ -74,8 +74,10 @@ class ErrorModel:
     def factors(self, x, half, sigma=None) -> np.ndarray:
         """Per-MPC factor of residuals ``x`` for half-widths ``half`` = d/c:
         ``F(x + half) - F(x - half)`` with F the normal CDF of std ``sigma``
-        (broadcasting), clipped to [0, 1] because ``ndtr`` is not monotone in
-        its last bits; for ``none`` the hard indicator ``|x| <= half``.
+        (broadcasting), floored at 0 because ``ndtr`` is not monotone in its
+        last bits (a difference of two values in [0, 1] never exceeds 1, so
+        that is a clip to [0, 1]); for ``none`` the hard indicator
+        ``|x| <= half``.
 
         Entries whose arguments lie where ``ndtr`` saturates are set without
         calling it, to the value the full expression gives there: 0 when
@@ -87,11 +89,12 @@ class ErrorModel:
         zp = np.asarray((x + half) / sigma)
         zm = np.asarray((x - half) / sigma)
         one = (zp >= _Z_HI) & (zm <= -_Z_HI)
-        zero = ((zm >= _Z_HI) | (zp <= _Z_LO)) & ~np.isnan(zp + zm)
-        out = np.where(one, 1.0, 0.0)
-        live = np.flatnonzero(~(one | zero))
-        np.put(out, live, np.clip(ndtr(zp.ravel().take(live)) - ndtr(zm.ravel().take(live)),
-                                  0.0, 1.0))
+        zero = ((zm >= _Z_HI) | (zp <= _Z_LO)) > np.isnan(zp + zm)  # a > b: a and not b
+        out = np.array(one, dtype=float, order="C")  # ravel() below is a view
+        live = np.flatnonzero(one == zero)  # neither: one and zero exclude each other
+        live_p = ndtr(zp.ravel().take(live))
+        live_p -= ndtr(zm.ravel().take(live))
+        out.ravel()[live] = np.maximum(live_p, 0.0, out=live_p)
         return out
 
     def zero_below(self, x, sigma=None) -> np.ndarray:
@@ -256,8 +259,10 @@ def best_first(values, count: int) -> np.ndarray:
     """The indices of the ``count`` largest of the 1-D ``values`` (no NaN),
     value descending and, among equal values, lowest index first: the order
     of a full stable sort, found with ``np.partition`` of the values above
-    -inf, or of all of them when fewer than ``count`` are."""
+    -inf, or of all of them when fewer than ``count`` are; none if ``count`` < 1."""
     count = min(count, values.size)
+    if count < 1:
+        return np.arange(0)
     live = np.flatnonzero(values > -np.inf)
     live = live if live.size >= count else np.arange(values.size)  # else the count-th is -inf
     kth = np.partition(values[live], -count)[-count]

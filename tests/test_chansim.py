@@ -170,6 +170,28 @@ class TestObserve:
         np.testing.assert_array_equal(perturb_direction(u, alpha, phi), want)
 
 
+    @pytest.mark.parametrize("sigma", [1e-12, 0.2e-9, 3e-9])
+    def test_delay_noise_without_direction_noise_is_the_scalar_stream(self, sigma):
+        """Without direction noise the delay noise is drawn as one array; it
+        equals the MPC-by-MPC scalar draws (tau_a, then tau_b, per row) and
+        leaves the stream where they leave it."""
+        side = sigma / np.sqrt(2.0)
+        for seed in range(40):
+            k_per = [[4, 4, 4], [7], [1, 5], [2, 3, 1, 2]][seed % 4]
+            s = sample_scenario(2.0, SvParams(), len(k_per), k_per, seed)
+            eps_a = tuple(np.linspace(-20e-9, 30e-9, len(k_per)))
+            noise = NoiseParams(sigma=sigma, eps=5e-9, eps_a_per_observer=eps_a)
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            obs = observe(s, noise, rng)
+            draws = np.array([(ref.normal(0.0, side), ref.normal(0.0, side))
+                              for _ in range(s.k_total)])
+            e_a = np.array(eps_a)[s.mpcs.observer]
+            np.testing.assert_array_equal(obs.tau_a, s.mpcs.tau_a + draws[:, 0] + e_a)
+            np.testing.assert_array_equal(obs.tau_b, s.mpcs.tau_b + draws[:, 1] + (e_a + 5e-9))
+            np.testing.assert_array_equal(obs.dir_a, s.mpcs.dir_a)
+            assert rng.random() == ref.random()
+
+
 class TestScramble:
     def _obs(self, k_per, seed=0):
         s = sample_scenario(2.0, SvParams(), len(k_per), list(k_per), seed)

@@ -124,6 +124,14 @@ def _na_gaussian_one_observer(k) -> str:
     return _outcome(distest.mle_async_noassoc, scrambled, ErrorModel(sigma_per_mpc=sigma)) + "\n"
 
 
+def _na_gaussian_benchmark_sweeps() -> str:
+    """The sweeps of the benchmark's Gaussian NA workload (3 x 4, d = 2 m,
+    sigma 0.2 ns, two trials each) at seeds 0-12, one CSV after another."""
+    return "".join(run_sweep(ExperimentConfig(
+        sweep="distance", d=(2.0,), sigma=0.2e-9, m_observers=3, k_per_observer=(4,),
+        trials=2, trials_na=2, estimators=("NA",), seed=seed)).to_csv() for seed in range(13))
+
+
 RUNS = {
     "na_hard_k7_seed0": lambda: run_sweep(_na_hard_k7(0)).to_csv(),
     "na_hard_k7_seed1": lambda: run_sweep(_na_hard_k7(1)).to_csv(),
@@ -167,6 +175,7 @@ RUNS = {
     "surface_noassoc_random_1x7": lambda: _cli_stdout(
         ["surface", "--kind", "noassoc", "--scenario", "random", "--observers", "1",
          "--mpcs-per-observer", "7", "--seed", "3"]),
+    "na_gaussian_benchmark_seeds_0_12": _na_gaussian_benchmark_sweeps,
 }
 
 GOLDEN = {
@@ -179,6 +188,8 @@ GOLDEN = {
     "na_gaussian_1x8": "9c3b6d23fa3bdee7825922fe096c8b45a696652861fc1d56f947ff0105f6b2b6",
     "na_gaussian_3x4": "f92ae017a046f00e53f027fcbf7f5239d514b4617cf9bdcf8c89008a7c8d8e09",
     "na_gaussian_3x4_wide_sigma": "6b73b498c8892cbf6c84f7874dfe1227d5996f96ca7466c6b226099cd65d57c8",
+    "na_gaussian_benchmark_seeds_0_12":
+        "b8af815320c8fc5851c1c446fb1247749ee3361b3e5e741d1330431c40e8725c",
     "na_hard_k7_seed0": "b571d1835fcb939eeea31acc8616f8c2a5c9a4a33d51e9c3fd3a21baafe56098",
     "na_hard_k7_seed1": "4d7a3f9e19df77afbc24cf35e10b925fbcb0e7722be5cf3610a4c50913208178",
     "na_hard_k7_seed2": "50511a07277787badff8354214c8e4af2c25025318186b2d1c294cd7458866d4",

@@ -255,3 +255,14 @@ class TestStartOrder:
         x0, _ = self._starts(monkeypatch, objective, cfg)
         assert len(x0) == 8
 
+
+@pytest.mark.parametrize("count", [0, -1, -5])
+def test_best_first_of_a_count_below_one_is_empty(count):
+    """No index for a count below 1, and none of no values, whatever the
+    count; the result is still an index array."""
+    for values in (np.array([1.0, 2.0, 3.0]), np.array([-np.inf, 2.0]), np.array([])):
+        got = best_first(values, count)
+        assert got.dtype == np.intp and got.size == 0
+    for n in (0, 1, 3):
+        got = best_first(np.array([]), n)
+        assert got.dtype == np.intp and got.size == 0

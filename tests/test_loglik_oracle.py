@@ -317,3 +317,55 @@ def test_empty_matrices_have_permanent_one(shape):
         assert type(got) is float and got == 1.0
     else:
         np.testing.assert_array_equal(got, np.ones(shape[:-2]), strict=True)
+
+
+def _fuse_batches(n):
+    """Batch sizes around ``distest._FUSE`` for n x n stacks: for each row
+    s >= 1 of the recursion, the largest batch whose (s+1) C(n, s+1) terms
+    per matrix fit, one less and one more; the limit itself, one less and
+    one more; and a simplex call's, a hard search's, all the hard
+    candidates' and a grid block's sizes."""
+    fuse = distest._FUSE
+    batches = {1, 4, 48, 300, 1176, 3 * 1024, fuse - 1, fuse, fuse + 1}
+    for sub, _ in distest._subsets(n)[1:]:
+        batches |= {fuse // sub.size - 1, fuse // sub.size, fuse // sub.size + 1}
+    return sorted(b for b in batches if b > 0)
+
+
+def _batch_last_view(mats):
+    """``mats`` (..., n, n) stored batch last, (n, n, ...), and seen
+    through a transpose as (..., n, n) again."""
+    last = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
+    view = np.moveaxis(last, (0, 1), (-2, -1))
+    assert view.shape == mats.shape
+    return view
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_permanent_on_both_sides_of_the_fuse_limit(n):
+    """A row of the recursion is gathered in one step up to ``_FUSE`` terms
+    and built term by term above.  Either way every matrix gets the
+    oracle's bits, on contiguous stacks and on batch-last stacks passed as
+    transposed views (as the likelihood passes its factors), with one or
+    two batch axes, and exactly 0.0 where its pattern violates Hall's
+    condition.  A 2-D matrix still gives a float, and 0 x 0 gives 1."""
+    rng = np.random.default_rng(900 + n)
+    hall = None
+    if n:
+        pats = _zero_patterns(rng, n, 600)[300:]  # each with a Hall violation planted
+        hall = np.where(pats, rng.uniform(1e-3, 1.0, pats.shape), 0.0)
+    for batch in [(b,) for b in _fuse_batches(n)] + [(3, 1024)]:
+        mats = rng.uniform(0.0, 1.0, batch + (n, n))
+        if n:
+            mats[..., 0, 0] = rng.uniform(0.0, 1e-12, batch)  # mixed magnitudes
+        want = _permanent_by_masks(mats)
+        for view in (mats, _batch_last_view(mats)):
+            np.testing.assert_array_equal(distest.permanent(view), want, strict=True)
+        if hall is not None:
+            zeros = hall[np.arange(np.prod(batch)).reshape(batch) % len(hall)]
+            assert (_permanent_by_masks(zeros) == 0.0).all()
+            for view in (zeros, _batch_last_view(zeros)):
+                got = distest.permanent(view)
+                assert got.shape == batch and (got == 0.0).all()
+    single = distest.permanent(mats[0, 0])
+    assert type(single) is float and single == float(want[0, 0])
