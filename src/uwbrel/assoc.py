@@ -3,7 +3,9 @@
 Pairs are scored by direction mismatch plus a regularized, mean-centered
 delay mismatch; pairs whose directions disagree by more than the angle
 gate are forbidden.  The per-observer assignment is solved exactly as a
-linear assignment problem.
+linear assignment problem by ``scipy.optimize.linear_sum_assignment``,
+imported at the first call of ``associate``, so that code which never
+associates never loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidParams
 from .geom import Observations
@@ -91,6 +92,8 @@ def associate(obs_a, obs_b, cfg: AssocConfig = None, force_full: bool = False) -
     cells are reported unmatched, unless ``force_full`` keeps gated pairs
     matched (complete permutations, as an evaluation pipeline may require).
     """
+    from scipy.optimize import linear_sum_assignment
+
     cfg = cfg or AssocConfig()
     groups_a, groups_b = _observer_groups(obs_a, obs_b)
     mu_a, mu_b = np.empty(len(obs_a)), np.empty(len(obs_b))
@@ -99,7 +102,9 @@ def associate(obs_a, obs_b, cfg: AssocConfig = None, force_full: bool = False) -
         mu_b[groups_b[o]] = np.mean(obs_b.tau_b[groups_b[o]])
     costs = pair_cost(obs_a, obs_b, cfg, mu_a, mu_b)  # pairs across observers go unused
     permutation, matched = {}, {}
-    paid = []  # the finite costs of the kept pairs, observer by observer, rows ascending
+    # the finite costs of the kept pairs, observer by observer, rows ascending;
+    # the leading empty block lets a set with no observers concatenate
+    paid = [np.zeros(0)]
     for o in groups_a:
         raw = costs[np.ix_(groups_a[o], groups_b[o])]
         n_a, n_b = raw.shape

@@ -23,6 +23,7 @@ of first appearance.
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -134,15 +135,17 @@ def sample_scenario(d: float, params: SvParams, m_observers: int,
     A-side directions are uniform on the sphere; the B-side parameters
     follow from the virtual-source geometry, all rows at once.  A row whose
     virtual source lands on node B is redrawn on its own (one excess delay,
-    one direction), rows in order, up to 100 attempts per MPC.
+    one direction), rows in order, up to 100 attempts per MPC.  Counts must
+    be Python or numpy integers.
     """
     if not 0.0 <= d < np.inf:
         raise InvalidParams("d must be finite and nonnegative")
+    m_observers = _count(m_observers, "m_observers")
     if m_observers < 1:
         raise InvalidParams("m_observers must be >= 1")
     if np.isscalar(k_per_observer):
-        k_per_observer = [int(k_per_observer)] * m_observers
-    k_per_observer = [int(k) for k in k_per_observer]
+        k_per_observer = [k_per_observer] * m_observers
+    k_per_observer = [_count(k, "k_per_observer") for k in k_per_observer]
     if len(k_per_observer) != m_observers or any(k < 1 for k in k_per_observer):
         raise InvalidParams("k_per_observer must give a positive count per observer")
     if not 0.0 < c < np.inf:
@@ -266,6 +269,16 @@ def scenario_csv(scenario: Scenario, observations: Observations) -> str:
     np.savetxt(buf, table, fmt=["%d", "%d"] + ["%.12e"] * 16, delimiter=",",
                header=",".join(_CSV_COLUMNS), comments="")
     return buf.getvalue()
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int when it is a Python or numpy integer; any other
+    type, a float such as 4.5 or 4.0 included, raises InvalidParams instead
+    of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParams(f"{name}: {value!r} is not an integer count") from None
 
 
 def _as_rng(rng_seed) -> np.random.Generator:

@@ -1,33 +1,20 @@
 """Distance estimators from MPC delays.
 
 Every public estimator and likelihood takes one ``geom.Observations`` set
-as its first argument and reads only its delays and observer ids; the
-directions go unused.  With known association the inputs are the delay
-differences tau_b - tau_a of each row, and MPC k's sigma is row k's.
-Closed forms cover the noiseless asynchronous/synchronized cases, and a
-soft-indicator maximum-likelihood estimator the Gaussian one.  The
-unknown-association variant pairs the delays within each observer (rows
-grouped by the set's ``groups``) in every way, so its per-observer
-permutation sum is a matrix permanent of soft-indicator matrices.  One
-kernel, ``permanent``, computes the permanents of a whole stack of
-matrices as sums of nonnegative products, each with the bits it gets
-alone; it reads a stack stored batch last, (n, n, ...), without a copy,
-and gathers each row of its recursion in one step when that row's terms
-number at most ``_FUSE`` (small calls) and term by term otherwise.  The
-hard-indicator search calls it once per observer on
-``ErrorModel.factors``, at only the candidates that pass Hall's row/column
-test (``_zero_bound``); the rest have an all-zero row or column and a
-permanent of exactly 0.  Both likelihoods have one body,
-``_noassoc_kernel``, compiled once per estimate from per-observer cross
-differences: known association is the case of one MPC per observer, whose
-1 x 1 permanent is its factor.  It evaluates its (d, eps) points in
-fixed-size blocks: a call of less than a block with an eps per point (a
-simplex step) directly, any other call, such as a grid, only at the points
-between two bounds on d: below the lower one (the same ``_zero_bound``)
-some observer's factor matrix has an all-zero row or column, and a point
-gets the -inf of its exact 0 permanent; above the upper one every factor
-saturates at 1, and a point gets the value of permanents n_o!.  The ML
-estimators' grids are a branch and bound on top of that (``top``).
+as its first argument and reads only its delays and observer ids.  With
+known association its inputs are the differences tau_b - tau_a row by row,
+and MPC k's sigma is row k's.
+
+- Closed forms: ``mvue_async``, ``mle_async_noiseless``, ``mle_sync`` and
+  ``mvue_sync``.
+- Likelihoods: ``loglik_known_assoc`` and ``loglik_no_assoc``, both on one
+  body, ``_noassoc_kernel`` (known association is one MPC per observer).
+- ML estimators: ``mle_async_gaussian`` and ``mle_async_noassoc``, whose
+  hard-indicator case is ``_noassoc_enumerate``.
+- ``permanent``, the one permanent kernel, and ``_zero_bound``, Hall's
+  row/column test that spares the permanents known to be exactly 0.
+
+How each works, and how it keeps its bits, is in its own docstring.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ clock offset.  The per-MPC factor is F(x + d/c) - F(x - d/c) with F the
 CDF of the measurement error; with no error it degenerates to a hard
 set-membership indicator.  That factor has one body, ``ErrorModel.factors``,
 which ``soft_indicator`` and both likelihoods in ``distest`` share; it
-calls ``ndtr`` only where the result is not already fixed at 0 or 1.
+calls ``ndtr`` only where the result is not already fixed at 0 or 1, and
+imports it from ``scipy.special`` at its first Gaussian call, so that
+noiseless work never loads that module.
 
 ``maximize_2d`` scans a grid and refines its best cells with Nelder-Mead,
 all starts in lockstep: each iteration costs one objective call for all of
@@ -25,7 +27,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateObjective, InvalidParams
 from .geom import SPEED_OF_LIGHT
@@ -86,6 +87,8 @@ class ErrorModel:
         entry with a NaN end goes through ``ndtr`` and stays NaN."""
         if self.kind == "none":
             return (np.abs(x) <= half).astype(float)
+        from scipy.special import ndtr
+
         zp = np.asarray((x + half) / sigma)
         zm = np.asarray((x - half) / sigma)
         one = (zp >= _Z_HI) & (zm <= -_Z_HI)

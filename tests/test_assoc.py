@@ -209,6 +209,15 @@ class TestAssociate:
             matched = [l for l in out.permutation[0] if l >= 0]
             assert len(matched) == len(set(matched))
 
+    @pytest.mark.parametrize("force_full", [False, True])
+    def test_empty_set_gives_the_empty_assignment(self, force_full):
+        empty = obs(np.zeros(0), np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))
+        out = associate(empty, empty, force_full=force_full)
+        assert out == associate_by_sorting(empty, empty)
+        assert out.permutation == {} and out.matched == {}
+        assert out.total_cost == 0.0 and isinstance(out.total_cost, float)
+        assert len(apply_assignment(empty, empty, out)) == 0
+
 
 class TestSorting:
     def test_identity_on_sorted_inputs(self):

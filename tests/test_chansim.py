@@ -90,6 +90,24 @@ class TestSampleScenario:
         with pytest.raises(InvalidParams):
             sample_scenario(1.0, SvParams(), 0, [], 0)
 
+    @pytest.mark.parametrize("m, k_per", [
+        (1, 4.5), (1, [4.5]), (2, [4, 4.0]), (1.5, 4), (1.5, [4]), (np.float64(2.0), [4, 4]),
+    ])
+    def test_non_integral_counts_rejected(self, m, k_per):
+        # 4.5 MPCs were truncated to 4, and 1.5 observers raised a TypeError
+        name = "m_observers" if isinstance(m, float) else "k_per_observer"
+        with pytest.raises(InvalidParams, match=f"{name}: .* is not an integer count"):
+            sample_scenario(2.0, SvParams(), m, k_per, 0)
+
+    @pytest.mark.parametrize("m, k_per", [
+        (np.int64(2), [3, 3]), (2, np.array([3, 3])), (2, np.int32(3)), (2, 3),
+    ])
+    def test_numpy_and_python_integer_counts_draw_alike(self, m, k_per):
+        want = sample_scenario(2.0, SvParams(), 2, [3, 3], 4).mpcs
+        got = sample_scenario(2.0, SvParams(), m, k_per, 4).mpcs
+        for name in ("tau_a", "tau_b", "dir_a", "dir_b", "observer"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
     @pytest.mark.parametrize("c", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_bad_speed(self, c):
         # rejected at entry, not after 100 redraws as a degenerate draw
