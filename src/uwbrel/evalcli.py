@@ -23,13 +23,15 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import assoc, chansim, distest, posest
-from .errors import ConfigError, DegenerateGeometry, UwbrelError
+from .errors import ConfigError, DegenerateGeometry, InvalidParams, UwbrelError
 from .geom import SPEED_OF_LIGHT, Observations, Scenario, complete_mpc
 from .likelihood import ErrorModel
 
 _C = SPEED_OF_LIGHT
 
 ESTIMATOR_TAGS = ("MV", "NA", "SO", "DD", "PWA", "DDN", "TAU", "TNA")
+SURFACE_KINDS = ("known", "noassoc")
+SURFACE_SCENARIOS = ("canonical", "random")
 
 CAL_TARGET_MEAN = 40.5e-9
 CAL_TARGET_RMS = 26.3e-9
@@ -61,9 +63,16 @@ class ExperimentConfig:
     output_path: str = "-"
 
     def validate(self) -> None:
-        if self.sweep not in ("distance", "direction_error", "mpc_count",
-                              "surface", "calibrate"):
+        if self.sweep not in (*_SWEEP_FIELDS, "surface", "calibrate"):
             raise ConfigError(f"unknown sweep {self.sweep!r}")
+        try:  # counts are integers as chansim takes them: 2.5 and 4.0 are not
+            for name in ("trials", "trials_na", "seed", "m_observers", "grid_steps",
+                         "calib_samples"):
+                chansim._count(getattr(self, name), name)
+            for k in self.k_per_observer:
+                chansim._count(k, "k_per_observer")
+        except InvalidParams as exc:
+            raise ConfigError(str(exc)) from None
         if self.trials < 1 or self.trials_na < 1:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
@@ -81,10 +90,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimator tags {bad}")
         if len(set(self.estimators)) != len(self.estimators):
             raise ConfigError(f"estimator tags repeat in {list(self.estimators)}")
-        if self.surface_kind not in ("known", "noassoc"):
-            raise ConfigError("surface kind must be known or noassoc")
-        if self.surface_scenario not in ("canonical", "random"):
-            raise ConfigError("surface scenario must be canonical or random")
+        if self.surface_kind not in SURFACE_KINDS:
+            raise ConfigError(f"surface kind must be {' or '.join(SURFACE_KINDS)}")
+        if self.surface_scenario not in SURFACE_SCENARIOS:
+            raise ConfigError(f"surface scenario must be {' or '.join(SURFACE_SCENARIOS)}")
         if self.grid_steps < 2 or self.calib_samples < 1:
             raise ConfigError("grid_steps must be >= 2 and calib_samples >= 1")
 
@@ -331,9 +340,8 @@ def calibrate(cfg: ExperimentConfig) -> dict:
 
 
 def _calibrate_csv(report: dict) -> str:
-    keys = ["samples", "mean_excess_s", "rms_spread_s", "mean_target_s",
-            "rms_target_s", "mean_ok", "rms_ok", "passed"]
-    return ",".join(keys) + "\n" + ",".join(str(report[k]) for k in keys) + "\n"
+    """The report's keys as the header, in the order ``calibrate`` builds them."""
+    return ",".join(report) + "\n" + ",".join(map(str, report.values())) + "\n"
 
 
 # --- CLI -----------------------------------------------------------------
@@ -368,86 +376,59 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+# (flag or config-file key, ExperimentConfig field, parser of its text, help, choices,
+# readers).  A reader is a subcommand or a surface by its scenario (the canonical geometry
+# fixes its observers and MPCs), and its last word is its subcommand.
+_SURFACES = ("a canonical surface", "a random surface")
+_GEOMETRY = ("sweep", *_SURFACES, "scenario-dump")
+_DRAWN = ("sweep", "a random surface", "scenario-dump")
+_FLAGS = (
+    ("d", "d", _parse_values, "distance(s) in m: 'a,b,c' or 'lo:hi:n'", None, _GEOMETRY),
+    ("sigma_ns", "sigma", lambda text: float(text) * 1e-9,
+     "delay-difference error std dev [ns]", None, _GEOMETRY),
+    ("sigma_dir_deg", "sigma_dir", lambda text: tuple(np.radians(v) for v in _parse_values(text)),
+     "direction error std dev(s) [deg]", None, ("sweep", "scenario-dump")),
+    ("observers", "m_observers", int, "number of observers M", None, _DRAWN),
+    ("mpcs_per_observer", "k_per_observer", lambda text: tuple(map(_count, _parse_values(text))),
+     "MPC count(s) per observer", None, _DRAWN),
+    ("eps_ns", "eps", lambda text: float(text) * 1e-9, "A-B clock offset [ns]", None, _GEOMETRY),
+    ("seed", "seed", int, "base RNG seed", None, (*_GEOMETRY, "calibrate")),
+    ("out", "output_path", str, "output path ('-' for stdout)", None, (*_GEOMETRY, "calibrate")),
+    ("sweep", "sweep", str, None, tuple(_SWEEP_FIELDS), ("sweep",)),
+    ("trials", "trials", int, None, None, ("sweep",)),
+    ("trials_na", "trials_na", int, "trial cap for the permutation-sum estimator", None,
+     ("sweep",)),
+    ("estimators", "estimators", lambda text: tuple(t.strip().upper() for t in text.split(",")),
+     f"comma list of {','.join(ESTIMATOR_TAGS)}", None, ("sweep",)),
+    ("cond_gate", "cond_gate", float, "condition-number validity gate for position trials",
+     None, ("sweep",)),
+    ("kind", "surface_kind", str, None, SURFACE_KINDS, _SURFACES),
+    ("scenario", "surface_scenario", str, None, SURFACE_SCENARIOS, _SURFACES),
+    ("grid_steps", "grid_steps", int, None, None, _SURFACES),
+    ("samples", "calib_samples", lambda text: _count(float(text)), None, None, ("calibrate",)),
+)
+
+_COMMANDS = {"sweep": "RMSE sweep", "surface": "likelihood surface dump",
+             "calibrate": "channel sampler statistics check",
+             "scenario-dump": "sample one scenario as CSV"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """--config, then the table's keys in order: a key one subcommand reads is its flag
+    alone, any other is on all four, so that main (not argparse) rejects it unread."""
     parser = argparse.ArgumentParser(
         prog="uwbrel",
         description="Monte-Carlo evaluation of MPC-based distance/position estimators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    commands = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
+    for p in commands.values():
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--d", default=None, help="distance(s) in m: 'a,b,c' or 'lo:hi:n'")
-        p.add_argument("--sigma-ns", default=None, help="delay-difference error std dev [ns]")
-        p.add_argument("--sigma-dir-deg", default=None,
-                       help="direction error std dev(s) [deg]")
-        p.add_argument("--observers", default=None, help="number of observers M")
-        p.add_argument("--mpcs-per-observer", default=None,
-                       help="MPC count(s) per observer")
-        p.add_argument("--eps-ns", default=None, help="A-B clock offset [ns]")
-        p.add_argument("--seed", default=None, help="base RNG seed")
-        p.add_argument("--out", default=None, help="output path ('-' for stdout)")
-
-    p_sweep = sub.add_parser("sweep", help="RMSE sweep")
-    common(p_sweep)
-    p_sweep.add_argument("--sweep", default=None,
-                         choices=["distance", "direction_error", "mpc_count"])
-    p_sweep.add_argument("--trials", default=None)
-    p_sweep.add_argument("--trials-na", default=None,
-                         help="trial cap for the permutation-sum estimator")
-    p_sweep.add_argument("--estimators", default=None,
-                         help=f"comma list of {','.join(ESTIMATOR_TAGS)}")
-    p_sweep.add_argument("--cond-gate", default=None,
-                         help="condition-number validity gate for position trials")
-
-    p_surface = sub.add_parser("surface", help="likelihood surface dump")
-    common(p_surface)
-    p_surface.add_argument("--kind", default=None, choices=["known", "noassoc"])
-    p_surface.add_argument("--scenario", default=None, choices=["canonical", "random"])
-    p_surface.add_argument("--grid-steps", default=None)
-
-    p_cal = sub.add_parser("calibrate", help="channel sampler statistics check")
-    common(p_cal)
-    p_cal.add_argument("--samples", default=None)
-
-    p_dump = sub.add_parser("scenario-dump", help="sample one scenario as CSV")
-    common(p_dump)
-
+    for key, _, _, text, choices, readers in _FLAGS:
+        own = {reader.split()[-1] for reader in readers}
+        for name in own if len(own) == 1 else commands:
+            commands[name].add_argument("--" + key.replace("_", "-"), help=text, choices=choices)
     return parser
-
-
-# (flag or config-file key, ExperimentConfig field, parser of its text)
-_FLAGS = (
-    ("d", "d", _parse_values),
-    ("sigma_ns", "sigma", lambda text: float(text) * 1e-9),
-    ("sigma_dir_deg", "sigma_dir", lambda text: tuple(np.radians(v) for v in _parse_values(text))),
-    ("observers", "m_observers", int),
-    ("mpcs_per_observer", "k_per_observer",
-     lambda text: tuple(_count(v) for v in _parse_values(text))),
-    ("eps_ns", "eps", lambda text: float(text) * 1e-9),
-    ("seed", "seed", int),
-    ("out", "output_path", str),
-    ("sweep", "sweep", str),
-    ("trials", "trials", int),
-    ("trials_na", "trials_na", int),
-    ("estimators", "estimators", lambda text: tuple(t.strip().upper() for t in text.split(","))),
-    ("cond_gate", "cond_gate", float),
-    ("kind", "surface_kind", str),
-    ("scenario", "surface_scenario", str),
-    ("grid_steps", "grid_steps", int),
-    ("samples", "calib_samples", lambda text: _count(float(text))),
-)
-
-
-# the keys each subcommand reads (a surface's by its scenario: the canonical
-# geometry fixes its observers and MPCs); any other key given is an error
-_SCENARIO_KEYS = ("d", "sigma_ns", "sigma_dir_deg", "observers", "mpcs_per_observer",
-                  "eps_ns", "seed", "out")
-_SURFACE_KEYS = ("d", "sigma_ns", "eps_ns", "seed", "out", "kind", "scenario", "grid_steps")
-_READS = {"sweep": _SCENARIO_KEYS + ("sweep", "trials", "trials_na", "estimators", "cond_gate"),
-          "a canonical surface": _SURFACE_KEYS,
-          "a random surface": _SURFACE_KEYS + ("observers", "mpcs_per_observer"),
-          "calibrate": ("seed", "samples", "out"), "scenario-dump": _SCENARIO_KEYS}
 
 
 def _config_from_args(args):
@@ -455,15 +436,14 @@ def _config_from_args(args):
     set of keys given either way; a config key that names no flag, or a
     value its parser rejects, raises ConfigError."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_cfg) - {key for key, _, _ in _FLAGS}
+    unknown = set(file_cfg) - {key for key, *_ in _FLAGS}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    flags = {key: text for key, text in vars(args).items() if text is not None}
     updates: dict = {}
     given = set()
-    for key, name, parse in _FLAGS:
-        text = getattr(args, key, None)
-        if text is None:
-            text = file_cfg.get(key)
+    for key, name, parse, *_ in _FLAGS:
+        text = flags.get(key, file_cfg.get(key))
         if text is None:
             continue
         try:
@@ -492,7 +472,7 @@ def main(argv=None) -> int:
         cfg.validate()
         reader = (f"a {cfg.surface_scenario} surface" if args.command == "surface"
                   else args.command)
-        unused = [key for key, _, _ in _FLAGS if key in given and key not in _READS[reader]]
+        unused = [key for key, *_, readers in _FLAGS if key in given and reader not in readers]
         if unused:
             raise ConfigError(f"{reader} does not use {', '.join(unused)}")
         if args.command == "sweep":

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +8,10 @@ import pytest
 from uwbrel import distest, posest
 from uwbrel.errors import ConfigError
 from uwbrel.evalcli import (
+    _FLAGS,
+    SURFACE_SCENARIOS,
     ExperimentConfig,
+    _build_parser,
     calibrate,
     canonical_scenario,
     dump_surface,
@@ -357,3 +362,72 @@ class TestCli:
                    "--scenario", "canonical", "--grid-steps", "40", "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("d,eps,loglik")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.5), ("trials_na", 2.5), ("seed", 1.5), ("m_observers", 2.5),
+    ("k_per_observer", (4, 4.5)), ("grid_steps", 3.5), ("calib_samples", 10.5),
+])
+def test_validate_rejects_fractional_counts(field, value):
+    """A count that is not an integer is a config error before any draw, not
+    a TypeError (or InvalidParams) from deep inside a run."""
+    with pytest.raises(ConfigError, match=f"{field}: .* is not an integer count"):
+        ExperimentConfig(**{field: value}).validate()
+
+
+def test_validate_takes_numpy_integer_counts():
+    ExperimentConfig(trials=np.int64(2), seed=np.uint32(3), m_observers=np.int32(2),
+                     k_per_observer=(np.int64(4),), grid_steps=np.int16(4)).validate()
+
+
+_COMMON = ["-h", "--help", "--config", "--d", "--sigma-ns", "--sigma-dir-deg", "--observers",
+           "--mpcs-per-observer", "--eps-ns", "--seed", "--out"]
+
+
+class TestFlagTable:
+    """The flags each subcommand registers, pinned as the CLI offers them."""
+
+    @staticmethod
+    def _subcommands():
+        action = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_options_of_each_subcommand_in_order(self):
+        options = {name: [s for a in p._actions for s in a.option_strings]
+                   for name, p in self._subcommands().items()}
+        assert options == {
+            "sweep": _COMMON + ["--sweep", "--trials", "--trials-na", "--estimators",
+                                "--cond-gate"],
+            "surface": _COMMON + ["--kind", "--scenario", "--grid-steps"],
+            "calibrate": _COMMON + ["--samples"],
+            "scenario-dump": _COMMON,
+        }
+        assert list(self._subcommands()) == ["sweep", "surface", "calibrate", "scenario-dump"]
+
+    def test_choices_of_each_flag(self):
+        choices = {name: {a.option_strings[0]: list(a.choices) for a in p._actions if a.choices}
+                   for name, p in self._subcommands().items()}
+        assert choices == {
+            "sweep": {"--sweep": ["distance", "direction_error", "mpc_count"]},
+            "surface": {"--kind": ["known", "noassoc"], "--scenario": ["canonical", "random"]},
+            "calibrate": {},
+            "scenario-dump": {},
+        }
+
+    def test_fields_and_readers(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert [name for _, name, *_ in _FLAGS if name not in fields] == []
+        assert len({key for key, *_ in _FLAGS}) == len(_FLAGS) == 17
+        # main names a subcommand, or a surface by its scenario; each reads some key
+        nameable = {"sweep", "calibrate", "scenario-dump",
+                    *(f"a {scenario} surface" for scenario in SURFACE_SCENARIOS)}
+        assert {reader for *_, readers in _FLAGS for reader in readers} == nameable
+
+    @pytest.mark.parametrize("flag", ["--d", "--sigma-dir-deg", "--observers"])
+    def test_a_shared_key_reaches_main_where_unread(self, flag, capsys):
+        """A key another subcommand reads is registered on all four, so an
+        unread one is main's exit 2 with its error line, not argparse's."""
+        assert main(["calibrate", flag, "2"]) == 2
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: calibrate does not use {key}\n"
