@@ -97,30 +97,32 @@ def associate(obs_a, obs_b, cfg: AssocConfig = None, force_full: bool = False) -
     cfg = cfg or AssocConfig()
     groups_a, groups_b = _observer_groups(obs_a, obs_b)
     mu_a, mu_b = np.empty(len(obs_a)), np.empty(len(obs_b))
-    for o, rows in groups_a.items():
-        mu_a[rows] = np.mean(obs_a.tau_a[rows])
-        mu_b[groups_b[o]] = np.mean(obs_b.tau_b[groups_b[o]])
+    for o, rows in groups_a.items():  # each observer's mean delays, as np.mean adds them
+        mu_a[rows] = np.add.reduce(obs_a.tau_a[rows]) / rows.size
+        mu_b[groups_b[o]] = np.add.reduce(obs_b.tau_b[groups_b[o]]) / groups_b[o].size
     costs = pair_cost(obs_a, obs_b, cfg, mu_a, mu_b)  # pairs across observers go unused
     permutation, matched = {}, {}
     # the finite costs of the kept pairs, observer by observer, rows ascending;
     # the leading empty block lets a set with no observers concatenate
     paid = [np.zeros(0)]
     for o in groups_a:
-        raw = costs[np.ix_(groups_a[o], groups_b[o])]
+        raw = costs[groups_a[o]][:, groups_b[o]]
         n_a, n_b = raw.shape
         n = max(n_a, n_b)
-        finite = raw[np.isfinite(raw)]
+        ungated = np.isfinite(raw)
+        finite = raw[ungated]
         no_match = max(NO_MATCH_COST, 10.0 * n * float(finite.max()) if finite.size else 0.0)
-        cost = np.full((n, n), no_match)
-        cost[:n_a, :n_b] = np.where(np.isfinite(raw), raw, no_match)
+        cost = np.where(ungated, raw, no_match)
+        if n_a != n_b:  # square it with no-match cells, which pair nothing
+            cost = np.pad(cost, ((0, n - n_a), (0, n - n_b)), constant_values=no_match)
         rows, cols = linear_sum_assignment(cost)
-        real = (rows < n_a) & (cols < n_b)  # padding cells pair nothing
-        rows, cols = rows[real], cols[real]
-        pair = raw[rows, cols]
-        ungated = np.isfinite(pair)
+        if n_a != n_b:
+            real = (rows < n_a) & (cols < n_b)
+            rows, cols = rows[real], cols[real]
+        kept = ungated[rows, cols]
+        paid.append(raw[rows, cols][kept])
         perm = np.full(n_a, -1, dtype=int)
-        perm[rows[ungated | force_full]] = cols[ungated | force_full]
-        paid.append(pair[ungated])
+        perm[rows] = np.where(kept | force_full, cols, -1)
         permutation[o] = perm
         matched[o] = perm >= 0
     paid = np.concatenate(paid)
@@ -138,7 +140,7 @@ def associate_by_sorting(obs_a, obs_b) -> Assignment:
         if tau_a.size != tau_b.size:
             raise InvalidParams("sorting association needs equal per-observer counts")
         perm = np.empty(tau_a.size, dtype=int)
-        perm[np.argsort(tau_a, kind="stable")] = np.argsort(tau_b, kind="stable")
+        perm[tau_a.argsort(kind="stable")] = tau_b.argsort(kind="stable")
         permutation[o] = perm
         matched[o] = np.ones(tau_a.size, dtype=bool)
     return Assignment(permutation=permutation, matched=matched, total_cost=0.0)
@@ -156,18 +158,17 @@ def apply_assignment(obs_a, obs_b, assignment: Assignment) -> Observations:
     missing = [o for o in assignment.permutation if o not in groups_a or o not in groups_b]
     if missing:
         raise InvalidParams(f"assignment names observers {missing} that obs_a or obs_b lacks")
-    rows_a, rows_b = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    pairs = []  # (A row, B row) of every matched MPC, in the assignment's order
     for o, perm in assignment.permutation.items():
-        perm = np.asarray(perm, dtype=int)
-        if perm.shape != groups_a[o].shape or not ((-1 <= perm) & (perm < groups_b[o].size)).all():
+        perm, n_b = np.asarray(perm, dtype=int), groups_b[o].size
+        if perm.shape != groups_a[o].shape or not all(-1 <= j < n_b for j in perm.tolist()):
             raise InvalidParams(f"observer {o}: the permutation needs one entry per A-side "
                                 f"MPC ({groups_a[o].size}), each -1 or a B index below "
                                 f"{groups_b[o].size}")
-        rows_a.append(groups_a[o][perm >= 0])
-        rows_b.append(groups_b[o][perm[perm >= 0]])
-    rows_a, rows_b = np.concatenate(rows_a), np.concatenate(rows_b)
-    if np.unique(rows_b).size != rows_b.size:
+        in_a, in_b = groups_a[o].tolist(), groups_b[o].tolist()
+        pairs += [(in_a[k], in_b[j]) for k, j in enumerate(perm.tolist()) if j >= 0]
+    if len({b for _, b in pairs}) != len(pairs):
         raise InvalidParams("the assignment pairs a B-side MPC with two A-side MPCs")
-    return Observations(tau_a=obs_a.tau_a[rows_a], tau_b=obs_b.tau_b[rows_b],
-                        dir_a=obs_a.dir_a[rows_a], dir_b=obs_b.dir_b[rows_b],
-                        observer=obs_a.observer[rows_a])
+    rows_a, rows_b = np.array(pairs, dtype=int).reshape(-1, 2).T
+    return Observations._of_rows(obs_a.tau_a[rows_a], obs_b.tau_b[rows_b], obs_a.dir_a[rows_a],
+                                 obs_b.dir_b[rows_b], obs_a.observer[rows_a])

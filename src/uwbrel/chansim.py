@@ -13,9 +13,9 @@ excess delay and 26 ns RMS delay spread for the default parameters
 
 A scenario's ground truth and what the nodes measure are the same
 columnar type, ``geom.Observations`` (re-exported here): five columns, one
-row per MPC, checked where the set is built.  ``observe`` adds drawn noise
-and clock offsets to the truth columns.  Per-observer work (sampling,
-clock offsets, scrambling) reads those columns through the set's
+row per MPC, checked where the set enters (scrambling takes rows of a checked
+set).  ``observe`` adds drawn noise and clock offsets to the truth columns.
+Per-observer work (sampling, clock offsets, scrambling) reads them via the set's
 ``groups`` (``geom.group_by_observer``'s index arrays), observers in order
 of first appearance.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import io
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,7 @@ _ONSET_FLOOR_FRAC = 0.635
 _ONSET_TAIL_FRAC = 0.905
 _SECOND_CLUSTER_GAP_FRAC = 1.25
 _RAY_TEMPER_FRAC = 0.6
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # np.cross's component order
 
 
 @dataclass(frozen=True)
@@ -115,16 +116,15 @@ def sample_excess_delays(params: SvParams, count: int, rng_seed) -> np.ndarray:
         raise InvalidParams("count must be >= 1")
     rng = _as_rng(rng_seed)
     onset = params.onset_floor + rng.exponential(params.onset_tail)
-    follow_up = np.arange(count) >= (count - count // 4)
     gap = rng.exponential(params.second_cluster_gap)
     rays = rng.exponential(params.ray_scale, size=count)
-    return onset + follow_up * gap + rays
+    return rays + np.where(np.arange(count) < count - count // 4, onset, onset + gap)
 
 
 def sample_unit_directions(rng, n: int) -> np.ndarray:
     """n unit vectors uniform on the 3D sphere, shape (n, 3)."""
     v = rng.normal(size=(n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v / np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))  # np.linalg.norm's bits
 
 
 def sample_scenario(d: float, params: SvParams, m_observers: int,
@@ -160,7 +160,7 @@ def sample_scenario(d: float, params: SvParams, m_observers: int,
         dir_a = sample_unit_directions(rng, k_o)
         tau_b, dir_b, degenerate = complete_mpc(pos_a, pos_b, tau_a, dir_a, c)
         # redraw the flagged rows in row order; the batch draw was attempt 1 of 100
-        for k in np.flatnonzero(degenerate):
+        for k in np.flatnonzero(degenerate) if degenerate.any() else ():
             for _ in range(99):
                 tau_a[k] = params.tau_min + sample_excess_delays(params, 1, rng)[0]
                 dir_a[k] = sample_unit_directions(rng, 1)[0]
@@ -176,15 +176,20 @@ def sample_scenario(d: float, params: SvParams, m_observers: int,
         tau_a=tau_a, tau_b=tau_b, dir_a=dir_a, dir_b=dir_b, observer=observer))
 
 
+def _cross(a, b) -> np.ndarray:
+    """``np.cross`` of the rows of ``a`` and ``b`` (K, 3): its bits, not its overhead."""
+    return a.take(_NEXT, 1) * b.take(_PREV, 1) - a.take(_PREV, 1) * b.take(_NEXT, 1)
+
+
 def perturb_direction(directions, alpha, phi) -> np.ndarray:
     """Rotate every row of ``directions`` (K, 3) by the angle ``alpha[k]``
     about the in-plane axis at azimuth ``phi[k]``; with alpha ~ N(0,
     sigma_dir^2) and phi ~ U(0, 2 pi) the result is uniform on the error cone."""
     u = np.asarray(directions, dtype=float)
     helper = np.where(np.abs(u[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    e1 = np.cross(u, helper)
+    e1 = _cross(u, helper)
     e1 /= norms(e1)[:, None]
-    e2 = np.cross(u, e1)
+    e2 = _cross(u, e1)
     axis = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
     out = np.cos(alpha)[:, None] * u + np.sin(alpha)[:, None] * axis
     return out / norms(out)[:, None]
@@ -243,8 +248,9 @@ def scramble_association(observations: Observations, rng_seed):
     for o, rows in observations.groups.items():
         perms[o] = rng.permutation(rows.size)
         source[rows] = rows[perms[o]]
-    return replace(observations, tau_b=observations.tau_b[source],
-                   dir_b=observations.dir_b[source]), perms
+    return Observations._of_rows(observations.tau_a, observations.tau_b[source],
+                                 observations.dir_a, observations.dir_b[source],
+                                 observations.observer, groups=observations.groups), perms
 
 
 _CSV_COLUMNS = [

@@ -16,15 +16,15 @@ are the long flags' names.
 from __future__ import annotations
 
 import argparse
-import io
+import numbers
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import assoc, chansim, distest, posest
 from .errors import ConfigError, DegenerateGeometry, InvalidParams, UwbrelError
-from .geom import SPEED_OF_LIGHT, Observations, Scenario, complete_mpc
+from .geom import SPEED_OF_LIGHT, Observations, Scenario, complete_mpc, norms
 from .likelihood import ErrorModel
 
 _C = SPEED_OF_LIGHT
@@ -65,6 +65,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.sweep not in (*_SWEEP_FIELDS, "surface", "calibrate"):
             raise ConfigError(f"unknown sweep {self.sweep!r}")
+        ranges = (*_SWEEP_FIELDS.values(), "estimators")  # a scalar or a string is not one
+        for name in (*ranges, "sigma", "eps", "eps_a_max", "cond_gate"):
+            value, want = getattr(self, name), "a tuple or list" if name in ranges else "a number"
+            if not isinstance(value, (tuple, list) if name in ranges else numbers.Real):
+                raise ConfigError(f"{name} takes {want}, not {value!r}")
         try:  # counts are integers as chansim takes them: 2.5 and 4.0 are not
             for name in ("trials", "trials_na", "seed", "m_observers", "grid_steps",
                          "calib_samples"):
@@ -104,14 +109,10 @@ class SweepResult:
     rows: tuple  # dicts: value, estimator, trials, failures, rmse_m, mean_err_m
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("sweep_param,value,estimator,trials,failures,rmse_m,mean_err_m\n")
-        for r in self.rows:
-            buf.write(
-                f"{self.sweep_param},{r['value']:.9g},{r['estimator']},"
-                f"{r['trials']},{r['failures']},{r['rmse_m']:.9g},{r['mean_err_m']:.9g}\n"
-            )
-        return buf.getvalue()
+        return "sweep_param,value,estimator,trials,failures,rmse_m,mean_err_m\n" + "".join(
+            f"{self.sweep_param},{r['value']:.9g},{r['estimator']},"
+            f"{r['trials']},{r['failures']},{r['rmse_m']:.9g},{r['mean_err_m']:.9g}\n"
+            for r in self.rows)
 
     def lookup(self, value: float, estimator: str) -> dict:
         for r in self.rows:
@@ -152,7 +153,6 @@ _INPUTS = {
     "DDN": lambda s: assoc.apply_assignment(s, s, assoc.associate(s, s, force_full=True)),
 }
 _INPUTS["TNA"] = _INPUTS["DDN"]
-_COLUMNS = tuple(f.name for f in fields(Observations))
 # the ExperimentConfig field each sweep steps through
 _SWEEP_FIELDS = {"distance": "d", "direction_error": "sigma_dir", "mpc_count": "k_per_observer"}
 
@@ -167,7 +167,7 @@ def _error(tag: str, obs: Observations, scenario: Scenario, cfg: ExperimentConfi
         if est.condition_number > cfg.cond_gate:
             raise posest.RankDeficient(
                 f"condition {est.condition_number:.3g} above the harness gate")
-        return float(np.linalg.norm(est.d_vec - scenario.d_vec))
+        return float(norms(est.d_vec - scenario.d_vec))
     except UwbrelError as exc:
         return type(exc)
 
@@ -203,7 +203,8 @@ def run_trial(cfg: ExperimentConfig, point: int, trial: int):
         build = _INPUTS.get(tag)
         if build not in sets:
             built = build(scrambled)
-            same = all(np.array_equal(getattr(built, c), getattr(obs, c)) for c in _COLUMNS)
+            same = len(built) == len(obs) and all(
+                (getattr(built, c) == getattr(obs, c)).all() for c in Observations._COLUMNS)
             sets[build] = obs if same else built
         key = (_ESTIMATORS[tag], id(sets[build]))
         if key not in evaluated:
@@ -304,12 +305,9 @@ def dump_surface(cfg: ExperimentConfig) -> str:
               else distest.loglik_no_assoc)
     vals = loglik(observations, model, d_grid[:, None], e_grid[None, :])
 
-    buf = io.StringIO()
-    buf.write("d,eps,loglik\n")
-    for i, dv in enumerate(d_grid):
-        for j, ev in enumerate(e_grid):
-            buf.write(f"{dv:.9g},{ev:.9g},{vals[i, j]:.9g}\n")
-    return buf.getvalue()
+    lines = (f"{dv:.9g},{ev:.9g},{v:.9g}\n"
+             for dv, row in zip(d_grid, vals) for ev, v in zip(e_grid, row))
+    return "d,eps,loglik\n" + "".join(lines)
 
 
 # --- calibration ---------------------------------------------------------

@@ -10,11 +10,11 @@ toward the receiving node, which is the sign convention under which
 holds exactly for the relative position d = pos_b - pos_a.
 
 A set of MPCs is one ``Observations``: five columns, one row per MPC,
-checked where the set is built.  The same type holds the ground truth of a
-``Scenario`` and what the nodes measure, so the noise-free measurement is
-the truth.  Every geometric function here works on such columns, row by
-row: ``complete_mpc`` fills in the B side, ``vector_identity_terms`` and the
-residuals return one value per row.
+checked where the set enters; rows taken from a checked set are not checked
+again.  The same type holds the ground truth of a ``Scenario`` and what the
+nodes measure, so the noise-free measurement is the truth.  Every geometric
+function here works on such columns, row by row: ``complete_mpc`` fills in
+the B side, ``vector_identity_terms`` and the residuals return one value per row.
 
 MPCs are grouped by observer in one place, ``group_by_observer``: it takes
 the observer id of every row and returns each observer's row indices,
@@ -53,7 +53,11 @@ def group_by_observer(observer) -> dict:
     """Row indices grouped by observer id: ``{id: index array}``, observers
     in order of first appearance, indices ascending."""
     ids = np.asarray(observer, dtype=int)
-    return {o: np.flatnonzero(ids == o) for o in dict.fromkeys(ids.tolist())}
+    bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
+    runs = ids[bounds[:-1]].tolist() if ids.size else []  # the id of each run of equal ids
+    if len(set(runs)) == len(runs):  # each observer's rows are one run
+        return {o: np.arange(a, b) for o, a, b in zip(runs, bounds, bounds[1:])}
+    return {o: np.flatnonzero(ids == o) for o in dict.fromkeys(runs)}
 
 
 def positions_in_group(observer) -> np.ndarray:
@@ -70,9 +74,9 @@ class Observations:
 
     ``tau_a``, ``tau_b`` (K,): the delays in seconds at A and B;
     ``dir_a``, ``dir_b`` (K, 3): the unit directions; ``observer`` (K,): the
-    integer id of each MPC's observer.  Construction checks the columns and
-    keeps read-only copies: delays must be finite (zero and negative values
-    are accepted, since a measured delay carries an arbitrary clock offset)
+    integer id of each MPC's observer.  Construction and ``replace`` check the
+    columns and keep read-only copies: delays must be finite (zero and negative
+    values are accepted, since a measured delay carries an arbitrary clock offset)
     and directions unit vectors.  A slice, index array or mask selects rows.
     """
 
@@ -81,11 +85,12 @@ class Observations:
     dir_a: np.ndarray
     dir_b: np.ndarray
     observer: np.ndarray
+    _COLUMNS = ("tau_a", "tau_b", "dir_a", "dir_b", "observer")  # not a field: no annotation
 
     def __post_init__(self):
         if np.size(self.observer) and np.asarray(self.observer).dtype.kind not in "iu":
             raise InvalidParams("observer ids must be integers")
-        for name in ("tau_a", "tau_b", "dir_a", "dir_b", "observer"):
+        for name in self._COLUMNS:
             column = np.array(getattr(self, name), int if name == "observer" else float, order="C")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -110,10 +115,22 @@ class Observations:
             rows.flags.writeable = False
         return MappingProxyType(groups)
 
+    @classmethod
+    def _of_rows(cls, *columns, groups=None) -> "Observations":
+        """The set of five ``columns`` of rows taken from checked sets, kept read-only and
+        C-contiguous but not checked again; ``groups``, if given, groups its observers."""
+        new = object.__new__(cls)
+        for name, column in zip(cls._COLUMNS, map(np.ascontiguousarray, columns)):
+            column.flags.writeable = False
+            new.__dict__[name] = column
+        if groups is not None:
+            new.__dict__["groups"] = groups
+        return new
+
     def __getitem__(self, rows) -> "Observations":
-        return Observations(tau_a=self.tau_a[rows], tau_b=self.tau_b[rows],
-                            dir_a=self.dir_a[rows], dir_b=self.dir_b[rows],
-                            observer=self.observer[rows])
+        if self.observer[rows].ndim != 1:
+            raise InvalidParams("rows are selected by a slice, an index array or a mask")
+        return Observations._of_rows(*(getattr(self, name)[rows] for name in self._COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -143,7 +160,7 @@ class Scenario:
 
     @property
     def d(self) -> float:
-        return float(np.linalg.norm(self.d_vec))
+        return float(np.sqrt(self.d_vec.dot(self.d_vec)))  # np.linalg.norm's bits
 
     @property
     def k_total(self) -> int:

@@ -51,7 +51,7 @@ class PositionEstimate:
 
     def __post_init__(self):
         object.__setattr__(self, "d_vec", np.asarray(self.d_vec, dtype=float))
-        if not np.all(np.isfinite(self.d_vec)):
+        if not np.isfinite(self.d_vec).all():
             raise RankDeficient("non-finite position estimate")
 
 
@@ -70,12 +70,12 @@ def build_diff_system(observations, pwa: bool = False) -> StackedDiffSystem:
         s = ma
     else:
         denom = 1.0 + np.einsum("ij,ij->i", ma, mb)
-        if np.any(denom <= _ANTIPARALLEL_EPS):
+        if (denom <= _ANTIPARALLEL_EPS).any():
             raise AntiparallelDirections(
                 "1 + dir_a.dir_b below threshold; MPC directions nearly antiparallel"
             )
         s = (ma + mb) / denom[:, None]
-    E = np.vstack([s.T, np.ones(len(observations))])
+    E = np.concatenate([s.T, np.ones((1, len(observations)))])
     return StackedDiffSystem(E=E, delta=delta, s_vectors=s)
 
 
@@ -94,11 +94,9 @@ def _lstsq_checked(A: np.ndarray, b: np.ndarray, cond_limit: float):
 def _estimate(x: np.ndarray, cond: float, method: str) -> PositionEstimate:
     """Position, A-B offset and any per-observer offsets from a solution in
     length units, [d; c*eps; c*eps_a...]."""
-    return PositionEstimate(
-        d_vec=x[:3], eps_hat=float(x[3]) / _C,
-        eps_a_hats=tuple(float(v) / _C for v in x[4:]),
-        method=method, condition_number=cond,
-    )
+    offsets = [v / _C for v in x[3:].tolist()]
+    return PositionEstimate(d_vec=x[:3], eps_hat=offsets[0], eps_a_hats=tuple(offsets[1:]),
+                            method=method, condition_number=cond)
 
 
 def _solve_by_delta(observations, method: str, cond_limit: float,

@@ -188,6 +188,24 @@ class TestObserve:
         np.testing.assert_array_equal(perturb_direction(u, alpha, phi), want)
 
 
+    def test_cross_products_have_np_cross_bits(self):
+        """The rows' cross products are ``np.cross``'s, bit for bit (signed
+        zeros included), on random rows, on the axis-aligned rows that
+        ``perturb_direction`` pairs them with, and on rows with zero entries."""
+        from uwbrel.chansim import _cross
+
+        rng = np.random.default_rng(21)
+        axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0],
+                         [0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [-0.0, 0.0, -0.0], [0.0, 0.0, 0.0]])
+        random = sample_unit_directions(rng, 500)
+        pairs = [(random, sample_unit_directions(rng, 500)), (random, rng.normal(size=(500, 3))),
+                 *((random, np.tile(axis, (500, 1))) for axis in axes),
+                 (np.repeat(axes, 8, axis=0), np.tile(axes, (8, 1))),
+                 (np.where(rng.random((500, 3)) < 0.3, 0.0, random), random)]
+        for a, b in pairs:
+            for u, v in ((a, b), (b, a)):
+                assert _cross(u, v).tobytes() == np.cross(u, v).tobytes()
+
     @pytest.mark.parametrize("sigma", [1e-12, 0.2e-9, 3e-9])
     def test_delay_noise_without_direction_noise_is_the_scalar_stream(self, sigma):
         """Without direction noise the delay noise is drawn as one array; it

@@ -375,6 +375,22 @@ def test_validate_rejects_fractional_counts(field, value):
         ExperimentConfig(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k_per_observer", 4), ("d", 2.0), ("sigma_dir", 0.1), ("sigma", "0.2"), ("estimators", "MV"),
+])
+def test_validate_rejects_bad_range_types(field, value):
+    """A scalar where a range belongs, a number given as a string and a tag
+    list given as one string are config errors naming the field, not a
+    TypeError from a comparison or a string split into one-letter tags."""
+    with pytest.raises(ConfigError, match=f"^{field} takes"):
+        ExperimentConfig(**{field: value}).validate()
+
+
+def test_validate_takes_lists_and_numpy_scalars():
+    ExperimentConfig(d=[1.0, np.float64(2.0)], sigma=np.float32(1e-10), sigma_dir=[0.0],
+                     k_per_observer=[4], estimators=["MV", "DD"]).validate()
+
+
 def test_validate_takes_numpy_integer_counts():
     ExperimentConfig(trials=np.int64(2), seed=np.uint32(3), m_observers=np.int32(2),
                      k_per_observer=(np.int64(4),), grid_steps=np.int16(4)).validate()

@@ -132,6 +132,30 @@ def _na_gaussian_benchmark_sweeps() -> str:
         trials=2, trials_na=2, estimators=("NA",), seed=seed)).to_csv() for seed in range(13))
 
 
+def _benchmark_sweeps(**settings) -> str:
+    """The sweeps of one closed-form benchmark workload at seeds 0-3, one CSV
+    after another."""
+    return "".join(run_sweep(ExperimentConfig(seed=seed, **settings)).to_csv()
+                   for seed in range(4))
+
+
+def _closed_form_benchmark_sweeps() -> str:
+    """The benchmark's closed-form workload: d = 0, 2, 4 and 8 m, 3 x 4,
+    sigma 0.2 ns, 50 trials per point, every closed-form estimator."""
+    return _benchmark_sweeps(
+        sweep="distance", d=(0.0, 2.0, 4.0, 8.0), sigma=0.2e-9, m_observers=3,
+        k_per_observer=(4,), trials=50, estimators=("MV", "SO", "DD", "PWA", "TAU", "DDN", "TNA"))
+
+
+def _direction_noise_benchmark_sweeps() -> str:
+    """The benchmark's direction-noise workload: 2, 8 and 24 degrees at d = 2 m,
+    3 x 4, sigma 0.2 ns, 30 trials per point."""
+    return _benchmark_sweeps(
+        sweep="direction_error", d=(2.0,), sigma=0.2e-9,
+        sigma_dir=tuple(math.radians(deg) for deg in (2.0, 8.0, 24.0)), m_observers=3,
+        k_per_observer=(4,), trials=30, estimators=("DD", "PWA", "TAU", "DDN", "TNA"))
+
+
 RUNS = {
     "na_hard_k7_seed0": lambda: run_sweep(_na_hard_k7(0)).to_csv(),
     "na_hard_k7_seed1": lambda: run_sweep(_na_hard_k7(1)).to_csv(),
@@ -176,10 +200,16 @@ RUNS = {
         ["surface", "--kind", "noassoc", "--scenario", "random", "--observers", "1",
          "--mpcs-per-observer", "7", "--seed", "3"]),
     "na_gaussian_benchmark_seeds_0_12": _na_gaussian_benchmark_sweeps,
+    "closed_form_benchmark_seeds_0_3": _closed_form_benchmark_sweeps,
+    "direction_noise_benchmark_seeds_0_3": _direction_noise_benchmark_sweeps,
 }
 
 GOLDEN = {
     "calibrate_small": "dce4bd4e81a7dea24e83c9c1d941d0c5e3c7c0c94cc23e6ebace17fb9b2dcf1d",
+    "closed_form_benchmark_seeds_0_3":
+        "2e559bef0d8be84168708f9cd3abb2804f9ca027585e7c2c50b1e83f75d81ea5",
+    "direction_noise_benchmark_seeds_0_3":
+        "de41083eb4c5a52176fbfcbf321be16fc15b1339fc2cfc7586a760778704bf65",
     "direction_error_sweep": "d1a70e60d09c253db172cb7850e59fd7ddfedb0d6ccb1203e1b6aae25697478f",
     "distance_closed_forms": "64941fb25159d9ebfc84924344ccd0f3b1af32546963140c06a46d38aa92a4cb",
     "library_results": "17d5d51efc28ca2d3a248f93e4bcd40af5de47b68ff219e68ed09b0b71c36a7e",
