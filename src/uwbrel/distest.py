@@ -9,8 +9,9 @@ and MPC k's sigma is row k's.
   ``mvue_sync``.
 - Likelihoods: ``loglik_known_assoc`` and ``loglik_no_assoc``, both on one
   body, ``_noassoc_kernel`` (known association is one MPC per observer).
-- ML estimators: ``mle_async_gaussian`` and ``mle_async_noassoc``, whose
-  hard-indicator case is ``_noassoc_enumerate``.
+- ML estimators: ``mle_async_gaussian`` and ``mle_async_noassoc`` set up
+  their cross differences and starts and end in one body, ``_ml_estimate``
+  (grid and simplex, or the hard-indicator search ``_noassoc_enumerate``).
 - ``permanent``, the one permanent kernel, and ``_zero_bound``, Hall's
   row/column test that spares the permanents known to be exactly 0.
 
@@ -117,32 +118,19 @@ def _default_config(delta_centered: np.ndarray) -> OptimizerConfig:
 
 def mle_async_gaussian(obs, model: ErrorModel,
                        cfg: OptimizerConfig = None) -> DistanceEstimate:
-    """Joint ML estimate of (distance, clock offset) under Gaussian errors.
-
-    The log objective, the kernel of ``loglik_known_assoc``, is maximized
-    by grid scan plus simplex refinement; the noiseless closed form is
-    always included as a refinement start.  Internally the diffs are
-    midrange-centered so the estimate is exactly shift-equivariant.
+    """Joint ML estimate of (distance, clock offset) under Gaussian errors:
+    ``_ml_estimate`` on ``loglik_known_assoc``'s kernel, with the noiseless
+    closed form as an extra start.  The diffs are midrange-centered, so the
+    estimate is exactly shift-equivariant.
     """
     delta = _delays(obs)
     _, _, mid = _async_range(delta)
     if model.kind != "gaussian":
         raise InvalidParams("mle_async_gaussian needs a gaussian error model")
     centered = delta - mid
-    if cfg is None:
-        cfg = _default_config(centered)
-
     _, spread, apex_eps = _async_range(centered)  # the noiseless closed form's apex
-    d_hat, eps_hat, value = maximize_2d(
-        _noassoc_kernel(*_one_mpc_groups(centered), model, top=cfg.grid_starts), cfg,
-        extra_starts=[(max((_C / 2.0) * spread, _D_FLOOR), apex_eps)]
-    )
-    return DistanceEstimate(
-        d_hat=max(d_hat, 0.0),
-        eps_hat=eps_hat + mid,
-        method="mle_async_gaussian",
-        diagnostics={"loglik": value},
-    )
+    return _ml_estimate(*_one_mpc_groups(centered), mid, model, cfg, "mle_async_gaussian",
+                        lambda objective, cfg: [(max((_C / 2.0) * spread, _D_FLOOR), apex_eps)])
 
 
 # --- permanents ---------------------------------------------------------
@@ -238,10 +226,9 @@ def _one_mpc_groups(delta: np.ndarray):
 
 
 def _noassoc_kernel(rows, cross, model: ErrorModel, top: int = 0):
-    """The association-free log-likelihood of fixed cross differences, as a
-    function ``loglik(d, eps)`` that broadcasts over ``d`` and ``eps``.
-    Known association is the case of one MPC per observer
-    (``_one_mpc_groups``): each 1 x 1 permanent is that MPC's factor.
+    """The association-free log-likelihood of fixed cross differences (for
+    known association, ``_one_mpc_groups``) as a function ``loglik(d, eps)``
+    that broadcasts over ``d`` and ``eps``.
 
     Observers of equal size share one (n, n, n_obs) cross-difference stack
     and one (n, n_obs) sigma stack (observer o's sigmas are those of its
@@ -411,43 +398,44 @@ def _noassoc_enumerate(cross, model: ErrorModel):
     return float(d_cand[i]), float(e_cand[i]), float(value[i]), bool(n_feas[i] == len(cross))
 
 
+def _ml_estimate(rows, cross, mid, model: ErrorModel, cfg, method, starts) -> DistanceEstimate:
+    """The one body of the ML estimators, on midrange-centered cross
+    differences (``_cross_diffs``): ``_noassoc_enumerate`` for error model
+    ``none``, else ``maximize_2d`` of ``_noassoc_kernel`` on ``cfg``
+    (``_default_config`` if None) from the extra starts ``starts(objective,
+    cfg)``, the kernel with ``top = cfg.grid_starts``: ``maximize_2d`` reads
+    only that many best grid cells.  d is clamped at 0 and eps shifted by ``mid``."""
+    if model.kind == "none":
+        d_hat, eps_hat, value, feasible = _noassoc_enumerate(cross, model)
+        diagnostics = {"loglik": value, "feasible": feasible}
+    else:
+        if cfg is None:
+            cfg = _default_config(np.concatenate([m.ravel() for m in cross]))
+        objective = _noassoc_kernel(rows, cross, model, top=cfg.grid_starts)
+        d_hat, eps_hat, value = maximize_2d(objective, cfg, extra_starts=starts(objective, cfg))
+        diagnostics = {"loglik": value}
+    return DistanceEstimate(d_hat=max(d_hat, 0.0), eps_hat=eps_hat + mid, method=method,
+                            diagnostics=diagnostics)
+
+
 def mle_async_noassoc(obs, model: ErrorModel,
                       cfg: OptimizerConfig = None) -> DistanceEstimate:
     """Joint ML estimate of (distance, clock offset) with unknown association:
     within each observer of ``obs``, any A-side delay may pair with any
-    B-side delay.
-
-    Gaussian errors: numerical maximization of the permanent-based
-    likelihood, seeded from the coarse grid plus the best hard-indicator
-    candidates.  Error model ``none``: exact enumeration over the finite
-    candidate set of wedge apexes and border intersections.  K < 2 raises
+    B-side delay.  ``_ml_estimate`` on ``loglik_no_assoc``'s kernel, from
+    the best hard-indicator candidates as extra starts; for error model
+    ``none``, the exact search over those candidates.  K < 2 raises
     InsufficientMpcs.
     """
     _, raw = _cross_diffs(obs)
     _, _, mid = _async_range(np.concatenate([m.ravel() for m in raw]))  # one MPC: raises
     rows, cross = _cross_diffs(obs, mid)  # midrange-centered
 
-    if model.kind == "none":
-        d_hat, eps_hat, value, feasible = _noassoc_enumerate(cross, model)
-        return DistanceEstimate(
-            d_hat=d_hat, eps_hat=eps_hat + mid, method="mle_async_noassoc",
-            diagnostics={"loglik": value, "feasible": feasible},
-        )
+    def candidate_starts(objective, cfg):
+        # hard-indicator candidates pre-scored on the smooth objective make
+        # good starts: the gaussian peaks sit near wedge apexes/intersections
+        d_cand, e_cand = _noassoc_candidates(cross)
+        return [(max(float(d_cand[i]), _D_FLOOR), float(e_cand[i]))
+                for i in best_first(objective(d_cand, e_cand), max(2, cfg.grid_starts // 2))]
 
-    if cfg is None:
-        cfg = _default_config(np.concatenate([m.ravel() for m in cross]))
-
-    objective = _noassoc_kernel(rows, cross, model, top=cfg.grid_starts)
-
-    # hard-indicator candidates pre-scored on the smooth objective make
-    # good starts: the gaussian peaks sit near wedge apexes/intersections
-    d_cand, e_cand = _noassoc_candidates(cross)
-    scores = objective(d_cand, e_cand)
-    extra = [(max(float(d_cand[i]), _D_FLOOR), float(e_cand[i]))
-             for i in best_first(scores, max(2, cfg.grid_starts // 2))]
-
-    d_hat, eps_hat, value = maximize_2d(objective, cfg, extra_starts=extra)
-    return DistanceEstimate(
-        d_hat=max(d_hat, 0.0), eps_hat=eps_hat + mid, method="mle_async_noassoc",
-        diagnostics={"loglik": value},
-    )
+    return _ml_estimate(rows, cross, mid, model, cfg, "mle_async_noassoc", candidate_starts)

@@ -70,6 +70,9 @@ class ExperimentConfig:
             value, want = getattr(self, name), "a tuple or list" if name in ranges else "a number"
             if not isinstance(value, (tuple, list) if name in ranges else numbers.Real):
                 raise ConfigError(f"{name} takes {want}, not {value!r}")
+        for name in ("d", "sigma_dir"):
+            if not all(isinstance(v, numbers.Real) for v in getattr(self, name)):
+                raise ConfigError(f"{name} takes numbers, not {getattr(self, name)!r}")
         try:  # counts are integers as chansim takes them: 2.5 and 4.0 are not
             for name in ("trials", "trials_na", "seed", "m_observers", "grid_steps",
                          "calib_samples"):
@@ -281,6 +284,12 @@ def _one_scenario(cfg: ExperimentConfig) -> Scenario:
         np.random.default_rng([cfg.seed, 0]))
 
 
+def _observe_dump(cfg: ExperimentConfig, scenario: Scenario, sigma_dir=0.0) -> Observations:
+    """A surface's or scenario dump's observations of ``scenario``, drawn at the seed."""
+    noise = chansim.NoiseParams(sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps)
+    return chansim.observe(scenario, noise, np.random.default_rng([cfg.seed, 1]))
+
+
 def dump_surface(cfg: ExperimentConfig) -> str:
     """Evaluate the (d, eps) log-likelihood on a grid; CSV ``d,eps,loglik``."""
     cfg.validate()
@@ -288,9 +297,7 @@ def dump_surface(cfg: ExperimentConfig) -> str:
         scenario = canonical_scenario(_single(cfg, "d"))
     else:
         scenario = _one_scenario(cfg)
-    noise = chansim.NoiseParams(sigma=cfg.sigma, eps=cfg.eps)
-    observations = chansim.observe(scenario, noise,
-                                   np.random.default_rng([cfg.seed, 1]))
+    observations = _observe_dump(cfg, scenario)
     model = _error_model(cfg.sigma)
     delta = observations.tau_b - observations.tau_a
     d_max = max(4.0 * _C * float(np.abs(delta).max()), 1e-3)
@@ -485,10 +492,7 @@ def main(argv=None) -> int:
                 return 3
         elif args.command == "scenario-dump":
             scenario = _one_scenario(cfg)
-            noise = chansim.NoiseParams(sigma=cfg.sigma, sigma_dir=_single(cfg, "sigma_dir"),
-                                        eps=cfg.eps)
-            observations = chansim.observe(scenario, noise,
-                                           np.random.default_rng([cfg.seed, 1]))
+            observations = _observe_dump(cfg, scenario, _single(cfg, "sigma_dir"))
             _emit(chansim.scenario_csv(scenario, observations), cfg.output_path)
     except (UwbrelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -129,11 +130,17 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name, grid in (("grid_d", self.grid_d), ("grid_eps", self.grid_eps)):
+            if not (isinstance(grid, (tuple, list, np.ndarray)) and len(grid) == 3
+                    and all(isinstance(v, numbers.Real) for v in grid)):
+                raise InvalidParams(f"{name} must be three real numbers, not {grid!r}")
             lo, hi, steps = grid
             if not (all(map(math.isfinite, grid)) and hi > lo and steps >= 2):
                 raise InvalidParams(f"{name} must be finite with max > min and steps >= 2")
             if not float(steps).is_integer():
                 raise InvalidParams(f"{name} steps must be a whole count, not {steps}")
+        for name in ("tolerance", "refine_iters", "multistart_count"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InvalidParams(f"{name} must be a real number, not {getattr(self, name)!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise InvalidParams("tolerance must be finite and positive")
         for name in ("refine_iters", "multistart_count"):

@@ -447,3 +447,12 @@ class TestFlagTable:
         assert main(["calibrate", flag, "2"]) == 2
         key = flag[2:].replace("-", "_")
         assert capsys.readouterr().err == f"error: calibrate does not use {key}\n"
+
+
+@pytest.mark.parametrize("field", ["d", "sigma_dir"])
+@pytest.mark.parametrize("value", [("2.0",), (None,), (1.0, "2.0")])
+def test_validate_rejects_non_number_range_elements(field, value):
+    """A string or None inside a numeric range is a config error naming the
+    field, not a TypeError from the range comparison."""
+    with pytest.raises(ConfigError, match=f"^{field} takes numbers"):
+        ExperimentConfig(**{field: value}).validate()

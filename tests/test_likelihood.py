@@ -266,3 +266,20 @@ def test_best_first_of_a_count_below_one_is_empty(count):
     for n in (0, 1, 3):
         got = best_first(np.array([]), n)
         assert got.dtype == np.intp and got.size == 0
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("grid_d", (0.0, 1.0), "grid_d must be three real numbers"),
+    ("grid_eps", (-1e-9, 1e-9, 10, 20), "grid_eps must be three real numbers"),
+    ("grid_d", (0.0, 1.0, "5"), "grid_d must be three real numbers"),
+    ("grid_eps", None, "grid_eps must be three real numbers"),
+    ("tolerance", "1", "tolerance must be a real number"),
+    ("refine_iters", None, "refine_iters must be a real number"),
+    ("multistart_count", "8", "multistart_count must be a real number"),
+])
+def test_config_rejects_non_numbers(field, value, message):
+    """A grid that is not three real numbers, or a setting that is not a
+    number, is InvalidParams, not a ValueError from unpacking or a
+    TypeError from ``math.isfinite``."""
+    with pytest.raises(InvalidParams, match=message):
+        OptimizerConfig(**{field: value})
