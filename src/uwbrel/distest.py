@@ -6,7 +6,7 @@ known association its inputs are the differences tau_b - tau_a row by row,
 and MPC k's sigma is row k's.
 
 - Closed forms: ``mvue_async``, ``mle_async_noiseless``, ``mle_sync`` and
-  ``mvue_sync``.
+  ``mvue_sync``; ``mvue_async`` is ``mvue_async_stack`` on a one-set ``geom.Stack``.
 - Likelihoods: ``loglik_known_assoc`` and ``loglik_no_assoc``, both on one
   body, ``_noassoc_kernel`` (known association is one MPC per observer).
 - ML estimators: ``mle_async_gaussian`` and ``mle_async_noassoc`` set up
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientMpcs, InvalidParams, PermutationCapExceeded
-from .geom import SPEED_OF_LIGHT
+from .geom import SPEED_OF_LIGHT, Stack
 from .likelihood import ErrorModel, OptimizerConfig, best_first, maximize_2d
 
 _C = SPEED_OF_LIGHT
@@ -60,10 +60,12 @@ def _delays(obs) -> np.ndarray:
 
 
 def _async_range(delta: np.ndarray):
-    """K, the spread max - min and the midrange of the diffs (K >= 2)."""
-    if delta.size < 2:
+    """K, the spread max - min and the midrange of the diffs (K >= 2) along the
+    last axis: floats for one set's diffs, arrays for a stack's (T, K)."""
+    if delta.shape[-1] < 2:
         raise InsufficientMpcs("asynchronous estimators need K >= 2")
-    return delta.size, float(delta.max() - delta.min()), float(delta.max() + delta.min()) / 2.0
+    hi, lo = delta.max(axis=-1), delta.min(axis=-1)
+    return delta.shape[-1], *(v if delta.ndim > 1 else float(v) for v in (hi - lo, (hi + lo) / 2))
 
 
 def _sync_range(delta: np.ndarray):
@@ -71,11 +73,18 @@ def _sync_range(delta: np.ndarray):
     return delta.size, float(np.abs(delta).max())
 
 
+def mvue_async_stack(stack):
+    """``mvue_async``'s distances and offsets (midranges), each (T,), of a ``geom.Stack``."""
+    if not stack.tau_a.shape[1]:
+        raise InvalidParams("no observations")
+    k, spread, mid = _async_range(stack.tau_b - stack.tau_a)
+    return (k + 1) / (k - 1) * (_C / 2.0) * spread, mid
+
+
 def mvue_async(obs) -> DistanceEstimate:
     """Bias-corrected range estimate: (K+1)/(K-1) * (c/2) * (max - min)."""
-    k, spread, mid = _async_range(_delays(obs))
-    return DistanceEstimate(d_hat=(k + 1) / (k - 1) * (_C / 2.0) * spread, eps_hat=mid,
-                            method="mvue_async")
+    (d_hat,), (mid,) = mvue_async_stack(Stack.of([obs]))
+    return DistanceEstimate(d_hat=float(d_hat), eps_hat=float(mid), method="mvue_async")
 
 
 def mle_async_noiseless(obs) -> DistanceEstimate:

@@ -5,12 +5,12 @@ Subcommands: ``sweep`` (RMSE vs distance / direction error / MPC count),
 check), ``scenario-dump`` (one sampled scenario as CSV).  All output is
 CSV with SI units; a run is fully determined by its configuration and
 seed, with per-trial RNG streams derived from (seed, sweep point, trial).
-A sweep is one pure function per trial, ``run_trial``, and a reducer that
-adds its outcomes up per tag in trial order.  A trial samples, observes
-and scrambles once, builds each pairing (sorting for SO, one complete
-assignment for DDN and TNA) at most once, and runs each estimator once
-per distinct ``Observations`` set it reads; a configuration file's keys
-are the long flags' names.
+A sweep point runs in two passes.  Pass 1, trial by trial, samples,
+observes and scrambles, and builds each pairing (sorting for SO, one complete
+assignment for DDN and TNA) once.  Pass 2 runs NA trial by trial and each
+closed-form tag once, on the ``Stack`` of its input sets of all the point's
+trials: each trial keeps its own failures and the bits it has alone.  A reducer adds the
+outcomes up per tag in trial order.  Config-file keys are the long flags' names.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import assoc, chansim, distest, posest
 from .errors import ConfigError, DegenerateGeometry, InvalidParams, UwbrelError
-from .geom import SPEED_OF_LIGHT, Observations, Scenario, complete_mpc, norms
+from .geom import SPEED_OF_LIGHT, Observations, Scenario, Stack, complete_mpc, norms
 from .likelihood import ErrorModel
 
 _C = SPEED_OF_LIGHT
@@ -125,7 +125,12 @@ class SweepResult:
 
 
 def _trial_rng(seed: int, point: int, trial: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng([seed, point, trial, stream])
+    """``np.random.default_rng([seed, point, trial, stream])``, given as the uint32 words
+    (low first, at least one per int) that SeedSequence would coerce that list to."""
+    ints = (seed, point, trial, stream)
+    words = ints if max(ints) >> 32 == 0 else [
+        n >> shift & 0xFFFFFFFF for n in ints for shift in range(0, max(n.bit_length(), 1), 32)]
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def _error_model(sigma: float) -> ErrorModel:
@@ -134,17 +139,16 @@ def _error_model(sigma: float) -> ErrorModel:
             if sigma > 0 else ErrorModel(kind="none"))
 
 
-# Each tag's estimator on its (associated) observations.  The estimators are
-# looked up on their modules at every call, never bound here, so a patched
-# module attribute (as a tracer installs) is the function that runs.
-_ESTIMATORS = {
-    "MV": lambda obs, cfg: distest.mvue_async(obs),
-    "NA": lambda obs, cfg: distest.mle_async_noassoc(obs, _error_model(cfg.sigma)),
-    "DD": lambda obs, cfg: posest.lse_by_delta(obs),
-    "PWA": lambda obs, cfg: posest.lse_by_delta_pwa(obs),
-    "TAU": lambda obs, cfg: posest.lse_by_tau(obs),
+# Each closed-form tag's solver on a ``Stack`` of its input sets.  Solvers are looked up
+# on their modules at every call, so a patched module attribute (as a tracer installs)
+# is what runs; a sweep never reaches the one-set ``posest.lse_by_*`` or ``mvue_async``.
+_STACKED = {
+    "MV": lambda stack: distest.mvue_async_stack(stack),
+    "DD": lambda stack: posest.solve_by_delta(stack, "lse_by_delta"),
+    "PWA": lambda stack: posest.solve_by_delta(stack, "lse_by_delta_pwa"),
+    "TAU": lambda stack: posest.solve_by_tau(stack),
 }
-_ESTIMATORS.update(SO=_ESTIMATORS["MV"], DDN=_ESTIMATORS["DD"], TNA=_ESTIMATORS["TAU"])
+_STACKED.update(SO=_STACKED["MV"], DDN=_STACKED["DD"], TNA=_STACKED["TAU"])
 
 # The set each tag reads when it is not the trial's observations: the
 # scrambled set as it stands, or re-paired by sorting or by a complete
@@ -160,60 +164,74 @@ _INPUTS["TNA"] = _INPUTS["DDN"]
 _SWEEP_FIELDS = {"distance": "d", "direction_error": "sigma_dir", "mpc_count": "k_per_observer"}
 
 
-def _error(tag: str, obs: Observations, scenario: Scenario, cfg: ExperimentConfig):
-    """One estimator on one set: the error scalar (distance) or Euclidean
-    norm (position), or the class of the UwbrelError it raised."""
+def _na_error(obs: Observations, scenario: Scenario, cfg: ExperimentConfig):
+    """NA's distance error on one set, or the class of the UwbrelError it raised."""
     try:
-        est = _ESTIMATORS[tag](obs, cfg)
-        if isinstance(est, distest.DistanceEstimate):
-            return est.d_hat - scenario.d
-        if est.condition_number > cfg.cond_gate:
-            raise posest.RankDeficient(
-                f"condition {est.condition_number:.3g} above the harness gate")
-        return float(norms(est.d_vec - scenario.d_vec))
+        return distest.mle_async_noassoc(obs, _error_model(cfg.sigma)).d_hat - scenario.d
     except UwbrelError as exc:
         return type(exc)
+
+
+def _stacked_errors(tag: str, stack: Stack, scenarios: list, cfg: ExperimentConfig) -> list:
+    """A closed-form tag on ``stack`` (set t from trial t, of scenario ``scenarios[t]``):
+    per trial the distance error or position error norm, or the class of the UwbrelError
+    it raised; a condition above ``cfg.cond_gate`` fails as RankDeficient."""
+    try:
+        solved = _STACKED[tag](stack)
+    except UwbrelError as exc:
+        return [type(exc)] * len(scenarios)
+    if tag in ("MV", "SO"):
+        return (solved[0] - [scenario.d for scenario in scenarios]).tolist()
+    x, cond, failures = solved
+    errors = norms(x[:, :3] - [scenario.d_vec for scenario in scenarios]).tolist()
+    return [type(f) if f is not None else posest.RankDeficient if c > cfg.cond_gate else e
+            for f, c, e in zip(failures, cond.tolist(), errors)]
+
+
+def _run_point(cfg: ExperimentConfig, point: int, trials) -> list:
+    """``run_trial`` of each of ``trials`` at the sweep's ``point``-th value, in the two
+    passes the module docstring describes; the trials share K and the observer layout."""
+    swept = _SWEEP_FIELDS[cfg.sweep]
+    d, sigma_dir, k_per = (getattr(cfg, name)[point] if name == swept else _single(cfg, name)
+                           for name in ("d", "sigma_dir", "k_per_observer"))
+    builds = dict.fromkeys(_INPUTS.get(tag) for tag in cfg.estimators)  # None: observations
+    drawn = []  # (scenario, {build: its set}, perms) of each trial
+    for trial in trials:
+        scenario = chansim.sample_scenario(d, cfg.sv, cfg.m_observers, [k_per] * cfg.m_observers,
+                                           _trial_rng(cfg.seed, point, trial, 0))
+        noise_rng = _trial_rng(cfg.seed, point, trial, 1)
+        offsets = tuple(noise_rng.uniform(0.0, cfg.eps_a_max, cfg.m_observers))
+        obs = chansim.observe(scenario, chansim.NoiseParams(
+            sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps, eps_a_per_observer=offsets),
+            noise_rng)
+        scrambled, perms = None, None
+        if any(t in _INPUTS for t in cfg.estimators):
+            scrambled, perms = chansim.scramble_association(
+                obs, _trial_rng(cfg.seed, point, trial, 2))
+        drawn.append((scenario, {b: obs if b is None else b(scrambled) for b in builds}, perms))
+    outcomes, stacks = [{} for _ in drawn], {}
+    scenarios = [scenario for scenario, _, _ in drawn]
+    for tag in cfg.estimators:
+        build = _INPUTS.get(tag)
+        if tag == "NA":
+            for trial, out, (scenario, sets, _) in zip(trials, outcomes, drawn):
+                if trial < cfg.trials_na:
+                    out[tag] = _na_error(sets[build], scenario, cfg)
+            continue
+        if build not in stacks:
+            stacks[build] = Stack.of([sets[build] for _, sets, _ in drawn])
+        for out, error in zip(outcomes, _stacked_errors(tag, stacks[build], scenarios, cfg)):
+            out[tag] = error
+    return [(out, perms) for out, (_, _, perms) in zip(outcomes, drawn)]
 
 
 def run_trial(cfg: ExperimentConfig, point: int, trial: int):
     """Trial ``trial`` of a validated sweep at its ``point``-th value:
     ``(outcomes, perms)``, with each tag's error or the class of the
     UwbrelError it raised (tags past their trial cap are absent), and the
-    true association ``chansim.scramble_association`` returns (or None).
-    Each pairing is built once and each distinct (estimator, input set)
-    evaluated once: a re-paired set whose columns equal the observations is
-    the observations, so DDN, TNA and SO then report DD's, TAU's and MV's
-    outcome, failures included."""
-    swept = _SWEEP_FIELDS[cfg.sweep]
-    d, sigma_dir, k_per = (getattr(cfg, name)[point] if name == swept else _single(cfg, name)
-                           for name in ("d", "sigma_dir", "k_per_observer"))
-    scenario = chansim.sample_scenario(d, cfg.sv, cfg.m_observers, [k_per] * cfg.m_observers,
-                                       _trial_rng(cfg.seed, point, trial, 0))
-    noise_rng = _trial_rng(cfg.seed, point, trial, 1)
-    offsets = tuple(noise_rng.uniform(0.0, cfg.eps_a_max, cfg.m_observers))
-    obs = chansim.observe(scenario, chansim.NoiseParams(
-        sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps, eps_a_per_observer=offsets), noise_rng)
-    scrambled, perms = None, None
-    if any(t in _INPUTS for t in cfg.estimators):
-        scrambled, perms = chansim.scramble_association(
-            obs, _trial_rng(cfg.seed, point, trial, 2))
-    sets = {None: obs}  # _INPUTS entry -> the set it built
-    evaluated = {}      # (estimator, id of its input set) -> outcome
-    outcomes = {}
-    for tag in cfg.estimators:
-        if tag == "NA" and trial >= cfg.trials_na:
-            continue
-        build = _INPUTS.get(tag)
-        if build not in sets:
-            built = build(scrambled)
-            same = len(built) == len(obs) and all(
-                (getattr(built, c) == getattr(obs, c)).all() for c in Observations._COLUMNS)
-            sets[build] = obs if same else built
-        key = (_ESTIMATORS[tag], id(sets[build]))
-        if key not in evaluated:
-            evaluated[key] = _error(tag, sets[build], scenario, cfg)
-        outcomes[tag] = evaluated[key]
-    return outcomes, perms
+    true association ``chansim.scramble_association`` returns (or None),
+    with the bits the trial has in a sweep."""
+    return _run_point(cfg, point, [trial])[0]
 
 
 def _reduce(cfg: ExperimentConfig, value, outcomes) -> list:
@@ -239,8 +257,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         raise ConfigError(f"run_sweep cannot run sweep {cfg.sweep!r}")
     rows = []
     for point, value in enumerate(getattr(cfg, _SWEEP_FIELDS[cfg.sweep])):
-        rows += _reduce(cfg, value, [run_trial(cfg, point, trial)[0]
-                                     for trial in range(cfg.trials)])
+        rows += _reduce(cfg, value, [out for out, _ in _run_point(cfg, point, range(cfg.trials))])
     return SweepResult(sweep_param=cfg.sweep, rows=tuple(rows))
 
 

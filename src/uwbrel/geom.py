@@ -12,9 +12,10 @@ holds exactly for the relative position d = pos_b - pos_a.
 A set of MPCs is one ``Observations``: five columns, one row per MPC,
 checked where the set enters; rows taken from a checked set are not checked
 again.  The same type holds the ground truth of a ``Scenario`` and what the
-nodes measure, so the noise-free measurement is the truth.  Every geometric
-function here works on such columns, row by row: ``complete_mpc`` fills in
-the B side, ``vector_identity_terms`` and the residuals return one value per row.
+nodes measure, so the noise-free measurement is the truth; a ``Stack`` holds
+many sets of one observer layout.  Every geometric function here works on
+such columns, row by row: ``complete_mpc`` fills in the B side,
+``vector_identity_terms`` and the residuals return one value per row.
 
 MPCs are grouped by observer in one place, ``group_by_observer``: it takes
 the observer id of every row and returns each observer's row indices,
@@ -134,6 +135,27 @@ class Observations:
 
 
 @dataclass(frozen=True)
+class Stack:
+    """T sets of one observer layout as columns with a leading set axis: ``tau_a``,
+    ``tau_b`` (T, K), ``dir_a``, ``dir_b`` (T, K, 3); ``groups`` is every set's."""
+
+    tau_a: np.ndarray
+    tau_b: np.ndarray
+    dir_a: np.ndarray
+    dir_b: np.ndarray
+    groups: MappingProxyType
+
+    @classmethod
+    def of(cls, sets) -> "Stack":
+        """The stack of a nonempty sequence of ``Observations`` of one observer layout."""
+        if len({len(s) for s in sets}) > 1 or (
+                np.stack([s.observer for s in sets]) != sets[0].observer).any():
+            raise InvalidParams("stacked sets need one observer layout")
+        return cls(*(np.stack([getattr(s, name) for s in sets])
+                     for name in Observations._COLUMNS[:4]), groups=sets[0].groups)
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Ground-truth geometry: node positions plus a consistent MPC set.
 
@@ -201,10 +223,10 @@ def complete_mpc(pos_a, pos_b, tau_a, dir_a, c: float = SPEED_OF_LIGHT):
 
 
 def vector_identity_terms(observations, c: float) -> np.ndarray:
-    """The (K, 3) terms c*tau_b*dir_b - c*tau_a*dir_a of the per-MPC vector
-    identity, each equal to d plus the MPC's clock-offset terms."""
-    return (c * observations.tau_b[:, None] * observations.dir_b
-            - c * observations.tau_a[:, None] * observations.dir_a)
+    """The (K, 3) terms c*tau_b*dir_b - c*tau_a*dir_a of the per-MPC vector identity,
+    each equal to d plus the MPC's clock-offset terms ((T, K, 3) for a ``Stack``)."""
+    return (c * observations.tau_b[..., None] * observations.dir_b
+            - c * observations.tau_a[..., None] * observations.dir_a)
 
 
 def projection_residual(mpcs, d, c: float = SPEED_OF_LIGHT) -> np.ndarray:

@@ -3,10 +3,10 @@
 All solvers work in length units internally (clock unknowns scaled by c)
 so the stacked systems stay well-conditioned, use orthogonal-factorization
 least squares, and report the condition number of their normal matrix.
-The three delay-difference estimators (``lse_by_delta``, ``lse_by_delta_pwa``,
-``gls_by_delta``) are fixed modes of one solver, ``_solve_by_delta``; it and
-``lse_by_tau`` turn their solution into a ``PositionEstimate`` through one
-builder, ``_estimate``.
+Two solvers, ``solve_by_delta`` (modes ``lse_by_delta``, ``lse_by_delta_pwa``,
+``gls_by_delta``) and ``solve_by_tau`` (``lse_by_tau``), solve every set of a
+``geom.Stack`` with one batched SVD, each set with the bits and the failure it
+has alone; each estimator is its solver on a stack of one set.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntiparallelDirections, InvalidParams, NotPositiveDefinite, RankDeficient
-from .geom import SPEED_OF_LIGHT, vector_identity_terms
+from .geom import SPEED_OF_LIGHT, Stack, vector_identity_terms
 
 _C = SPEED_OF_LIGHT
 _ANTIPARALLEL_EPS = 1e-6
 COND_LIMIT = 1e12
+_ANTIPARALLEL = "1 + dir_a.dir_b below threshold; MPC directions nearly antiparallel"
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,18 @@ class PositionEstimate:
             raise RankDeficient("non-finite position estimate")
 
 
+def _diff_columns(stack, pwa: bool):
+    """Columns [s_k; 1] of every set's delay-difference system (T, K, 4), and which sets
+    hold a nearly antiparallel pair (a row of theirs is divided by 1 instead)."""
+    ma, mb = stack.dir_a, stack.dir_b
+    low = np.zeros(ma.shape[:2], dtype=bool)
+    if not pwa:
+        denom = 1.0 + np.einsum("tij,tij->ti", ma, mb)
+        low = denom <= _ANTIPARALLEL_EPS
+        ma = (ma + mb) / np.where(low, 1.0, denom)[..., None]
+    return np.concatenate([ma, np.ones(low.shape + (1,))], axis=2), low.any(axis=1)
+
+
 def build_diff_system(observations, pwa: bool = False) -> StackedDiffSystem:
     """Stack the delay-difference system from observations.
 
@@ -64,54 +77,63 @@ def build_diff_system(observations, pwa: bool = False) -> StackedDiffSystem:
     """
     if not observations:
         raise InvalidParams("no observations")
-    ma, mb = observations.dir_a, observations.dir_b
-    delta = observations.tau_b - observations.tau_a
-    if pwa:
-        s = ma
-    else:
-        denom = 1.0 + np.einsum("ij,ij->i", ma, mb)
-        if (denom <= _ANTIPARALLEL_EPS).any():
-            raise AntiparallelDirections(
-                "1 + dir_a.dir_b below threshold; MPC directions nearly antiparallel"
-            )
-        s = (ma + mb) / denom[:, None]
-    E = np.concatenate([s.T, np.ones((1, len(observations)))])
-    return StackedDiffSystem(E=E, delta=delta, s_vectors=s)
+    (A,), (antiparallel,) = _diff_columns(Stack.of([observations]), pwa)
+    if antiparallel:
+        raise AntiparallelDirections(_ANTIPARALLEL)
+    return StackedDiffSystem(E=A.T, delta=observations.tau_b - observations.tau_a,
+                             s_vectors=A[:, :3])
 
 
-def _lstsq_checked(A: np.ndarray, b: np.ndarray, cond_limit: float):
-    """Least squares via SVD with a conditioning gate on A^T A."""
-    u, sv, vt = np.linalg.svd(A, full_matrices=False)
-    if sv[-1] <= 0:
-        raise RankDeficient("stacked system is singular")
-    cond = float((sv[0] / sv[-1]) ** 2)  # condition of the normal matrix
-    if cond > cond_limit:
-        raise RankDeficient(f"condition number {cond:.3g} exceeds {cond_limit:.3g}")
-    x = vt.T @ ((u.T @ b) / sv)
-    return x, cond
+def _lstsq(A: np.ndarray, b: np.ndarray, cond_limit: float, failures: list):
+    """Least squares via SVD of each system of a stack, A (T, n, p) against b (T, n), with
+    a conditioning gate on A^T A: ``(x, cond, failures)``, the solutions (T, p), normal
+    matrix conditions (T,) and UwbrelErrors (None for a success).  A system not failed
+    yet fails here, in order, if singular, above ``cond_limit`` or non-finite."""
+    x, cond = np.full((len(A), A.shape[2]), np.nan), np.full(len(A), np.nan)
+    todo = np.flatnonzero([f is None for f in failures])
+    u, sv, vt = np.linalg.svd(A[todo], full_matrices=False)
+    ok = sv[:, -1] > 0
+    cond[todo[ok]] = [float(r ** 2) for r in sv[ok, 0] / sv[ok, -1]]
+    for i, singular, c in zip(todo.tolist(), (~ok).tolist(), cond[todo].tolist()):
+        if singular:
+            failures[i] = RankDeficient("stacked system is singular")
+        elif c > cond_limit:
+            failures[i] = RankDeficient(f"condition number {c:.3g} exceeds {cond_limit:.3g}")
+    ok &= cond[todo] <= cond_limit
+    good = todo[ok]
+    y = (u[ok].transpose(0, 2, 1) @ b[good][..., None])[..., 0] / sv[ok]
+    x[good] = (vt[ok].transpose(0, 2, 1) @ y[..., None])[..., 0]
+    for i in good[~np.isfinite(x[good, :3]).all(axis=1)].tolist():
+        failures[i] = RankDeficient("non-finite position estimate")
+    return x, cond, failures
 
 
-def _estimate(x: np.ndarray, cond: float, method: str) -> PositionEstimate:
-    """Position, A-B offset and any per-observer offsets from a solution in
-    length units, [d; c*eps; c*eps_a...]."""
-    offsets = [v / _C for v in x[3:].tolist()]
-    return PositionEstimate(d_vec=x[:3], eps_hat=offsets[0], eps_a_hats=tuple(offsets[1:]),
-                            method=method, condition_number=cond)
+def _one(method: str, observations, *args) -> PositionEstimate:
+    """``method`` on a stack of ``observations`` alone: the position, A-B offset and any
+    per-observer offsets of its solution [d; c*eps; c*eps_a...], or its error."""
+    x, cond, (failure,) = (solve_by_tau(Stack.of([observations]), *args) if method == "lse_by_tau"
+                           else solve_by_delta(Stack.of([observations]), method, *args))
+    if failure is not None:
+        raise failure
+    offsets = [v / _C for v in x[0, 3:].tolist()]
+    return PositionEstimate(d_vec=x[0, :3], eps_hat=offsets[0], eps_a_hats=tuple(offsets[1:]),
+                            method=method, condition_number=float(cond[0]))
 
 
-def _solve_by_delta(observations, method: str, cond_limit: float,
-                    error_mean=None, error_cov=None) -> PositionEstimate:
-    """The delay-difference solver behind ``method``: ``lse_by_delta``,
-    ``lse_by_delta_pwa`` (s_k = dir_a) or ``gls_by_delta`` (diffs less
-    ``error_mean``, both sides whitened by the Cholesky factor of
-    ``error_cov``)."""
+def solve_by_delta(stack, method: str = "lse_by_delta", cond_limit: float = COND_LIMIT,
+                   error_mean=None, error_cov=None):
+    """``method``'s solution [d; c*eps] of every set of the ``geom.Stack`` ``stack``, as
+    ``_lstsq`` returns it: ``lse_by_delta``, ``lse_by_delta_pwa`` (s_k = dir_a) or
+    ``gls_by_delta`` (diffs less ``error_mean``, both sides whitened by the Cholesky factor
+    of ``error_cov``, one of each for the stack).  Antiparallel sets are not solved."""
     gls = method == "gls_by_delta"
-    if len(observations) < 4:
+    k = stack.tau_a.shape[1]
+    if k < 4:
         raise RankDeficient(f"delay-difference {'GLS' if gls else 'LSE'} needs K >= 4")
-    sys_ = build_diff_system(observations, pwa=method == "lse_by_delta_pwa")
-    A, b = sys_.E.T, _C * sys_.delta
-    if gls:
-        k = sys_.delta.size
+    A, antiparallel = _diff_columns(stack, pwa=method == "lse_by_delta_pwa")
+    delta = stack.tau_b - stack.tau_a
+    b = _C * delta
+    if gls and not antiparallel.all():  # a set of one fails on its directions first
         try:
             mu = np.broadcast_to(np.asarray(error_mean, dtype=float), (k,))
         except ValueError as exc:
@@ -127,9 +149,10 @@ def _solve_by_delta(observations, method: str, cond_limit: float,
             raise NotPositiveDefinite("error covariance is not positive definite") from exc
         # whiten: solve L^-1 applied to both sides
         A = np.linalg.solve(chol, A)
-        b = np.linalg.solve(chol, _C * (sys_.delta - mu))
-    x, cond = _lstsq_checked(A, b, cond_limit)
-    return _estimate(x, cond, method)
+        b = np.linalg.solve(chol, (_C * (delta - mu))[..., None])[..., 0]
+    failures = [AntiparallelDirections(_ANTIPARALLEL) if a else None
+                for a in antiparallel.tolist()]
+    return _lstsq(A, b, cond_limit, failures)
 
 
 def lse_by_delta(observations, cond_limit: float = COND_LIMIT) -> PositionEstimate:
@@ -138,12 +161,12 @@ def lse_by_delta(observations, cond_limit: float = COND_LIMIT) -> PositionEstima
     Solves [d; c*eps] against c*delta over columns [s_k; 1].  Needs K >= 4;
     exact on noise-free consistent data.
     """
-    return _solve_by_delta(observations, "lse_by_delta", cond_limit)
+    return _one("lse_by_delta", observations, cond_limit)
 
 
 def lse_by_delta_pwa(observations, cond_limit: float = COND_LIMIT) -> PositionEstimate:
     """Delay-difference LSE under the plane-wave assumption (s_k = dir_a)."""
-    return _solve_by_delta(observations, "lse_by_delta_pwa", cond_limit)
+    return _one("lse_by_delta_pwa", observations, cond_limit)
 
 
 def gls_by_delta(observations, error_mean, error_cov,
@@ -154,22 +177,34 @@ def gls_by_delta(observations, error_mean, error_cov,
     ``error_cov`` (seconds^2, K x K, positive definite) whitens them; with
     isotropic covariance and zero mean this reduces exactly to lse_by_delta.
     """
-    return _solve_by_delta(observations, "gls_by_delta", cond_limit, error_mean, error_cov)
+    return _one("gls_by_delta", observations, cond_limit, error_mean, error_cov)
+
+
+def _tau_system(stack):
+    """Every set's raw-delay system: G (T, 3K, 4 + M) and t (T, 3K) in meters."""
+    n, k = stack.tau_a.shape
+    if not k:
+        raise InvalidParams("no observations")
+    G = np.zeros((n, k, 3, 4 + len(stack.groups)))
+    G[..., 0:3] = np.eye(3)
+    G[..., 3] = stack.dir_b
+    for j, rows in enumerate(stack.groups.values()):  # one offset column per observer
+        G[..., 4 + j][:, rows] = stack.dir_b[:, rows] - stack.dir_a[:, rows]
+    return G.reshape(n, 3 * k, -1), vector_identity_terms(stack, _C).reshape(n, -1)
 
 
 def build_tau_system(observations) -> StackedTauSystem:
     """Stack the raw-delay system with shared and per-observer offset columns."""
-    if not observations:
-        raise InvalidParams("no observations")
-    groups = observations.groups
-    k = len(observations)
-    G = np.zeros((k, 3, 4 + len(groups)))
-    G[:, :, 0:3] = np.eye(3)
-    G[:, :, 3] = observations.dir_b
-    for j, rows in enumerate(groups.values()):  # one offset column per observer
-        G[rows, :, 4 + j] = observations.dir_b[rows] - observations.dir_a[rows]
-    return StackedTauSystem(G=G.reshape(3 * k, -1),
-                            t=vector_identity_terms(observations, _C).ravel())
+    (G,), (t,) = _tau_system(Stack.of([observations]))
+    return StackedTauSystem(G=G, t=t)
+
+
+def solve_by_tau(stack, cond_limit: float = COND_LIMIT):
+    """``lse_by_tau``'s ``_lstsq`` solutions [d; c*eps; c*eps_a...] of a ``geom.Stack``."""
+    G, t = _tau_system(stack)
+    if G.shape[1] < G.shape[2]:
+        raise RankDeficient("raw-delay LSE needs 3K >= 4 + M")
+    return _lstsq(G, t, cond_limit, [None] * len(G))
 
 
 def lse_by_tau(observations, cond_limit: float = COND_LIMIT) -> PositionEstimate:
@@ -179,11 +214,7 @@ def lse_by_tau(observations, cond_limit: float = COND_LIMIT) -> PositionEstimate
     Exact (all unknowns) on noise-free consistent data; fragile under
     direction errors through the (dir_b - dir_a) columns.
     """
-    sys_ = build_tau_system(observations)
-    if sys_.G.shape[0] < sys_.G.shape[1]:
-        raise RankDeficient("raw-delay LSE needs 3K >= 4 + M")
-    x, cond = _lstsq_checked(sys_.G, sys_.t, cond_limit)
-    return _estimate(x, cond, "lse_by_tau")
+    return _one("lse_by_tau", observations, cond_limit)
 
 
 def lse_by_tau_sync(observations) -> PositionEstimate:

@@ -12,6 +12,7 @@ from uwbrel.evalcli import (
     SURFACE_SCENARIOS,
     ExperimentConfig,
     _build_parser,
+    _trial_rng,
     calibrate,
     canonical_scenario,
     dump_surface,
@@ -88,6 +89,15 @@ class TestRunSweep:
         assert quiet.lookup(2.0, "MV")["rmse_m"] < loud.lookup(2.0, "MV")["rmse_m"]
 
 
+    def test_trial_streams_are_the_list_seeded_generators(self):
+        # the seed goes in as uint32 words; a seed of 2**32 or more takes two
+        for seed in (0, 2**32 - 1, 2**32, 2**40 + 3, 2**70 + 5):
+            for point, trial, stream in ((0, 0, 0), (3, 17, 2), (1, 2**33, 1)):
+                got = _trial_rng(seed, point, trial, stream)
+                want = np.random.default_rng([seed, point, trial, stream])
+                assert got.bit_generator.state == want.bit_generator.state
+                np.testing.assert_array_equal(got.random(8), want.random(8))
+
     def test_estimators_looked_up_at_each_call(self, monkeypatch):
         # a tracer patches module attributes: the sweep must call whatever
         # the attribute holds when the trial runs, not a function bound at import
@@ -101,14 +111,12 @@ class TestRunSweep:
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(posest, "lse_by_delta")
-        counting(posest, "lse_by_tau")
-        counting(distest, "mvue_async")
+        counting(posest, "solve_by_delta")
+        counting(posest, "solve_by_tau")
+        counting(distest, "mvue_async_stack")
         run_sweep(tiny_cfg(trials=3, estimators=("MV", "SO", "DD", "DDN", "TAU", "TNA")))
-        # without direction noise the assignment recovers the truth, so DDN
-        # and TNA reuse DD's and TAU's estimates; sorting pairs wrongly here,
-        # so SO runs its own
-        assert calls == {"mvue_async": 6, "lse_by_delta": 3, "lse_by_tau": 3}
+        # each closed-form tag runs its stacked solver once at the one sweep point
+        assert calls == {"mvue_async_stack": 2, "solve_by_delta": 2, "solve_by_tau": 2}
 
 
 class TestSurface:

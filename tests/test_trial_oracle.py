@@ -1,15 +1,16 @@
 """``run_trial`` against an independent per-tag recomputation, bit for bit.
 
-``run_trial`` builds each pairing once per trial and evaluates each
-distinct (estimator, input set) once, reusing DD's outcome for DDN, TAU's
-for TNA and MV's for SO when the re-paired set equals the observations.
-The oracle here does none of that: for every tag on its own it samples,
-observes and scrambles the trial from the per-trial RNG streams, pairs the
-scrambled set, runs the estimator and scores it.  Errors must agree to the
+A sweep point runs in two passes: trial by trial it samples, observes,
+scrambles, builds each pairing once and runs NA; then each closed-form tag
+runs once on the stacked input sets of all the point's trials.  The oracle
+here does none of that: for every tag on its own it samples, observes and
+scrambles the trial from the per-trial RNG streams, pairs the scrambled
+set, runs the one-set estimator and scores it.  Errors must agree to the
 bit and failures by exception class.  Closed-form-shaped configurations
-(no direction noise: the assignment nearly always recovers the truth, so
-outcomes are shared) and direction-noise ones (the assignment often errs,
-so they are not) cover both paths, and the tests assert that each ran.
+(no direction noise: the assignment nearly always recovers the
+observations, so DDN's input set equals DD's) and direction-noise ones (the
+assignment often errs, so it does not) cover both cases, and the tests
+assert that each ran.
 """
 
 import math
@@ -137,18 +138,21 @@ def test_na_and_its_trial_cap():
 
 
 def test_shared_estimates_run_once(monkeypatch):
-    # the estimator runs once for DD and DDN together when the assignment
-    # recovers the observations, and once more for DDN when it does not
+    # each stacked solver runs once per tag and sweep point, on the stack of
+    # all the point's trials; the one-set estimators are not reached
     cfg = ExperimentConfig(seed=7, **DIRECTION_NOISE)
     calls = []
-    original = posest.lse_by_delta
-
-    def counted(obs):
-        calls.append(len(obs))
-        return original(obs)
-    monkeypatch.setattr(posest, "lse_by_delta", counted)
+    for module, name in ((posest, "solve_by_delta"), (posest, "solve_by_tau"),
+                         (distest, "mvue_async_stack"), (posest, "lse_by_delta")):
+        def counted(stack, *args, original=getattr(module, name), name=name):
+            calls.append((name, len(stack.tau_a)))
+            return original(stack, *args)
+        monkeypatch.setattr(module, name, counted)
     run_sweep(cfg)
-    monkeypatch.setattr(posest, "lse_by_delta", original)
+    monkeypatch.undo()
+    # DD, PWA and DDN; TAU and TNA; MV and SO
+    per_point = {"solve_by_delta": 3, "solve_by_tau": 2, "mvue_async_stack": 2}
+    assert sorted(calls) == sorted((name, cfg.trials) for name, n in per_point.items()
+                                   for _ in range(n * len(cfg.sigma_dir)))
     shared, unshared = _check(cfg)
-    assert len(calls) == shared + 2 * unshared
     assert shared > 0 and unshared > 0
