@@ -5,17 +5,18 @@ Subcommands: ``sweep`` (RMSE vs distance / direction error / MPC count),
 check), ``scenario-dump`` (one sampled scenario as CSV).  All output is
 CSV with SI units; a run is fully determined by its configuration and
 seed, with per-trial RNG streams derived from (seed, sweep point, trial).
-A sweep point runs in two passes.  Pass 1, trial by trial, samples,
-observes and scrambles, and builds each pairing (sorting for SO, one complete
-assignment for DDN and TNA) once.  Pass 2 runs NA trial by trial and each
-closed-form tag once, on the ``Stack`` of its input sets of all the point's
-trials: each trial keeps its own failures and the bits it has alone.  A reducer adds the
-outcomes up per tag in trial order.  Config-file keys are the long flags' names.
+Each sweep tag is one row of ``_ESTIMATORS``.  A sweep point runs in two passes.  Pass 1,
+trial by trial, samples, observes and scrambles, and builds each pairing once.  Pass 2 runs
+each tag once on its pairing's sets of the trials below its cap (NA set by set, the others
+on one shared ``Stack``, with ``cfg.cond_gate`` as their condition limit): each trial keeps
+its own failures and the bits it has alone.  A reducer adds the outcomes up per tag in
+trial order.  Config-file keys are the long flags' names.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
@@ -29,7 +30,6 @@ from .likelihood import ErrorModel
 
 _C = SPEED_OF_LIGHT
 
-ESTIMATOR_TAGS = ("MV", "NA", "SO", "DD", "PWA", "DDN", "TAU", "TNA")
 SURFACE_KINDS = ("known", "noassoc")
 SURFACE_SCENARIOS = ("canonical", "random")
 
@@ -139,63 +139,69 @@ def _error_model(sigma: float) -> ErrorModel:
             if sigma > 0 else ErrorModel(kind="none"))
 
 
-# Each closed-form tag's solver on a ``Stack`` of its input sets.  Solvers are looked up
-# on their modules at every call, so a patched module attribute (as a tracer installs)
-# is what runs; a sweep never reaches the one-set ``posest.lse_by_*`` or ``mvue_async``.
-_STACKED = {
-    "MV": lambda stack: distest.mvue_async_stack(stack),
-    "DD": lambda stack: posest.solve_by_delta(stack, "lse_by_delta"),
-    "PWA": lambda stack: posest.solve_by_delta(stack, "lse_by_delta_pwa"),
-    "TAU": lambda stack: posest.solve_by_tau(stack),
-}
-_STACKED.update(SO=_STACKED["MV"], DDN=_STACKED["DD"], TNA=_STACKED["TAU"])
+class _Paired(list):
+    """A pairing's sets of a sweep point's trials; their ``Stack`` is built at first use."""
 
-# The set each tag reads when it is not the trial's observations: the
-# scrambled set as it stands, or re-paired by sorting or by a complete
-# assignment, in which gated pairs stay in (their errors are part of the
-# association-quality measurement, not excluded trials).
-_INPUTS = {
-    "NA": lambda s: s,
-    "SO": lambda s: assoc.apply_assignment(s, s, assoc.associate_by_sorting(s, s)),
-    "DDN": lambda s: assoc.apply_assignment(s, s, assoc.associate(s, s, force_full=True)),
+    @functools.cached_property
+    def stack(self) -> Stack:
+        return Stack.of(self)
+
+
+def _solve(method: str, sets: _Paired, cfg: ExperimentConfig) -> tuple:
+    """One-set estimator ``method`` on every set: (values, ..., failures), the distances (T,)
+    or solutions (T, p) and each set's UwbrelError or None.  NA runs on each set alone, the
+    others once on the sets' stack, with ``cfg.cond_gate`` as the condition limit."""
+    if method == "mle_async_noassoc":
+        d, failures = np.full(len(sets), np.nan), [None] * len(sets)
+        for i, obs in enumerate(sets):
+            try:
+                d[i] = distest.mle_async_noassoc(obs, _error_model(cfg.sigma)).d_hat
+            except UwbrelError as exc:
+                failures[i] = exc
+        return d, failures
+    if method == "mvue_async":
+        return distest.mvue_async_stack(sets.stack)[0], [None] * len(sets)
+    limit = min(cfg.cond_gate, posest.COND_LIMIT)
+    return (posest.solve_by_tau(sets.stack, limit) if method == "lse_by_tau"
+            else posest.solve_by_delta(sets.stack, method, limit))
+
+
+# Each pairing's set, from a trial's observations and their scrambled set s.
+_PAIRINGS = {
+    "observed": lambda obs, s: obs,
+    "scrambled": lambda obs, s: s,
+    "sorted": lambda obs, s: assoc.apply_assignment(s, s, assoc.associate_by_sorting(s, s)),
+    "assigned": lambda obs, s: assoc.apply_assignment(s, s, assoc.associate(s, s, force_full=True)),
 }
-_INPUTS["TNA"] = _INPUTS["DDN"]
+# One row per sweep tag (the estimator's name in the CSV): the pairing it reads (a complete
+# assignment keeps its gated pairs: their errors are part of the association-quality
+# measurement, not excluded trials), the one-set estimator that ``_solve`` runs on it, and
+# the ExperimentConfig field that caps its trials.  Solvers are looked up on their modules
+# at every call, so a patched module attribute (as a tracer installs) is what runs.
+_ESTIMATORS = {
+    "MV": ("observed", "mvue_async", "trials"),
+    "NA": ("scrambled", "mle_async_noassoc", "trials_na"),
+    "SO": ("sorted", "mvue_async", "trials"),
+    "DD": ("observed", "lse_by_delta", "trials"),
+    "PWA": ("observed", "lse_by_delta_pwa", "trials"),
+    "DDN": ("assigned", "lse_by_delta", "trials"),
+    "TAU": ("observed", "lse_by_tau", "trials"),
+    "TNA": ("assigned", "lse_by_tau", "trials"),
+}
+ESTIMATOR_TAGS = tuple(_ESTIMATORS)
 # the ExperimentConfig field each sweep steps through
 _SWEEP_FIELDS = {"distance": "d", "direction_error": "sigma_dir", "mpc_count": "k_per_observer"}
 
 
-def _na_error(obs: Observations, scenario: Scenario, cfg: ExperimentConfig):
-    """NA's distance error on one set, or the class of the UwbrelError it raised."""
-    try:
-        return distest.mle_async_noassoc(obs, _error_model(cfg.sigma)).d_hat - scenario.d
-    except UwbrelError as exc:
-        return type(exc)
-
-
-def _stacked_errors(tag: str, stack: Stack, scenarios: list, cfg: ExperimentConfig) -> list:
-    """A closed-form tag on ``stack`` (set t from trial t, of scenario ``scenarios[t]``):
-    per trial the distance error or position error norm, or the class of the UwbrelError
-    it raised; a condition above ``cfg.cond_gate`` fails as RankDeficient."""
-    try:
-        solved = _STACKED[tag](stack)
-    except UwbrelError as exc:
-        return [type(exc)] * len(scenarios)
-    if tag in ("MV", "SO"):
-        return (solved[0] - [scenario.d for scenario in scenarios]).tolist()
-    x, cond, failures = solved
-    errors = norms(x[:, :3] - [scenario.d_vec for scenario in scenarios]).tolist()
-    return [type(f) if f is not None else posest.RankDeficient if c > cfg.cond_gate else e
-            for f, c, e in zip(failures, cond.tolist(), errors)]
-
-
 def _run_point(cfg: ExperimentConfig, point: int, trials) -> list:
-    """``run_trial`` of each of ``trials`` at the sweep's ``point``-th value, in the two
-    passes the module docstring describes; the trials share K and the observer layout."""
+    """``run_trial`` of each of ``trials`` (ascending) at the sweep's ``point``-th value, in
+    the two passes the module docstring describes; the trials share K and the observer layout."""
     swept = _SWEEP_FIELDS[cfg.sweep]
     d, sigma_dir, k_per = (getattr(cfg, name)[point] if name == swept else _single(cfg, name)
                            for name in ("d", "sigma_dir", "k_per_observer"))
-    builds = dict.fromkeys(_INPUTS.get(tag) for tag in cfg.estimators)  # None: observations
-    drawn = []  # (scenario, {build: its set}, perms) of each trial
+    paired = {(pairing, cap): _Paired() for pairing, _, cap in map(_ESTIMATORS.get, cfg.estimators)}
+    scrambles = any(pairing != "observed" for pairing, _ in paired)
+    drawn = []  # (scenario, perms) of each trial
     for trial in trials:
         scenario = chansim.sample_scenario(d, cfg.sv, cfg.m_observers, [k_per] * cfg.m_observers,
                                            _trial_rng(cfg.seed, point, trial, 0))
@@ -204,25 +210,25 @@ def _run_point(cfg: ExperimentConfig, point: int, trials) -> list:
         obs = chansim.observe(scenario, chansim.NoiseParams(
             sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps, eps_a_per_observer=offsets),
             noise_rng)
-        scrambled, perms = None, None
-        if any(t in _INPUTS for t in cfg.estimators):
-            scrambled, perms = chansim.scramble_association(
-                obs, _trial_rng(cfg.seed, point, trial, 2))
-        drawn.append((scenario, {b: obs if b is None else b(scrambled) for b in builds}, perms))
-    outcomes, stacks = [{} for _ in drawn], {}
-    scenarios = [scenario for scenario, _, _ in drawn]
+        scrambled, perms = chansim.scramble_association(
+            obs, _trial_rng(cfg.seed, point, trial, 2)) if scrambles else (None, None)
+        for (pairing, cap), sets in paired.items():  # the trials below the cap
+            if trial < getattr(cfg, cap):
+                sets.append(_PAIRINGS[pairing](obs, scrambled))
+        drawn.append((scenario, perms))
+    outcomes = [{} for _ in trials]
     for tag in cfg.estimators:
-        build = _INPUTS.get(tag)
-        if tag == "NA":
-            for trial, out, (scenario, sets, _) in zip(trials, outcomes, drawn):
-                if trial < cfg.trials_na:
-                    out[tag] = _na_error(sets[build], scenario, cfg)
-            continue
-        if build not in stacks:
-            stacks[build] = Stack.of([sets[build] for _, sets, _ in drawn])
-        for out, error in zip(outcomes, _stacked_errors(tag, stacks[build], scenarios, cfg)):
-            out[tag] = error
-    return [(out, perms) for out, (_, _, perms) in zip(outcomes, drawn)]
+        pairing, method, cap = _ESTIMATORS[tag]
+        sets = paired[pairing, cap]
+        try:
+            values, *_, failures = _solve(method, sets, cfg)
+        except UwbrelError as exc:
+            values, failures = np.full(len(sets), np.nan), [exc] * len(sets)
+        truth = [s.d if values.ndim == 1 else s.d_vec for s, _ in drawn[:len(sets)]]
+        errors = values - truth if values.ndim == 1 else norms(values[:, :3] - truth)
+        for out, failure, error in zip(outcomes, failures, errors.tolist()):
+            out[tag] = error if failure is None else type(failure)
+    return [(out, perms) for out, (_, perms) in zip(outcomes, drawn)]
 
 
 def run_trial(cfg: ExperimentConfig, point: int, trial: int):
@@ -231,6 +237,8 @@ def run_trial(cfg: ExperimentConfig, point: int, trial: int):
     UwbrelError it raised (tags past their trial cap are absent), and the
     true association ``chansim.scramble_association`` returns (or None),
     with the bits the trial has in a sweep."""
+    if not (0 <= point < len(getattr(cfg, _SWEEP_FIELDS[cfg.sweep])) and 0 <= trial < cfg.trials):
+        raise ConfigError(f"sweep point {point}, trial {trial} is outside the sweep")
     return _run_point(cfg, point, [trial])[0]
 
 

@@ -25,23 +25,6 @@ _ANTIPARALLEL = "1 + dir_a.dir_b below threshold; MPC directions nearly antipara
 
 
 @dataclass(frozen=True)
-class StackedDiffSystem:
-    """Delay-difference system: columns [s_k; 1] against c*delta."""
-
-    E: np.ndarray          # (4, K)
-    delta: np.ndarray      # (K,) seconds
-    s_vectors: np.ndarray  # (K, 3)
-
-
-@dataclass(frozen=True)
-class StackedTauSystem:
-    """Raw-delay system with per-observer clock-offset columns."""
-
-    G: np.ndarray  # (3K, 4 + M)
-    t: np.ndarray  # (3K,) meters
-
-
-@dataclass(frozen=True)
 class PositionEstimate:
     d_vec: np.ndarray
     eps_hat: float
@@ -66,22 +49,6 @@ def _diff_columns(stack, pwa: bool):
         low = denom <= _ANTIPARALLEL_EPS
         ma = (ma + mb) / np.where(low, 1.0, denom)[..., None]
     return np.concatenate([ma, np.ones(low.shape + (1,))], axis=2), low.any(axis=1)
-
-
-def build_diff_system(observations, pwa: bool = False) -> StackedDiffSystem:
-    """Stack the delay-difference system from observations.
-
-    With ``pwa`` the combined direction is replaced by the A-side direction
-    (plane-wave assumption); otherwise s_k = (a + b) / (1 + a.b), whose
-    denominator is guarded against antiparallel direction pairs.
-    """
-    if not observations:
-        raise InvalidParams("no observations")
-    (A,), (antiparallel,) = _diff_columns(Stack.of([observations]), pwa)
-    if antiparallel:
-        raise AntiparallelDirections(_ANTIPARALLEL)
-    return StackedDiffSystem(E=A.T, delta=observations.tau_b - observations.tau_a,
-                             s_vectors=A[:, :3])
 
 
 def _lstsq(A: np.ndarray, b: np.ndarray, cond_limit: float, failures: list):
@@ -191,12 +158,6 @@ def _tau_system(stack):
     for j, rows in enumerate(stack.groups.values()):  # one offset column per observer
         G[..., 4 + j][:, rows] = stack.dir_b[:, rows] - stack.dir_a[:, rows]
     return G.reshape(n, 3 * k, -1), vector_identity_terms(stack, _C).reshape(n, -1)
-
-
-def build_tau_system(observations) -> StackedTauSystem:
-    """Stack the raw-delay system with shared and per-observer offset columns."""
-    (G,), (t,) = _tau_system(Stack.of([observations]))
-    return StackedTauSystem(G=G, t=t)
 
 
 def solve_by_tau(stack, cond_limit: float = COND_LIMIT):

@@ -18,6 +18,7 @@ from uwbrel.evalcli import (
     dump_surface,
     main,
     run_sweep,
+    run_trial,
 )
 from uwbrel.geom import SPEED_OF_LIGHT as C
 
@@ -114,9 +115,20 @@ class TestRunSweep:
         counting(posest, "solve_by_delta")
         counting(posest, "solve_by_tau")
         counting(distest, "mvue_async_stack")
+        counting(distest, "mle_async_noassoc")
         run_sweep(tiny_cfg(trials=3, estimators=("MV", "SO", "DD", "DDN", "TAU", "TNA")))
         # each closed-form tag runs its stacked solver once at the one sweep point
         assert calls == {"mvue_async_stack": 2, "solve_by_delta": 2, "solve_by_tau": 2}
+        calls.clear()
+        run_sweep(tiny_cfg(trials=3, trials_na=2, estimators=("NA", "MV")))
+        # NA runs on each set alone, and only on the trials below its cap
+        assert calls == {"mle_async_noassoc": 2, "mvue_async_stack": 1}
+
+    @pytest.mark.parametrize("point, trial", [(1, 0), (-1, 0), (0, -1), (0, 7)])
+    def test_run_trial_outside_the_sweep(self, point, trial):
+        cfg = tiny_cfg(trials=3)
+        with pytest.raises(ConfigError, match=f"point {point}, trial {trial} "):
+            run_trial(cfg, point, trial)
 
 
 class TestSurface:

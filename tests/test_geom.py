@@ -10,6 +10,7 @@ from uwbrel.geom import (
     Scenario,
     complete_mpc,
     group_by_observer,
+    positions_in_group,
     projection_residual,
     pwa_residual,
 )
@@ -215,3 +216,12 @@ class TestGroups:
         obs.groups  # noqa: B018 -- cache the parent's grouping first
         moved = replace(obs, observer=np.array([0, 1, 1, 0, 0, 3]))
         self._same(moved.groups, group_by_observer([0, 1, 1, 0, 0, 3]))
+
+
+class TestPositionsInGroup:
+    def test_non_contiguous_ids(self):
+        np.testing.assert_array_equal(positions_in_group([2, 0, 2, 1, 0]), [0, 0, 1, 0, 1])
+
+    def test_empty(self):
+        got = positions_in_group(np.array([], dtype=int))
+        assert got.shape == (0,)

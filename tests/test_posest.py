@@ -5,10 +5,10 @@ import pytest
 
 from uwbrel.chansim import NoiseParams, Observations, SvParams, observe, sample_scenario
 from uwbrel.errors import AntiparallelDirections, InvalidParams, NotPositiveDefinite, RankDeficient
-from uwbrel.geom import SPEED_OF_LIGHT as C, complete_mpc
+from uwbrel.geom import SPEED_OF_LIGHT as C, Stack, complete_mpc
 from uwbrel.posest import (
-    build_diff_system,
-    build_tau_system,
+    _diff_columns,
+    _tau_system,
     gls_by_delta,
     lse_by_delta,
     lse_by_delta_pwa,
@@ -58,17 +58,18 @@ class TestZeroNoiseExactness:
     def test_residual_is_zero_on_consistent_data(self):
         rng = np.random.default_rng(2)
         scenario, obs = make_observations(rng)
-        sys_ = build_diff_system(obs)
+        (columns,), (antiparallel,) = _diff_columns(Stack.of([obs]), pwa=False)
+        assert not antiparallel
         x = np.concatenate([scenario.d_vec, [C * 5e-9]])
-        resid = sys_.E.T @ x - C * sys_.delta
+        resid = columns @ x - C * (obs.tau_b - obs.tau_a)
         assert np.abs(resid).max() < 1e-9
 
     def test_s_vector_projection_property(self):
         rng = np.random.default_rng(3)
         scenario, obs = make_observations(rng, eps=0.0, eps_a=(0.0, 0.0, 0.0))
-        sys_ = build_diff_system(obs)
-        proj = sys_.s_vectors @ scenario.d_vec
-        np.testing.assert_allclose(proj, C * sys_.delta, atol=1e-9)
+        (columns,), _ = _diff_columns(Stack.of([obs]), pwa=False)
+        proj = columns[:, :3] @ scenario.d_vec
+        np.testing.assert_allclose(proj, C * (obs.tau_b - obs.tau_a), atol=1e-9)
 
 
 class TestRankAndGuards:
@@ -80,7 +81,7 @@ class TestRankAndGuards:
 
     def test_antiparallel_guard(self):
         with pytest.raises(AntiparallelDirections):
-            build_diff_system(constant(4, np.full(4, 20e-9), np.full(4, 20e-9), EX, -EX))
+            lse_by_delta(constant(4, np.full(4, 20e-9), np.full(4, 20e-9), EX, -EX))
 
     def test_tau_needs_enough_rows(self):
         with pytest.raises(RankDeficient):
@@ -193,8 +194,8 @@ class TestTauSync:
         # system leaves the componentwise mean as the exact LSE
         rng = np.random.default_rng(13)
         _, obs = make_observations(rng, sigma=0.3e-9, sigma_dir=np.radians(2.0))
-        sys_ = build_tau_system(obs)
-        pinned, *_ = np.linalg.lstsq(sys_.G[:, :3], sys_.t, rcond=None)
+        (G,), (t,) = _tau_system(Stack.of([obs]))
+        pinned, *_ = np.linalg.lstsq(G[:, :3], t, rcond=None)
         est = lse_by_tau_sync(obs)
         np.testing.assert_allclose(est.d_vec, pinned, rtol=1e-12, atol=1e-15)
 

@@ -1,8 +1,9 @@
 """``run_trial`` against an independent per-tag recomputation, bit for bit.
 
 A sweep point runs in two passes: trial by trial it samples, observes,
-scrambles, builds each pairing once and runs NA; then each closed-form tag
-runs once on the stacked input sets of all the point's trials.  The oracle
+scrambles and builds each pairing once; then each tag runs once on its
+pairing's sets of all the point's trials, NA set by set and the closed-form
+tags on one stack, whose condition limit is the harness's gate.  The oracle
 here does none of that: for every tag on its own it samples, observes and
 scrambles the trial from the per-trial RNG streams, pairs the scrambled
 set, runs the one-set estimator and scores it.  Errors must agree to the
@@ -20,7 +21,7 @@ import pytest
 
 from uwbrel import assoc, chansim, distest, posest
 from uwbrel.errors import UwbrelError
-from uwbrel.evalcli import ExperimentConfig, run_sweep, run_trial
+from uwbrel.evalcli import DEFAULT_COND_GATE, ExperimentConfig, run_sweep, run_trial
 from uwbrel.likelihood import ErrorModel
 
 CLOSED_FORM = dict(sweep="distance", d=(0.0, 2.0, 8.0), sigma=0.2e-9, m_observers=3,
@@ -31,6 +32,7 @@ DIRECTION_NOISE = dict(sweep="direction_error", d=(2.0,), sigma=0.2e-9,
                        m_observers=3, k_per_observer=(4,), trials=12,
                        estimators=("DD", "PWA", "TAU", "DDN", "TNA", "MV", "SO"))
 COLUMNS = ("tau_a", "tau_b", "dir_a", "dir_b", "observer")
+POSITIONS = ("DD", "PWA", "TAU", "DDN", "TNA")
 
 
 def _rng(cfg, point, trial, stream):
@@ -122,6 +124,18 @@ def _check(cfg):
 def test_closed_form_shape(seed):
     shared, unshared = _check(ExperimentConfig(seed=seed, **CLOSED_FORM))
     assert shared > 0
+
+
+@pytest.mark.parametrize("cond_gate", [50.0, 1e13])
+def test_closed_form_at_other_gates(cond_gate):
+    # a gate of 50 fails positions the default gate keeps; one above posest.COND_LIMIT
+    # leaves the solvers' own limit, which fails what the default does at these trials
+    cfg = ExperimentConfig(seed=0, cond_gate=cond_gate, **CLOSED_FORM)
+    shared, _ = _check(cfg)
+    assert shared > 0
+    failed = [sum(row["failures"] for row in run_sweep(c).rows if row["estimator"] in POSITIONS)
+              for c in (cfg, ExperimentConfig(seed=0, **CLOSED_FORM))]
+    assert failed[0] > failed[1] if cond_gate < DEFAULT_COND_GATE else failed[0] == failed[1]
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
