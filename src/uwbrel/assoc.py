@@ -10,7 +10,7 @@ associates never loads ``scipy.optimize``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,19 +26,14 @@ class AssocConfig:
     """Assignment-cost parameters.
 
     ``lambda_`` weighs the squared delay term against the squared direction
-    chord; by default it is 1/sigma_tau.  Pairs with an angle above
-    ``angle_gate`` are forbidden.
+    chord; by default it is 1/``DEFAULT_SIGMA_TAU``, one over the indoor RMS
+    delay spread.  Pairs with an angle above ``angle_gate`` are forbidden.
     """
 
-    sigma_tau: float = DEFAULT_SIGMA_TAU
-    lambda_: float = None
+    lambda_: float = 1.0 / DEFAULT_SIGMA_TAU
     angle_gate: float = np.radians(30.0)
 
     def __post_init__(self):
-        if not 0.0 < self.sigma_tau < np.inf:
-            raise InvalidParams("sigma_tau must be finite and positive")
-        if self.lambda_ is None:
-            object.__setattr__(self, "lambda_", 1.0 / self.sigma_tau)
         if not 0.0 <= self.lambda_ < np.inf:
             raise InvalidParams("lambda_ must be finite and nonnegative")
         if not (0.0 < self.angle_gate <= np.pi):

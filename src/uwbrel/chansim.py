@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometry, InvalidParams
-from .geom import (SPEED_OF_LIGHT, Observations, Scenario, complete_mpc, norms,
-                   positions_in_group)
+from .geom import Observations, Scenario, complete_mpc, norms, positions_in_group
 
 # Calibrated shape fractions (in units of cluster_mean / ray_mean):
 # dominant-cluster onset = floor + exponential tail; the follow-up cluster
@@ -128,7 +127,7 @@ def sample_unit_directions(rng, n: int) -> np.ndarray:
 
 
 def sample_scenario(d: float, params: SvParams, m_observers: int,
-                    k_per_observer, rng_seed, c: float = SPEED_OF_LIGHT) -> Scenario:
+                    k_per_observer, rng_seed) -> Scenario:
     """Draw a full scenario: node A at the origin, node B at (d, 0, 0).
 
     Per observer, K_o excess delays come from one channel draw and the
@@ -148,8 +147,6 @@ def sample_scenario(d: float, params: SvParams, m_observers: int,
     k_per_observer = [_count(k, "k_per_observer") for k in k_per_observer]
     if len(k_per_observer) != m_observers or any(k < 1 for k in k_per_observer):
         raise InvalidParams("k_per_observer must give a positive count per observer")
-    if not 0.0 < c < np.inf:
-        raise InvalidParams("c must be finite and positive")
 
     rng = _as_rng(rng_seed)
     pos_a = np.zeros(3)
@@ -158,13 +155,13 @@ def sample_scenario(d: float, params: SvParams, m_observers: int,
     for k_o in k_per_observer:
         tau_a = params.tau_min + sample_excess_delays(params, k_o, rng)
         dir_a = sample_unit_directions(rng, k_o)
-        tau_b, dir_b, degenerate = complete_mpc(pos_a, pos_b, tau_a, dir_a, c)
+        tau_b, dir_b, degenerate = complete_mpc(pos_a, pos_b, tau_a, dir_a)
         # redraw the flagged rows in row order; the batch draw was attempt 1 of 100
         for k in np.flatnonzero(degenerate) if degenerate.any() else ():
             for _ in range(99):
                 tau_a[k] = params.tau_min + sample_excess_delays(params, 1, rng)[0]
                 dir_a[k] = sample_unit_directions(rng, 1)[0]
-                tau_b[k], dir_b[k], flagged = complete_mpc(pos_a, pos_b, tau_a[k], dir_a[k], c)
+                tau_b[k], dir_b[k], flagged = complete_mpc(pos_a, pos_b, tau_a[k], dir_a[k])
                 if not flagged:
                     break
             else:
@@ -172,7 +169,7 @@ def sample_scenario(d: float, params: SvParams, m_observers: int,
         columns.append((tau_a, tau_b, dir_a, dir_b))
     tau_a, tau_b, dir_a, dir_b = (np.concatenate(side) for side in zip(*columns))
     observer = np.repeat(np.arange(m_observers), k_per_observer)
-    return Scenario(pos_a=pos_a, pos_b=pos_b, c=c, mpcs=Observations(
+    return Scenario(pos_a=pos_a, pos_b=pos_b, mpcs=Observations(
         tau_a=tau_a, tau_b=tau_b, dir_a=dir_a, dir_b=dir_b, observer=observer))
 
 

@@ -1,10 +1,11 @@
 """Monte-Carlo evaluation harness and command-line interface.
 
-Subcommands: ``sweep`` (RMSE vs distance / direction error / MPC count),
-``surface`` (likelihood grid dump), ``calibrate`` (channel-statistics
-check), ``scenario-dump`` (one sampled scenario as CSV).  All output is
-CSV with SI units; a run is fully determined by its configuration and
-seed, with per-trial RNG streams derived from (seed, sweep point, trial).
+Subcommands: ``sweep`` (RMSE vs distance / direction error / MPC count), ``surface``
+(likelihood grid dump), ``calibrate`` (channel-statistics check), ``scenario-dump`` (one
+sampled scenario as CSV).  All output is CSV with SI units; a run is fully determined by its
+configuration and seed, with per-trial RNG streams derived from (seed, sweep point, trial).
+The channel profile (``chansim.SvParams()``) and the per-observer clock offsets' range,
+U(0, ``EPS_A_MAX``), are fixed values, not settings.
 Each sweep tag is one row of ``_ESTIMATORS``.  A sweep point runs in two passes.  Pass 1,
 trial by trial, samples, observes and scrambles, and builds each pairing once.  Pass 2 runs
 each tag once on its pairing's sets of the trials below its cap (NA set by set, the others
@@ -19,7 +20,7 @@ import argparse
 import functools
 import numbers
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,8 +28,6 @@ from . import assoc, chansim, distest, posest
 from .errors import ConfigError, DegenerateGeometry, InvalidParams, UwbrelError
 from .geom import SPEED_OF_LIGHT, Observations, Scenario, Stack, complete_mpc, norms
 from .likelihood import ErrorModel
-
-_C = SPEED_OF_LIGHT
 
 SURFACE_KINDS = ("known", "noassoc")
 SURFACE_SCENARIOS = ("canonical", "random")
@@ -38,6 +37,8 @@ CAL_TARGET_RMS = 26.3e-9
 CAL_REL_BAND = 0.10
 
 DEFAULT_COND_GATE = 1e5  # trial-validity gate on the reported condition number
+EPS_A_MAX = 100e-9  # s; a trial's per-observer clock offsets are drawn from U(0, EPS_A_MAX)
+_CHANNEL = chansim.SvParams()  # the channel profile of every sweep, dump and calibration
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,7 @@ class ExperimentConfig:
     trials_na: int = 200
     seed: int = 0
     estimators: tuple = ("MV", "SO", "DD", "PWA", "TAU")
-    sv: chansim.SvParams = field(default_factory=chansim.SvParams)
     eps: float = 5e-9                        # seconds
-    eps_a_max: float = 100e-9                # per-observer offsets ~ U(0, eps_a_max)
     cond_gate: float = DEFAULT_COND_GATE
     surface_kind: str = "known"              # known | noassoc
     surface_scenario: str = "canonical"      # canonical | random
@@ -66,7 +65,7 @@ class ExperimentConfig:
         if self.sweep not in (*_SWEEP_FIELDS, "surface", "calibrate"):
             raise ConfigError(f"unknown sweep {self.sweep!r}")
         ranges = (*_SWEEP_FIELDS.values(), "estimators")  # a scalar or a string is not one
-        for name in (*ranges, "sigma", "eps", "eps_a_max", "cond_gate"):
+        for name in (*ranges, "sigma", "eps", "cond_gate"):
             value, want = getattr(self, name), "a tuple or list" if name in ranges else "a number"
             if not isinstance(value, (tuple, list) if name in ranges else numbers.Real):
                 raise ConfigError(f"{name} takes {want}, not {value!r}")
@@ -89,8 +88,8 @@ class ExperimentConfig:
             raise ConfigError("sweep ranges must be nonempty")
         if not all(0.0 <= v < np.inf for v in (*self.d, self.sigma, *self.sigma_dir)):
             raise ConfigError("distances and noise levels must be finite and nonnegative")
-        if not (np.isfinite(self.eps) and np.isfinite(self.eps_a_max) and self.cond_gate > 0):
-            raise ConfigError("eps and eps_a_max must be finite and cond_gate positive")
+        if not (np.isfinite(self.eps) and self.cond_gate > 0):
+            raise ConfigError("eps must be finite and cond_gate positive")
         if self.m_observers < 1 or any(k < 1 for k in self.k_per_observer):
             raise ConfigError("observer and MPC counts must be positive")
         bad = [t for t in self.estimators if t not in ESTIMATOR_TAGS]
@@ -203,10 +202,10 @@ def _run_point(cfg: ExperimentConfig, point: int, trials) -> list:
     scrambles = any(pairing != "observed" for pairing, _ in paired)
     drawn = []  # (scenario, perms) of each trial
     for trial in trials:
-        scenario = chansim.sample_scenario(d, cfg.sv, cfg.m_observers, [k_per] * cfg.m_observers,
+        scenario = chansim.sample_scenario(d, _CHANNEL, cfg.m_observers, [k_per] * cfg.m_observers,
                                            _trial_rng(cfg.seed, point, trial, 0))
         noise_rng = _trial_rng(cfg.seed, point, trial, 1)
-        offsets = tuple(noise_rng.uniform(0.0, cfg.eps_a_max, cfg.m_observers))
+        offsets = tuple(noise_rng.uniform(0.0, EPS_A_MAX, cfg.m_observers))
         obs = chansim.observe(scenario, chansim.NoiseParams(
             sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps, eps_a_per_observer=offsets),
             noise_rng)
@@ -231,13 +230,20 @@ def _run_point(cfg: ExperimentConfig, point: int, trials) -> list:
     return [(out, perms) for out, (_, perms) in zip(outcomes, drawn)]
 
 
+def _sweep_values(cfg: ExperimentConfig) -> tuple:
+    """The values the sweep steps through; ``surface`` or ``calibrate`` raises ConfigError."""
+    if cfg.sweep not in _SWEEP_FIELDS:
+        raise ConfigError(f"{cfg.sweep!r} is not a sweep")
+    return getattr(cfg, _SWEEP_FIELDS[cfg.sweep])
+
+
 def run_trial(cfg: ExperimentConfig, point: int, trial: int):
     """Trial ``trial`` of a validated sweep at its ``point``-th value:
     ``(outcomes, perms)``, with each tag's error or the class of the
     UwbrelError it raised (tags past their trial cap are absent), and the
     true association ``chansim.scramble_association`` returns (or None),
     with the bits the trial has in a sweep."""
-    if not (0 <= point < len(getattr(cfg, _SWEEP_FIELDS[cfg.sweep])) and 0 <= trial < cfg.trials):
+    if not (0 <= point < len(_sweep_values(cfg)) and 0 <= trial < cfg.trials):
         raise ConfigError(f"sweep point {point}, trial {trial} is outside the sweep")
     return _run_point(cfg, point, [trial])[0]
 
@@ -261,17 +267,15 @@ def _reduce(cfg: ExperimentConfig, value, outcomes) -> list:
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Monte-Carlo RMSE sweep over the configured parameter."""
     cfg.validate()
-    if cfg.sweep not in _SWEEP_FIELDS:
-        raise ConfigError(f"run_sweep cannot run sweep {cfg.sweep!r}")
     rows = []
-    for point, value in enumerate(getattr(cfg, _SWEEP_FIELDS[cfg.sweep])):
+    for point, value in enumerate(_sweep_values(cfg)):
         rows += _reduce(cfg, value, [out for out, _ in _run_point(cfg, point, range(cfg.trials))])
     return SweepResult(sweep_param=cfg.sweep, rows=tuple(rows))
 
 
 # --- surface dump --------------------------------------------------------
 
-def canonical_scenario(d: float, c: float = _C) -> Scenario:
+def canonical_scenario(d: float) -> Scenario:
     """Archetypal one-observer, three-path geometry (direct path, a mirror
     beyond node B, and a side reflection) whose hard-indicator likelihood
     peaks exactly at the true (d, eps)."""
@@ -280,12 +284,12 @@ def canonical_scenario(d: float, c: float = _C) -> Scenario:
     # the direct path from an observer placed behind A on the B-axis, a
     # reflection off a wall beyond B (virtual source past B on the axis) and
     # a generic side reflection
-    tau_a = np.array([5.0, 9.0, 7.0]) / c
+    tau_a = np.array([5.0, 9.0, 7.0]) / SPEED_OF_LIGHT
     dir_a = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
-    tau_b, dir_b, degenerate = complete_mpc(pos_a, pos_b, tau_a, dir_a, c)
+    tau_b, dir_b, degenerate = complete_mpc(pos_a, pos_b, tau_a, dir_a)
     if degenerate.any():
         raise DegenerateGeometry("virtual source coincides with node B")
-    return Scenario(pos_a=pos_a, pos_b=pos_b, c=c, mpcs=Observations(
+    return Scenario(pos_a=pos_a, pos_b=pos_b, mpcs=Observations(
         tau_a=tau_a, tau_b=tau_b, dir_a=dir_a, dir_b=dir_b, observer=np.zeros(3, dtype=int)))
 
 
@@ -304,7 +308,7 @@ def _one_scenario(cfg: ExperimentConfig) -> Scenario:
     if len(counts) not in (1, cfg.m_observers):
         raise ConfigError(f"{len(counts)} MPC counts for {cfg.m_observers} observers")
     return chansim.sample_scenario(
-        _single(cfg, "d"), cfg.sv, cfg.m_observers,
+        _single(cfg, "d"), _CHANNEL, cfg.m_observers,
         counts * cfg.m_observers if len(counts) == 1 else counts,
         np.random.default_rng([cfg.seed, 0]))
 
@@ -325,7 +329,7 @@ def dump_surface(cfg: ExperimentConfig) -> str:
     observations = _observe_dump(cfg, scenario)
     model = _error_model(cfg.sigma)
     delta = observations.tau_b - observations.tau_a
-    d_max = max(4.0 * _C * float(np.abs(delta).max()), 1e-3)
+    d_max = max(4.0 * SPEED_OF_LIGHT * float(np.abs(delta).max()), 1e-3)
     d_grid = np.linspace(0.0, d_max, cfg.grid_steps)
     # keep the eps axis tight around the observed diffs: its resolution must
     # be fine enough (relative to the d step) to land inside the feasibility
@@ -351,7 +355,7 @@ def calibrate(cfg: ExperimentConfig) -> dict:
     rng = np.random.default_rng([cfg.seed, 99])
     per_call = 4
     n_calls = int(np.ceil(cfg.calib_samples / per_call))
-    chunks = [chansim.sample_excess_delays(cfg.sv, per_call, rng)
+    chunks = [chansim.sample_excess_delays(_CHANNEL, per_call, rng)
               for _ in range(n_calls)]
     delays = np.concatenate(chunks)[: cfg.calib_samples]
     mean = float(delays.mean())

@@ -38,9 +38,11 @@ import numpy as np
 from .errors import DegenerateGeometry, InvalidParams
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+_C = SPEED_OF_LIGHT
 
 UNIT_TOL = 1e-12  # tolerance on the norm of a unit direction
 _COINCIDENCE_EPS = 1e-12  # m; below float-noise scale for meter-range scenarios
+_VALIDATE_TOL = 1e-9  # m; Scenario.validate's tolerance on the identity and the delay bound
 
 
 def norms(v) -> np.ndarray:
@@ -54,11 +56,7 @@ def group_by_observer(observer) -> dict:
     """Row indices grouped by observer id: ``{id: index array}``, observers
     in order of first appearance, indices ascending."""
     ids = np.asarray(observer, dtype=int)
-    bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
-    runs = ids[bounds[:-1]].tolist() if ids.size else []  # the id of each run of equal ids
-    if len(set(runs)) == len(runs):  # each observer's rows are one run
-        return {o: np.arange(a, b) for o, a, b in zip(runs, bounds, bounds[1:])}
-    return {o: np.flatnonzero(ids == o) for o in dict.fromkeys(runs)}
+    return {o: np.flatnonzero(ids == o) for o in dict.fromkeys(ids.tolist())}
 
 
 def positions_in_group(observer) -> np.ndarray:
@@ -148,9 +146,9 @@ class Stack:
     @classmethod
     def of(cls, sets) -> "Stack":
         """The stack of a nonempty sequence of ``Observations`` of one observer layout."""
-        if len({len(s) for s in sets}) > 1 or (
+        if not sets or len({len(s) for s in sets}) > 1 or (
                 np.stack([s.observer for s in sets]) != sets[0].observer).any():
-            raise InvalidParams("stacked sets need one observer layout")
+            raise InvalidParams("a stack needs one or more sets of one observer layout")
         return cls(*(np.stack([getattr(s, name) for s in sets])
                      for name in Observations._COLUMNS[:4]), groups=sets[0].groups)
 
@@ -166,13 +164,10 @@ class Scenario:
     pos_a: np.ndarray
     pos_b: np.ndarray
     mpcs: Observations
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         object.__setattr__(self, "pos_a", np.asarray(self.pos_a, dtype=float))
         object.__setattr__(self, "pos_b", np.asarray(self.pos_b, dtype=float))
-        if not 0.0 < self.c < np.inf:
-            raise InvalidParams("c must be finite and positive")
         if not ((self.mpcs.tau_a > 0).all() and (self.mpcs.tau_b > 0).all()):
             raise DegenerateGeometry("MPC delays must be positive")
 
@@ -191,12 +186,12 @@ class Scenario:
     def k_per_observer(self) -> dict:
         return {o: rows.size for o, rows in self.mpcs.groups.items()}
 
-    def validate(self, tol: float = 1e-9) -> None:
-        """Check every MPC against the vector identity and the delay bound;
+    def validate(self) -> None:
+        """Check every MPC against the vector identity and the delay bound, each to 1e-9 m;
         the first bad row is named as (observer, position in its group)."""
         m = self.mpcs
-        off_identity = norms(vector_identity_terms(m, self.c) - self.d_vec) > tol
-        off_bound = np.abs(self.c * (m.tau_b - m.tau_a)) > self.d + tol
+        off_identity = norms(vector_identity_terms(m) - self.d_vec) > _VALIDATE_TOL
+        off_bound = np.abs(_C * (m.tau_b - m.tau_a)) > self.d + _VALIDATE_TOL
         bad = np.flatnonzero(off_identity | off_bound)
         if bad.size:
             row = bad[0]
@@ -206,7 +201,7 @@ class Scenario:
             raise DegenerateGeometry(f"{name} violates the delay-difference bound")
 
 
-def complete_mpc(pos_a, pos_b, tau_a, dir_a, c: float = SPEED_OF_LIGHT):
+def complete_mpc(pos_a, pos_b, tau_a, dir_a):
     """Fill in the B-side delays and directions from the A-side ones, row by row.
 
     ``tau_a`` (K,) and ``dir_a`` (K, 3) in; ``(tau_b, dir_b, degenerate)``
@@ -216,20 +211,20 @@ def complete_mpc(pos_a, pos_b, tau_a, dir_a, c: float = SPEED_OF_LIGHT):
     there to ``pos_b``, i.e. ``d + c*tau_a*dir_a``.
     """
     d = np.asarray(pos_b, dtype=float) - np.asarray(pos_a, dtype=float)
-    leg_b = d + c * np.asarray(tau_a, dtype=float)[..., None] * np.asarray(dir_a, dtype=float)
+    leg_b = d + _C * np.asarray(tau_a, dtype=float)[..., None] * np.asarray(dir_a, dtype=float)
     norm_b = norms(leg_b)
     degenerate = norm_b < _COINCIDENCE_EPS
-    return norm_b / c, leg_b / np.maximum(norm_b, _COINCIDENCE_EPS)[..., None], degenerate
+    return norm_b / _C, leg_b / np.maximum(norm_b, _COINCIDENCE_EPS)[..., None], degenerate
 
 
-def vector_identity_terms(observations, c: float) -> np.ndarray:
+def vector_identity_terms(observations) -> np.ndarray:
     """The (K, 3) terms c*tau_b*dir_b - c*tau_a*dir_a of the per-MPC vector identity,
     each equal to d plus the MPC's clock-offset terms ((T, K, 3) for a ``Stack``)."""
-    return (c * observations.tau_b[..., None] * observations.dir_b
-            - c * observations.tau_a[..., None] * observations.dir_a)
+    return (_C * observations.tau_b[..., None] * observations.dir_b
+            - _C * observations.tau_a[..., None] * observations.dir_a)
 
 
-def projection_residual(mpcs, d, c: float = SPEED_OF_LIGHT) -> np.ndarray:
+def projection_residual(mpcs, d) -> np.ndarray:
     """Per-row residual of the projection identity, in meters.
 
     Returns ``(dir_a + dir_b)^T d - c*(tau_b - tau_a)*(1 + dir_a^T dir_b)``,
@@ -237,14 +232,14 @@ def projection_residual(mpcs, d, c: float = SPEED_OF_LIGHT) -> np.ndarray:
     """
     cos_ab = np.einsum("ij,ij->i", mpcs.dir_a, mpcs.dir_b)
     lhs = (mpcs.dir_a + mpcs.dir_b) @ np.asarray(d, dtype=float)
-    return lhs - c * (mpcs.tau_b - mpcs.tau_a) * (1.0 + cos_ab)
+    return lhs - _C * (mpcs.tau_b - mpcs.tau_a) * (1.0 + cos_ab)
 
 
-def pwa_residual(mpcs, d, c: float = SPEED_OF_LIGHT) -> np.ndarray:
+def pwa_residual(mpcs, d) -> np.ndarray:
     """Per-row plane-wave-assumption residual ``dir_a^T d - c*(tau_b - tau_a)``
     in meters.
 
     Diagnostic only: small when the node separation is much shorter than the
     path length, not zero in general.
     """
-    return mpcs.dir_a @ np.asarray(d, dtype=float) - c * (mpcs.tau_b - mpcs.tau_a)
+    return mpcs.dir_a @ np.asarray(d, dtype=float) - _C * (mpcs.tau_b - mpcs.tau_a)

@@ -157,7 +157,7 @@ def _tau_system(stack):
     G[..., 3] = stack.dir_b
     for j, rows in enumerate(stack.groups.values()):  # one offset column per observer
         G[..., 4 + j][:, rows] = stack.dir_b[:, rows] - stack.dir_a[:, rows]
-    return G.reshape(n, 3 * k, -1), vector_identity_terms(stack, _C).reshape(n, -1)
+    return G.reshape(n, 3 * k, -1), vector_identity_terms(stack).reshape(n, -1)
 
 
 def solve_by_tau(stack, cond_limit: float = COND_LIMIT):
@@ -184,6 +184,6 @@ def lse_by_tau_sync(observations) -> PositionEstimate:
     if not observations:
         raise InvalidParams("no observations")
     return PositionEstimate(
-        d_vec=vector_identity_terms(observations, _C).mean(axis=0), eps_hat=0.0,
+        d_vec=vector_identity_terms(observations).mean(axis=0), eps_hat=0.0,
         method="lse_by_tau_sync", condition_number=1.0,
     )

@@ -45,11 +45,6 @@ def stacked(groups):
 
 
 class TestAssocConfig:
-    @pytest.mark.parametrize("sigma_tau", [0.0, np.inf])
-    def test_sigma_tau_must_be_finite_and_positive(self, sigma_tau):
-        with pytest.raises(InvalidParams, match="sigma_tau"):
-            AssocConfig(sigma_tau=sigma_tau)
-
     def test_lambda_must_be_finite(self):
         with pytest.raises(InvalidParams, match="lambda_"):
             AssocConfig(lambda_=np.nan)

@@ -79,7 +79,7 @@ class TestRunSweep:
             run_sweep(tiny_cfg(estimators=("DD", "MV", "DD")))
         for bad in (dict(sigma=np.nan), dict(sigma=np.inf), dict(sigma_dir=(0.1, np.nan)),
                     dict(d=(2.0, np.nan)), dict(d=(-1.0,)), dict(eps=np.nan),
-                    dict(eps_a_max=np.inf), dict(cond_gate=np.nan), dict(cond_gate=0.0),
+                    dict(cond_gate=np.nan), dict(cond_gate=0.0),
                     dict(calib_samples=0), dict(grid_steps=1)):
             with pytest.raises(ConfigError):
                 tiny_cfg(**bad).validate()
@@ -129,6 +129,14 @@ class TestRunSweep:
         cfg = tiny_cfg(trials=3)
         with pytest.raises(ConfigError, match=f"point {point}, trial {trial} "):
             run_trial(cfg, point, trial)
+
+    @pytest.mark.parametrize("sweep", ["surface", "calibrate"])
+    def test_run_trial_and_run_sweep_reject_a_config_that_is_no_sweep(self, sweep):
+        cfg = tiny_cfg(sweep=sweep)
+        cfg.validate()  # a valid configuration, of a subcommand that is not a sweep
+        for run in (lambda: run_trial(cfg, 0, 0), lambda: run_sweep(cfg)):
+            with pytest.raises(ConfigError, match=f"'{sweep}' is not a sweep"):
+                run()
 
 
 class TestSurface:
@@ -459,6 +467,11 @@ class TestFlagTable:
         nameable = {"sweep", "calibrate", "scenario-dump",
                     *(f"a {scenario} surface" for scenario in SURFACE_SCENARIOS)}
         assert {reader for *_, readers in _FLAGS for reader in readers} == nameable
+
+    def test_every_field_is_a_flag(self):
+        # no harness setting is out of reach of the flags and the config file
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(fields) == sorted(name for _, name, *_ in _FLAGS)
 
     @pytest.mark.parametrize("flag", ["--d", "--sigma-dir-deg", "--observers"])
     def test_a_shared_key_reaches_main_where_unread(self, flag, capsys):

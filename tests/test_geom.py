@@ -171,12 +171,6 @@ class TestScenario:
         s = random_scenario(np.random.default_rng(2), k=5, observer=[2, 2, 0, 2, 0])
         assert s.k_per_observer() == {2: 3, 0: 2}
 
-    @pytest.mark.parametrize("c", [np.nan, np.inf, 0.0, -1.0])
-    def test_rejects_bad_speed(self, c):
-        s = random_scenario(np.random.default_rng(3))
-        with pytest.raises(InvalidParams, match="c must"):
-            replace(s, c=c)
-
 
 class TestGroups:
     OBSERVER = [2, 2, 0, 2, 1, 0]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from uwbrel import chansim, distest, posest
-from uwbrel.errors import AntiparallelDirections, RankDeficient, UwbrelError
+from uwbrel.errors import AntiparallelDirections, InvalidParams, RankDeficient, UwbrelError
 from uwbrel.evalcli import ExperimentConfig, run_sweep
 from uwbrel.geom import SPEED_OF_LIGHT as C
 from uwbrel.geom import Observations, Stack
@@ -196,6 +196,11 @@ def test_stack_level_errors():
     shuffled = Observations(one.tau_a, one.tau_b, one.dir_a, one.dir_b, one.observer[::-1])
     with pytest.raises(UwbrelError, match="one observer layout"):
         Stack.of([one, shuffled])
+
+
+def test_an_empty_stack_is_rejected():
+    with pytest.raises(InvalidParams, match="one or more sets"):
+        Stack.of([])
 
 
 def test_sweep_with_a_point_where_every_closed_form_fails():

@@ -46,10 +46,10 @@ def _trial(cfg, point, trial):
     d = value if cfg.sweep == "distance" else cfg.d[0]
     sigma_dir = value if cfg.sweep == "direction_error" else cfg.sigma_dir[0]
     k_per = int(value) if cfg.sweep == "mpc_count" else cfg.k_per_observer[0]
-    scenario = chansim.sample_scenario(d, cfg.sv, cfg.m_observers,
+    scenario = chansim.sample_scenario(d, chansim.SvParams(), cfg.m_observers,
                                        [k_per] * cfg.m_observers, _rng(cfg, point, trial, 0))
     noise_rng = _rng(cfg, point, trial, 1)
-    offsets = tuple(noise_rng.uniform(0.0, cfg.eps_a_max, cfg.m_observers))
+    offsets = tuple(noise_rng.uniform(0.0, 100e-9, cfg.m_observers))
     noise = chansim.NoiseParams(sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps,
                                 eps_a_per_observer=offsets)
     observations = chansim.observe(scenario, noise, noise_rng)
