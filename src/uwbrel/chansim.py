@@ -232,6 +232,18 @@ def observe(scenario: Scenario, noise: NoiseParams, rng_seed) -> Observations:
                         dir_a=dir_a, dir_b=dir_b, observer=truth.observer)
 
 
+def scramble_sources(groups, rng_seed):
+    """The draw of ``scramble_association`` for a set of observer ``groups``:
+    ``(source, perms)``, scrambled row i taking its B side from row ``source[i]``."""
+    rng = _as_rng(rng_seed)
+    source = np.arange(sum(rows.size for rows in groups.values()))
+    perms = {}
+    for o, rows in groups.items():
+        perms[o] = rng.permutation(rows.size)
+        source[rows] = rows[perms[o]]
+    return source, perms
+
+
 def scramble_association(observations: Observations, rng_seed):
     """Permute the B-side columns uniformly at random within each observer.
 
@@ -239,15 +251,8 @@ def scramble_association(observations: Observations, rng_seed):
     to the original index ``perms[o][i]`` within observer o's group, for
     scoring reconstructed associations against the truth.
     """
-    rng = _as_rng(rng_seed)
-    source = np.arange(len(observations))
-    perms = {}
-    for o, rows in observations.groups.items():
-        perms[o] = rng.permutation(rows.size)
-        source[rows] = rows[perms[o]]
-    return Observations._of_rows(observations.tau_a, observations.tau_b[source],
-                                 observations.dir_a, observations.dir_b[source],
-                                 observations.observer, groups=observations.groups), perms
+    source, perms = scramble_sources(observations.groups, rng_seed)
+    return observations._with_b(source, observations.groups), perms
 
 
 _CSV_COLUMNS = [

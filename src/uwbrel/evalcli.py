@@ -6,10 +6,10 @@ sampled scenario as CSV).  All output is CSV with SI units; a run is fully deter
 configuration and seed, with per-trial RNG streams derived from (seed, sweep point, trial).
 The channel profile (``chansim.SvParams()``) and the per-observer clock offsets' range,
 U(0, ``EPS_A_MAX``), are fixed values, not settings.
-Each sweep tag is one row of ``_ESTIMATORS``.  A sweep point runs in two passes.  Pass 1,
-trial by trial, samples, observes and scrambles, and builds each pairing once.  Pass 2 runs
-each tag once on its pairing's sets of the trials below its cap (NA set by set, the others
-on one shared ``Stack``, with ``cfg.cond_gate`` as their condition limit): each trial keeps
+Each sweep tag is one row of ``_ESTIMATORS``.  A sweep point runs in two passes.  Pass 1
+draws per trial; each pairing is then a gather of the point's stack of observations.  Pass 2
+runs each tag once on its pairing's sets of the trials below its cap (NA set by set, the
+others on a ``Stack``, with ``cfg.cond_gate`` as their condition limit): each trial keeps
 its own failures and the bits it has alone.  A reducer adds the outcomes up per tag in
 trial order.  Config-file keys are the long flags' names.
 """
@@ -17,7 +17,6 @@ trial order.  Config-file keys are the long flags' names.
 from __future__ import annotations
 
 import argparse
-import functools
 import numbers
 import sys
 from dataclasses import dataclass, replace
@@ -138,18 +137,10 @@ def _error_model(sigma: float) -> ErrorModel:
             if sigma > 0 else ErrorModel(kind="none"))
 
 
-class _Paired(list):
-    """A pairing's sets of a sweep point's trials; their ``Stack`` is built at first use."""
-
-    @functools.cached_property
-    def stack(self) -> Stack:
-        return Stack.of(self)
-
-
-def _solve(method: str, sets: _Paired, cfg: ExperimentConfig) -> tuple:
+def _solve(method: str, sets, cfg: ExperimentConfig) -> tuple:
     """One-set estimator ``method`` on every set: (values, ..., failures), the distances (T,)
-    or solutions (T, p) and each set's UwbrelError or None.  NA runs on each set alone, the
-    others once on the sets' stack, with ``cfg.cond_gate`` as the condition limit."""
+    or solutions (T, p) and each set's UwbrelError or None.  NA runs on each of a list of
+    sets alone, the others once on a ``Stack``, with ``cfg.cond_gate`` as the condition limit."""
     if method == "mle_async_noassoc":
         d, failures = np.full(len(sets), np.nan), [None] * len(sets)
         for i, obs in enumerate(sets):
@@ -159,24 +150,18 @@ def _solve(method: str, sets: _Paired, cfg: ExperimentConfig) -> tuple:
                 failures[i] = exc
         return d, failures
     if method == "mvue_async":
-        return distest.mvue_async_stack(sets.stack)[0], [None] * len(sets)
+        return distest.mvue_async_stack(sets)[0], [None] * len(sets.tau_a)
     limit = min(cfg.cond_gate, posest.COND_LIMIT)
-    return (posest.solve_by_tau(sets.stack, limit) if method == "lse_by_tau"
-            else posest.solve_by_delta(sets.stack, method, limit))
+    return (posest.solve_by_tau(sets, limit) if method == "lse_by_tau"
+            else posest.solve_by_delta(sets, method, limit))
 
 
-# Each pairing's set, from a trial's observations and their scrambled set s.
-_PAIRINGS = {
-    "observed": lambda obs, s: obs,
-    "scrambled": lambda obs, s: s,
-    "sorted": lambda obs, s: assoc.apply_assignment(s, s, assoc.associate_by_sorting(s, s)),
-    "assigned": lambda obs, s: assoc.apply_assignment(s, s, assoc.associate(s, s, force_full=True)),
-}
 # One row per sweep tag (the estimator's name in the CSV): the pairing it reads (a complete
 # assignment keeps its gated pairs: their errors are part of the association-quality
 # measurement, not excluded trials), the one-set estimator that ``_solve`` runs on it, and
-# the ExperimentConfig field that caps its trials.  Solvers are looked up on their modules
-# at every call, so a patched module attribute (as a tracer installs) is what runs.
+# the ExperimentConfig field that caps its trials.  NA reads each scrambled set alone.
+# Solvers and ``assoc.associate_stack`` are looked up on their modules at every call, so a
+# patched module attribute (as a tracer installs) is what runs.
 _ESTIMATORS = {
     "MV": ("observed", "mvue_async", "trials"),
     "NA": ("scrambled", "mle_async_noassoc", "trials_na"),
@@ -198,36 +183,50 @@ def _run_point(cfg: ExperimentConfig, point: int, trials) -> list:
     swept = _SWEEP_FIELDS[cfg.sweep]
     d, sigma_dir, k_per = (getattr(cfg, name)[point] if name == swept else _single(cfg, name)
                            for name in ("d", "sigma_dir", "k_per_observer"))
-    paired = {(pairing, cap): _Paired() for pairing, _, cap in map(_ESTIMATORS.get, cfg.estimators)}
-    scrambles = any(pairing != "observed" for pairing, _ in paired)
-    drawn = []  # (scenario, perms) of each trial
+    drawn = []  # (scenario, observations) of each trial
     for trial in trials:
         scenario = chansim.sample_scenario(d, _CHANNEL, cfg.m_observers, [k_per] * cfg.m_observers,
                                            _trial_rng(cfg.seed, point, trial, 0))
         noise_rng = _trial_rng(cfg.seed, point, trial, 1)
         offsets = tuple(noise_rng.uniform(0.0, EPS_A_MAX, cfg.m_observers))
-        obs = chansim.observe(scenario, chansim.NoiseParams(
+        drawn.append((scenario, chansim.observe(scenario, chansim.NoiseParams(
             sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps, eps_a_per_observer=offsets),
-            noise_rng)
-        scrambled, perms = chansim.scramble_association(
-            obs, _trial_rng(cfg.seed, point, trial, 2)) if scrambles else (None, None)
-        for (pairing, cap), sets in paired.items():  # the trials below the cap
-            if trial < getattr(cfg, cap):
-                sets.append(_PAIRINGS[pairing](obs, scrambled))
-        drawn.append((scenario, perms))
+            noise_rng)))
+    scenarios, observed = zip(*drawn)
+    groups = observed[0].groups  # the observer layout every trial shares
+    scrambled = any(_ESTIMATORS[tag][0] != "observed" for tag in cfg.estimators)
+    sources, perms = zip(*(chansim.scramble_sources(groups, _trial_rng(cfg.seed, point, trial, 2))
+                           if scrambled else (None, None) for trial in trials))
+    sources = np.array(sources)  # (T, K) when scrambled
+    stacks = {}  # each pairing's stack of the first n trials, by (pairing, n)
+
+    def paired(pairing, n):
+        """The pairing's stack of the first n trials, a gather of their observed stack."""
+        if (pairing, n) not in stacks and pairing == "observed":
+            stacks[pairing, n] = Stack.of(observed[:n])
+        elif (pairing, n) not in stacks:
+            stack, scrambles = paired("observed", n), sources[:n]
+            if pairing != "scrambled":  # re-paired on the scrambled stack
+                found = assoc.associate_stack(paired("scrambled", n), pairing == "sorted")
+                scrambles = np.take_along_axis(scrambles, found, 1)
+            stacks[pairing, n] = stack.paired(scrambles)
+        return stacks[pairing, n]
+
     outcomes = [{} for _ in trials]
     for tag in cfg.estimators:
         pairing, method, cap = _ESTIMATORS[tag]
-        sets = paired[pairing, cap]
+        n = sum(trial < getattr(cfg, cap) for trial in trials)  # the trials below the cap
+        sets = ([obs._with_b(source, groups) for obs, source in zip(observed, sources[:n])]
+                if method == "mle_async_noassoc" else paired(pairing, n))
         try:
             values, *_, failures = _solve(method, sets, cfg)
         except UwbrelError as exc:
-            values, failures = np.full(len(sets), np.nan), [exc] * len(sets)
-        truth = [s.d if values.ndim == 1 else s.d_vec for s, _ in drawn[:len(sets)]]
+            values, failures = np.full(n, np.nan), [exc] * n
+        truth = [s.d if values.ndim == 1 else s.d_vec for s in scenarios[:n]]
         errors = values - truth if values.ndim == 1 else norms(values[:, :3] - truth)
         for out, failure, error in zip(outcomes, failures, errors.tolist()):
             out[tag] = error if failure is None else type(failure)
-    return [(out, perms) for out, (_, perms) in zip(outcomes, drawn)]
+    return list(zip(outcomes, perms))
 
 
 def _sweep_values(cfg: ExperimentConfig) -> tuple:

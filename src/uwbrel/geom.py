@@ -131,6 +131,11 @@ class Observations:
             raise InvalidParams("rows are selected by a slice, an index array or a mask")
         return Observations._of_rows(*(getattr(self, name)[rows] for name in self._COLUMNS))
 
+    def _with_b(self, source, groups) -> "Observations":
+        """This set (``groups`` its own) with B row ``source[k]`` paired to A row k, unchecked."""
+        return Observations._of_rows(self.tau_a, self.tau_b[source], self.dir_a,
+                                     self.dir_b[source], self.observer, groups=groups)
+
 
 @dataclass(frozen=True)
 class Stack:
@@ -151,6 +156,16 @@ class Stack:
             raise InvalidParams("a stack needs one or more sets of one observer layout")
         return cls(*(np.stack([getattr(s, name) for s in sets])
                      for name in Observations._COLUMNS[:4]), groups=sets[0].groups)
+
+    def paired(self, sources) -> "Stack":
+        """The stack pairing set t's A row k with its B row ``sources[t, k]``; each row of the
+        integer ``sources`` (T, K) must permute every observer's rows, else InvalidParams."""
+        sources = np.asarray(sources)
+        if sources.dtype.kind not in "iu" or sources.shape != self.tau_b.shape or any(
+                (np.sort(sources[:, rows], axis=1) != rows).any() for rows in self.groups.values()):
+            raise InvalidParams("each row of sources must permute every observer's rows")
+        return Stack(self.tau_a, np.take_along_axis(self.tau_b, sources, 1), self.dir_a,
+                     np.take_along_axis(self.dir_b, sources[..., None], 1), self.groups)
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,16 @@ def test_bad_assignments_raise(perms, match):
         apply_assignment(obs, obs, Assignment(permutation=perms, matched={}))
 
 
+@pytest.mark.parametrize("perm", [[0.5, 1, 2], [0.0, 1.0, 2.0], [True, False, True],
+                                  np.array([2, 0, 1], dtype=float)])
+def test_non_integer_permutations_raise(perm):
+    # a fractional index would be truncated to a B row, and a boolean read as 0/1 indices
+    obs = _measured(5)
+    perms = {0: [0, 1, 2, 3], 1: perm, 2: [0, 1, 2, 3, 4]}
+    with pytest.raises(InvalidParams, match="observer 1: .* integer B index"):
+        apply_assignment(obs, obs, Assignment(permutation=perms, matched={}))
+
+
 def test_the_first_bad_observer_is_named():
     obs = _measured(5)
     perms = {0: [0, 1, 2, 3], 1: [0, 1, 9], 2: [0, 1]}

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from uwbrel import distest, posest
+from uwbrel import assoc, distest, posest
 from uwbrel.errors import ConfigError
 from uwbrel.evalcli import (
     _FLAGS,
@@ -116,9 +116,12 @@ class TestRunSweep:
         counting(posest, "solve_by_tau")
         counting(distest, "mvue_async_stack")
         counting(distest, "mle_async_noassoc")
+        counting(assoc, "associate_stack")
         run_sweep(tiny_cfg(trials=3, estimators=("MV", "SO", "DD", "DDN", "TAU", "TNA")))
-        # each closed-form tag runs its stacked solver once at the one sweep point
-        assert calls == {"mvue_async_stack": 2, "solve_by_delta": 2, "solve_by_tau": 2}
+        # each closed-form tag runs its stacked solver once at the one sweep point, and
+        # the sorted and assigned pairings are each found once, DDN and TNA sharing one
+        assert calls == {"mvue_async_stack": 2, "solve_by_delta": 2, "solve_by_tau": 2,
+                         "associate_stack": 2}
         calls.clear()
         run_sweep(tiny_cfg(trials=3, trials_na=2, estimators=("NA", "MV")))
         # NA runs on each set alone, and only on the trials below its cap

@@ -156,6 +156,17 @@ def _direction_noise_benchmark_sweeps() -> str:
         k_per_observer=(4,), trials=30, estimators=("DD", "PWA", "TAU", "DDN", "TNA"))
 
 
+def _gated_direction_error_sweeps() -> str:
+    """Association under heavy direction error: 45 and 90 degrees at d = 2 m,
+    3 x 4, 30 trials per point, SO, DDN and TNA, at seeds 0-1.  At 90 degrees
+    many observer blocks are gated in full and take the no-match path."""
+    return "".join(run_sweep(ExperimentConfig(
+        sweep="direction_error", d=(2.0,), sigma=0.2e-9,
+        sigma_dir=(math.radians(45.0), math.radians(90.0)), m_observers=3,
+        k_per_observer=(4,), trials=30, estimators=("SO", "DDN", "TNA"), seed=seed)).to_csv()
+        for seed in range(2))
+
+
 RUNS = {
     "na_hard_k7_seed0": lambda: run_sweep(_na_hard_k7(0)).to_csv(),
     "na_hard_k7_seed1": lambda: run_sweep(_na_hard_k7(1)).to_csv(),
@@ -202,6 +213,7 @@ RUNS = {
     "na_gaussian_benchmark_seeds_0_12": _na_gaussian_benchmark_sweeps,
     "closed_form_benchmark_seeds_0_3": _closed_form_benchmark_sweeps,
     "direction_noise_benchmark_seeds_0_3": _direction_noise_benchmark_sweeps,
+    "gated_direction_error_seeds_0_1": _gated_direction_error_sweeps,
 }
 
 GOLDEN = {
@@ -212,6 +224,8 @@ GOLDEN = {
         "de41083eb4c5a52176fbfcbf321be16fc15b1339fc2cfc7586a760778704bf65",
     "direction_error_sweep": "d1a70e60d09c253db172cb7850e59fd7ddfedb0d6ccb1203e1b6aae25697478f",
     "distance_closed_forms": "64941fb25159d9ebfc84924344ccd0f3b1af32546963140c06a46d38aa92a4cb",
+    "gated_direction_error_seeds_0_1":
+        "f658d19cdcb9a38d4fefb7bdbadbd21da8e32aad61e6ac547c68973313547407",
     "library_results": "17d5d51efc28ca2d3a248f93e4bcd40af5de47b68ff219e68ed09b0b71c36a7e",
     "mpc_count_sweep": "3f0a097d7ba1136f2b9465d61f96d1141b7f65cbbcbc657fcb063bc23f9da2b3",
     "na_gaussian_1x7": "7ed4c04ba0173dec87ab28ca2dac60386a5be1c9de91901cd68670297a4d6a50",

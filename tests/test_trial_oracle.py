@@ -1,9 +1,10 @@
 """``run_trial`` against an independent per-tag recomputation, bit for bit.
 
-A sweep point runs in two passes: trial by trial it samples, observes,
-scrambles and builds each pairing once; then each tag runs once on its
-pairing's sets of all the point's trials, NA set by set and the closed-form
-tags on one stack, whose condition limit is the harness's gate.  The oracle
+A sweep point runs in two passes: pass 1 draws per trial (scenario,
+observations, the scramble's permutations), and each pairing is a gather of
+the point's stack of observations; then each tag runs once on its pairing's
+sets of all the point's trials, NA set by set and the closed-form tags on
+their pairing's stack, whose condition limit is the harness's gate.  The oracle
 here does none of that: for every tag on its own it samples, observes and
 scrambles the trial from the per-trial RNG streams, pairs the scrambled
 set, runs the one-set estimator and scores it.  Errors must agree to the
