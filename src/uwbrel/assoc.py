@@ -5,8 +5,8 @@ delay mismatch; pairs whose directions disagree by more than the angle
 gate are forbidden.  The per-observer assignment is solved exactly as a
 linear assignment problem by ``scipy.optimize.linear_sum_assignment``,
 imported at the first assignment, so that code which never associates
-never loads ``scipy.optimize``.  ``associate_stack`` pairs a whole
-``geom.Stack`` through the one-set functions' per-observer kernels.
+never loads ``scipy.optimize``.  ``associate_stack`` pairs a whole stack
+of sets through the one-set functions' per-observer kernels.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .geom import Observations, Stack
+from .geom import Observations
 
 DEFAULT_SIGMA_TAU = 26.3e-9  # indoor RMS delay spread used for the default weight
 NO_MATCH_COST = 1e9          # finite stand-in for gated pairs; also the padding cost
@@ -57,7 +57,7 @@ class Assignment:
 
 def pair_cost(a_set, b_set, cfg: AssocConfig, mu_a, mu_b) -> np.ndarray:
     """Costs of pairing every A-side MPC of ``a_set`` (rows) with every B-side
-    MPC of ``b_set`` (columns), both ``Observations`` or both ``geom.Stack``.
+    MPC of ``b_set`` (columns), both sets or both stacks (``Observations``).
 
     ``mu_a``/``mu_b`` are the mean delays of each MPC's observer (scalars,
     or one per row of the set); centering by them removes the unknown clock
@@ -149,9 +149,9 @@ def associate_by_sorting(obs_a, obs_b) -> Assignment:
                       matched={o: np.ones(p.size, dtype=bool) for o, p in permutation.items()})
 
 
-def associate_stack(stack: Stack, by_sorting: bool = False) -> np.ndarray:
+def associate_stack(stack: Observations, by_sorting: bool = False) -> np.ndarray:
     """Every set of ``stack`` paired A side to its own B side, as the (T, K) sources
-    ``Stack.paired`` takes: set t's A row k pairs with its B row ``sources[t, k]``, of the
+    ``Observations.paired`` takes: set t's A row k pairs with its B row ``sources[t, k]``, of the
     same observer.  By delay rank, the pairs of ``associate_by_sorting``; else by minimum
     cost, those of ``associate(force_full=True)`` (default ``AssocConfig``)."""
     groups, sources = stack.groups, np.empty(stack.tau_a.shape, dtype=int)

@@ -6,7 +6,7 @@ known association its inputs are the differences tau_b - tau_a row by row,
 and MPC k's sigma is row k's.
 
 - Closed forms: ``mvue_async``, ``mle_async_noiseless``, ``mle_sync`` and
-  ``mvue_sync``; ``mvue_async`` is ``mvue_async_stack`` on a one-set ``geom.Stack``.
+  ``mvue_sync``; ``mvue_async_stack`` is ``mvue_async`` on a set or a whole stack.
 - Likelihoods: ``loglik_known_assoc`` and ``loglik_no_assoc``, both on one
   body, ``_noassoc_kernel`` (known association is one MPC per observer).
 - ML estimators: ``mle_async_gaussian`` and ``mle_async_noassoc`` set up
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientMpcs, InvalidParams, PermutationCapExceeded
-from .geom import SPEED_OF_LIGHT, Stack
+from .geom import SPEED_OF_LIGHT
 from .likelihood import ErrorModel, OptimizerConfig, best_first, maximize_2d
 
 _C = SPEED_OF_LIGHT
@@ -73,18 +73,15 @@ def _sync_range(delta: np.ndarray):
     return delta.size, float(np.abs(delta).max())
 
 
-def mvue_async_stack(stack):
-    """``mvue_async``'s distances and offsets (midranges), each (T,), of a ``geom.Stack``."""
-    if not stack.tau_a.shape[1]:
-        raise InvalidParams("no observations")
-    k, spread, mid = _async_range(stack.tau_b - stack.tau_a)
+def mvue_async_stack(obs):
+    """``mvue_async``'s distance and midrange offset: floats of a set, arrays (T,) of a stack."""
+    k, spread, mid = _async_range(_delays(obs))
     return (k + 1) / (k - 1) * (_C / 2.0) * spread, mid
 
 
 def mvue_async(obs) -> DistanceEstimate:
     """Bias-corrected range estimate: (K+1)/(K-1) * (c/2) * (max - min)."""
-    (d_hat,), (mid,) = mvue_async_stack(Stack.of([obs]))
-    return DistanceEstimate(d_hat=float(d_hat), eps_hat=float(mid), method="mvue_async")
+    return DistanceEstimate(*mvue_async_stack(obs), method="mvue_async")
 
 
 def mle_async_noiseless(obs) -> DistanceEstimate:

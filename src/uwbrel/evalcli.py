@@ -9,7 +9,7 @@ U(0, ``EPS_A_MAX``), are fixed values, not settings.
 Each sweep tag is one row of ``_ESTIMATORS``.  A sweep point runs in two passes.  Pass 1
 draws per trial; each pairing is then a gather of the point's stack of observations.  Pass 2
 runs each tag once on its pairing's sets of the trials below its cap (NA set by set, the
-others on a ``Stack``, with ``cfg.cond_gate`` as their condition limit): each trial keeps
+others on a stack, with ``cfg.cond_gate`` as their condition limit): each trial keeps
 its own failures and the bits it has alone.  A reducer adds the outcomes up per tag in
 trial order.  Config-file keys are the long flags' names.
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import assoc, chansim, distest, posest
 from .errors import ConfigError, DegenerateGeometry, InvalidParams, UwbrelError
-from .geom import SPEED_OF_LIGHT, Observations, Scenario, Stack, complete_mpc, norms
+from .geom import SPEED_OF_LIGHT, Observations, Scenario, complete_mpc, norms
 from .likelihood import ErrorModel
 
 SURFACE_KINDS = ("known", "noassoc")
@@ -83,8 +83,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, not {self.seed}")
-        if not self.d or not self.sigma_dir or not self.k_per_observer:
-            raise ConfigError("sweep ranges must be nonempty")
+        if not (self.d and self.sigma_dir and self.k_per_observer and self.estimators):
+            raise ConfigError("sweep ranges and estimators must be nonempty")
         if not all(0.0 <= v < np.inf for v in (*self.d, self.sigma, *self.sigma_dir)):
             raise ConfigError("distances and noise levels must be finite and nonnegative")
         if not (np.isfinite(self.eps) and self.cond_gate > 0):
@@ -140,7 +140,7 @@ def _error_model(sigma: float) -> ErrorModel:
 def _solve(method: str, sets, cfg: ExperimentConfig) -> tuple:
     """One-set estimator ``method`` on every set: (values, ..., failures), the distances (T,)
     or solutions (T, p) and each set's UwbrelError or None.  NA runs on each of a list of
-    sets alone, the others once on a ``Stack``, with ``cfg.cond_gate`` as the condition limit."""
+    sets alone, the others once on a stack, with ``cfg.cond_gate`` as the condition limit."""
     if method == "mle_async_noassoc":
         d, failures = np.full(len(sets), np.nan), [None] * len(sets)
         for i, obs in enumerate(sets):
@@ -203,7 +203,7 @@ def _run_point(cfg: ExperimentConfig, point: int, trials) -> list:
     def paired(pairing, n):
         """The pairing's stack of the first n trials, a gather of their observed stack."""
         if (pairing, n) not in stacks and pairing == "observed":
-            stacks[pairing, n] = Stack.of(observed[:n])
+            stacks[pairing, n] = Observations.stack(observed[:n])
         elif (pairing, n) not in stacks:
             stack, scrambles = paired("observed", n), sources[:n]
             if pairing != "scrambled":  # re-paired on the scrambled stack
@@ -396,16 +396,21 @@ def _count(value: float) -> int:
 
 
 def _load_config_file(path: str) -> dict:
+    """A UTF-8 file's ``key = value`` lines by key ('-' read as '_'), else ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.split("#", 1)[0].strip() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8: {exc}") from None
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = val
+    for line in filter(None, lines):
+        if "=" not in line:
+            raise ConfigError(f"bad config line: {line!r}")
+        key, val = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key in out:
+            raise ConfigError(f"config key {key!r} is given twice")
+        out[key] = val.strip()
     return out
 
 

@@ -11,8 +11,8 @@ holds exactly for the relative position d = pos_b - pos_a.
 
 A set of MPCs is one ``Observations``: five columns, one row per MPC,
 checked where the set enters; rows taken from a checked set are not checked
-again.  The same type holds the ground truth of a ``Scenario`` and what the
-nodes measure, so the noise-free measurement is the truth; a ``Stack`` holds
+again.  The same type holds the ground truth of a ``Scenario``, what the
+nodes measure (so the noise-free measurement is the truth) and a stack of
 many sets of one observer layout.  Every geometric function here works on
 such columns, row by row: ``complete_mpc`` fills in the B side,
 ``vector_identity_terms`` and the residuals return one value per row.
@@ -77,6 +77,8 @@ class Observations:
     columns and keep read-only copies: delays must be finite (zero and negative
     values are accepted, since a measured delay carries an arbitrary clock offset)
     and directions unit vectors.  A slice, index array or mask selects rows.
+    A stack of T sets (``stack``) has (T, K) delays and (T, K, 3) directions and
+    shares one ``observer`` column and its ``groups``.
     """
 
     tau_a: np.ndarray
@@ -116,7 +118,7 @@ class Observations:
 
     @classmethod
     def _of_rows(cls, *columns, groups=None) -> "Observations":
-        """The set of five ``columns`` of rows taken from checked sets, kept read-only and
+        """The set or stack of five ``columns`` taken from checked sets, kept read-only and
         C-contiguous but not checked again; ``groups``, if given, groups its observers."""
         new = object.__new__(cls)
         for name, column in zip(cls._COLUMNS, map(np.ascontiguousarray, columns)):
@@ -127,45 +129,35 @@ class Observations:
         return new
 
     def __getitem__(self, rows) -> "Observations":
-        if self.observer[rows].ndim != 1:
-            raise InvalidParams("rows are selected by a slice, an index array or a mask")
+        if self.tau_a.ndim != 1 or self.observer[rows].ndim != 1:
+            raise InvalidParams("one set's rows are selected by a slice, an index array or a mask")
         return Observations._of_rows(*(getattr(self, name)[rows] for name in self._COLUMNS))
+
+    @classmethod
+    def stack(cls, sets) -> "Observations":
+        """The stack of a nonempty sequence of sets (not stacks) of one observer layout."""
+        if not sets or {s.tau_a.shape for s in sets} != {sets[0].observer.shape} or (
+                np.stack([s.observer for s in sets]) != sets[0].observer).any():
+            raise InvalidParams("a stack needs one or more sets of one observer layout")
+        return cls._of_rows(*(np.stack([getattr(s, name) for s in sets]) for name in
+                              cls._COLUMNS[:4]), sets[0].observer, groups=sets[0].groups)
+
+    def paired(self, sources) -> "Observations":
+        """This set or stack with A row k paired to B row ``sources[..., k]``; the integer
+        ``sources``, shaped as ``tau_b``, must permute each observer's rows, else InvalidParams."""
+        sources = np.asarray(sources)
+        if sources.dtype.kind not in "iu" or sources.shape != self.tau_b.shape or any(
+                (np.sort(sources[..., rows], -1) != rows).any() for rows in self.groups.values()):
+            raise InvalidParams("each row of sources must permute every observer's rows")
+        return Observations._of_rows(
+            self.tau_a, np.take_along_axis(self.tau_b, sources, -1), self.dir_a,
+            np.take_along_axis(self.dir_b, sources[..., None], -2), self.observer,
+            groups=self.groups)
 
     def _with_b(self, source, groups) -> "Observations":
         """This set (``groups`` its own) with B row ``source[k]`` paired to A row k, unchecked."""
         return Observations._of_rows(self.tau_a, self.tau_b[source], self.dir_a,
                                      self.dir_b[source], self.observer, groups=groups)
-
-
-@dataclass(frozen=True)
-class Stack:
-    """T sets of one observer layout as columns with a leading set axis: ``tau_a``,
-    ``tau_b`` (T, K), ``dir_a``, ``dir_b`` (T, K, 3); ``groups`` is every set's."""
-
-    tau_a: np.ndarray
-    tau_b: np.ndarray
-    dir_a: np.ndarray
-    dir_b: np.ndarray
-    groups: MappingProxyType
-
-    @classmethod
-    def of(cls, sets) -> "Stack":
-        """The stack of a nonempty sequence of ``Observations`` of one observer layout."""
-        if not sets or len({len(s) for s in sets}) > 1 or (
-                np.stack([s.observer for s in sets]) != sets[0].observer).any():
-            raise InvalidParams("a stack needs one or more sets of one observer layout")
-        return cls(*(np.stack([getattr(s, name) for s in sets])
-                     for name in Observations._COLUMNS[:4]), groups=sets[0].groups)
-
-    def paired(self, sources) -> "Stack":
-        """The stack pairing set t's A row k with its B row ``sources[t, k]``; each row of the
-        integer ``sources`` (T, K) must permute every observer's rows, else InvalidParams."""
-        sources = np.asarray(sources)
-        if sources.dtype.kind not in "iu" or sources.shape != self.tau_b.shape or any(
-                (np.sort(sources[:, rows], axis=1) != rows).any() for rows in self.groups.values()):
-            raise InvalidParams("each row of sources must permute every observer's rows")
-        return Stack(self.tau_a, np.take_along_axis(self.tau_b, sources, 1), self.dir_a,
-                     np.take_along_axis(self.dir_b, sources[..., None], 1), self.groups)
 
 
 @dataclass(frozen=True)
@@ -234,7 +226,7 @@ def complete_mpc(pos_a, pos_b, tau_a, dir_a):
 
 def vector_identity_terms(observations) -> np.ndarray:
     """The (K, 3) terms c*tau_b*dir_b - c*tau_a*dir_a of the per-MPC vector identity,
-    each equal to d plus the MPC's clock-offset terms ((T, K, 3) for a ``Stack``)."""
+    each equal to d plus the MPC's clock-offset terms ((T, K, 3) for a stack)."""
     return (_C * observations.tau_b[..., None] * observations.dir_b
             - _C * observations.tau_a[..., None] * observations.dir_a)
 

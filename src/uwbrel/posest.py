@@ -5,8 +5,8 @@ so the stacked systems stay well-conditioned, use orthogonal-factorization
 least squares, and report the condition number of their normal matrix.
 Two solvers, ``solve_by_delta`` (modes ``lse_by_delta``, ``lse_by_delta_pwa``,
 ``gls_by_delta``) and ``solve_by_tau`` (``lse_by_tau``), solve every set of a
-``geom.Stack`` with one batched SVD, each set with the bits and the failure it
-has alone; each estimator is its solver on a stack of one set.
+stack (``Observations.stack``) with one batched SVD, each set with the bits and
+the failure it has alone; each estimator is its solver on a stack of one set.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntiparallelDirections, InvalidParams, NotPositiveDefinite, RankDeficient
-from .geom import SPEED_OF_LIGHT, Stack, vector_identity_terms
+from .geom import SPEED_OF_LIGHT, Observations, vector_identity_terms
 
 _C = SPEED_OF_LIGHT
 _ANTIPARALLEL_EPS = 1e-6
@@ -78,8 +78,9 @@ def _lstsq(A: np.ndarray, b: np.ndarray, cond_limit: float, failures: list):
 def _one(method: str, observations, *args) -> PositionEstimate:
     """``method`` on a stack of ``observations`` alone: the position, A-B offset and any
     per-observer offsets of its solution [d; c*eps; c*eps_a...], or its error."""
-    x, cond, (failure,) = (solve_by_tau(Stack.of([observations]), *args) if method == "lse_by_tau"
-                           else solve_by_delta(Stack.of([observations]), method, *args))
+    stack = Observations.stack([observations])
+    x, cond, (failure,) = (solve_by_tau(stack, *args) if method == "lse_by_tau"
+                           else solve_by_delta(stack, method, *args))
     if failure is not None:
         raise failure
     offsets = [v / _C for v in x[0, 3:].tolist()]
@@ -89,10 +90,12 @@ def _one(method: str, observations, *args) -> PositionEstimate:
 
 def solve_by_delta(stack, method: str = "lse_by_delta", cond_limit: float = COND_LIMIT,
                    error_mean=None, error_cov=None):
-    """``method``'s solution [d; c*eps] of every set of the ``geom.Stack`` ``stack``, as
+    """``method``'s solution [d; c*eps] of every set of the stack ``stack``, as
     ``_lstsq`` returns it: ``lse_by_delta``, ``lse_by_delta_pwa`` (s_k = dir_a) or
     ``gls_by_delta`` (diffs less ``error_mean``, both sides whitened by the Cholesky factor
     of ``error_cov``, one of each for the stack).  Antiparallel sets are not solved."""
+    if method not in ("lse_by_delta", "lse_by_delta_pwa", "gls_by_delta"):
+        raise InvalidParams(f"{method!r} is not lse_by_delta, lse_by_delta_pwa or gls_by_delta")
     gls = method == "gls_by_delta"
     k = stack.tau_a.shape[1]
     if k < 4:
@@ -161,7 +164,7 @@ def _tau_system(stack):
 
 
 def solve_by_tau(stack, cond_limit: float = COND_LIMIT):
-    """``lse_by_tau``'s ``_lstsq`` solutions [d; c*eps; c*eps_a...] of a ``geom.Stack``."""
+    """``lse_by_tau``'s ``_lstsq`` solutions [d; c*eps; c*eps_a...] of a stack of sets."""
     G, t = _tau_system(stack)
     if G.shape[1] < G.shape[2]:
         raise RankDeficient("raw-delay LSE needs 3K >= 4 + M")

@@ -84,6 +84,11 @@ class TestRunSweep:
             with pytest.raises(ConfigError):
                 tiny_cfg(**bad).validate()
 
+    def test_no_estimators_is_rejected(self):
+        # the CLI cannot pass an empty tuple: --estimators "" parses to ("",)
+        with pytest.raises(ConfigError, match="estimators must be nonempty"):
+            run_sweep(tiny_cfg(estimators=()))
+
     def test_noise_hurts_mvue(self):
         quiet = run_sweep(tiny_cfg(sigma=0.0, trials=300, estimators=("MV",)))
         loud = run_sweep(tiny_cfg(sigma=1e-9, trials=300, estimators=("MV",)))
@@ -262,6 +267,22 @@ class TestCli:
         bad.write_text("this is not a key value line\n")
         rc = main(["sweep", "--config", str(bad)])
         assert rc == 2
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "latin1.cfg"
+        cfgfile.write_bytes(b"d = 2\xff\n")
+        assert main(["sweep", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("text, key", [("trials = 1\ntrials = 2\n", "trials"),
+                                           ("trials_na = 1\ntrials-na = 2\n", "trials_na")])
+    def test_config_key_given_twice_exits_2(self, tmp_path, capsys, text, key):
+        cfgfile = tmp_path / "twice.cfg"
+        cfgfile.write_text(text + "estimators = MV\n")
+        assert main(["sweep", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key!r} is given twice" in err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "typo.cfg"

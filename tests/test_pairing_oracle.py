@@ -2,7 +2,7 @@
 
 A sweep builds its sorted and assigned sets on the stack of a point's
 observations: ``assoc.associate_stack`` finds each set's (T, K) sources on the
-scrambled stack, and ``geom.Stack.paired`` gathers the B columns.  Each set of
+scrambled stack, and ``Observations.paired`` gathers the B columns.  Each set of
 such a stack must equal what the one-set path makes of that set alone:
 ``associate_by_sorting`` or ``associate(force_full=True)``, then
 ``apply_assignment``.  The sets cover 1-9 MPCs per observer, direction errors
@@ -21,7 +21,7 @@ import pytest
 
 from uwbrel import assoc, chansim
 from uwbrel.errors import InvalidParams
-from uwbrel.geom import Observations, Stack
+from uwbrel.geom import Observations
 
 COLUMNS = ("tau_a", "tau_b", "dir_a", "dir_b")
 SIZES = (1, 2, 7, 50)
@@ -32,6 +32,9 @@ def _scrambled(obs, seed):
     source, _ = chansim.scramble_sources(obs.groups, seed)
     scrambled, _ = chansim.scramble_association(obs, seed)
     assert scrambled.tau_b.tobytes() == obs.tau_b[source].tobytes()
+    paired = obs.paired(source)  # the checked gather of one set: the same bits
+    for c in (*COLUMNS, "observer"):
+        assert getattr(paired, c).tobytes() == getattr(scrambled, c).tobytes(), c
     return obs, scrambled, source
 
 
@@ -74,7 +77,7 @@ def _one_set(scrambled, by_sorting):
 def _stacked(sets, by_sorting):
     """The stacked pairing of ``sets`` (observed, scrambled, scramble source) as a sweep
     builds it: the sources found on the scrambled stack, composed with the scramble's."""
-    observed = Stack.of([obs for obs, _, _ in sets])
+    observed = Observations.stack([obs for obs, _, _ in sets])
     scrambles = np.array([source for _, _, source in sets])
     found = assoc.associate_stack(observed.paired(scrambles), by_sorting)
     return observed.paired(np.take_along_axis(scrambles, found, 1))
@@ -154,8 +157,8 @@ def _interleaved_stack():
     """Two sets of one layout whose observers' rows are not contiguous."""
     sets = [obs for obs, _, _ in _sets(3, 3, 5.0, 2, seed=5)]
     order = np.array([0, 3, 6, 1, 4, 7, 2, 5, 8])
-    return Stack.of([Observations(**{c: getattr(obs, c)[order]
-                                     for c in (*COLUMNS, "observer")}) for obs in sets])
+    return Observations.stack([Observations(**{c: getattr(obs, c)[order]
+                                               for c in (*COLUMNS, "observer")}) for obs in sets])
 
 
 def test_paired_gathers_each_sets_b_rows():
@@ -168,6 +171,13 @@ def test_paired_gathers_each_sets_b_rows():
         np.testing.assert_array_equal(paired.tau_b[t], stack.tau_b[t][sources[t]])
         np.testing.assert_array_equal(paired.dir_b[t], stack.dir_b[t][sources[t]])
     assert paired.groups is stack.groups
+    # every column read-only and C-contiguous, as every set's: a write raises
+    for built in (stack, paired):
+        for c in (*COLUMNS, "observer"):
+            column = getattr(built, c)
+            assert not column.flags.writeable and column.flags.c_contiguous, c
+            with pytest.raises(ValueError, match="read-only"):
+                column[..., 0] = 0
 
 
 @pytest.mark.parametrize("where, value", [

@@ -5,7 +5,7 @@ import pytest
 
 from uwbrel.chansim import NoiseParams, Observations, SvParams, observe, sample_scenario
 from uwbrel.errors import AntiparallelDirections, InvalidParams, NotPositiveDefinite, RankDeficient
-from uwbrel.geom import SPEED_OF_LIGHT as C, Stack, complete_mpc
+from uwbrel.geom import SPEED_OF_LIGHT as C, complete_mpc
 from uwbrel.posest import (
     _diff_columns,
     _tau_system,
@@ -58,7 +58,7 @@ class TestZeroNoiseExactness:
     def test_residual_is_zero_on_consistent_data(self):
         rng = np.random.default_rng(2)
         scenario, obs = make_observations(rng)
-        (columns,), (antiparallel,) = _diff_columns(Stack.of([obs]), pwa=False)
+        (columns,), (antiparallel,) = _diff_columns(Observations.stack([obs]), pwa=False)
         assert not antiparallel
         x = np.concatenate([scenario.d_vec, [C * 5e-9]])
         resid = columns @ x - C * (obs.tau_b - obs.tau_a)
@@ -67,7 +67,7 @@ class TestZeroNoiseExactness:
     def test_s_vector_projection_property(self):
         rng = np.random.default_rng(3)
         scenario, obs = make_observations(rng, eps=0.0, eps_a=(0.0, 0.0, 0.0))
-        (columns,), _ = _diff_columns(Stack.of([obs]), pwa=False)
+        (columns,), _ = _diff_columns(Observations.stack([obs]), pwa=False)
         proj = columns[:, :3] @ scenario.d_vec
         np.testing.assert_allclose(proj, C * (obs.tau_b - obs.tau_a), atol=1e-9)
 
@@ -194,7 +194,7 @@ class TestTauSync:
         # system leaves the componentwise mean as the exact LSE
         rng = np.random.default_rng(13)
         _, obs = make_observations(rng, sigma=0.3e-9, sigma_dir=np.radians(2.0))
-        (G,), (t,) = _tau_system(Stack.of([obs]))
+        (G,), (t,) = _tau_system(Observations.stack([obs]))
         pinned, *_ = np.linalg.lstsq(G[:, :3], t, rcond=None)
         est = lse_by_tau_sync(obs)
         np.testing.assert_allclose(est.d_vec, pinned, rtol=1e-12, atol=1e-15)

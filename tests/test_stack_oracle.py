@@ -1,10 +1,10 @@
 """The stacked closed-form solvers against a one-set recomputation, bit for bit.
 
 ``posest.solve_by_delta``, ``posest.solve_by_tau`` and ``distest.mvue_async_stack``
-solve every set of a ``geom.Stack`` at once.  Each set's outcome is checked against
-the one-set solver written out plainly below (its system, one SVD, the checks in
-order) and against the public one-set estimator: the bits of its value, or the
-class of the error it raised.  The stacks mix ordinary sets with hand-built ones
+solve every set of a stack (``Observations.stack``) at once.  Each set's outcome
+is checked against the one-set solver written out plainly below (its system, one
+SVD, the checks in order) and against the public one-set estimator: the bits of
+its value, or the class of the error it raised.  The stacks mix ordinary sets with hand-built ones
 that fail: a nearly antiparallel direction pair, an exactly singular raw-delay
 system (d = 0 with dir_b = dir_a) and an ill-conditioned one.  A set's outcome
 must not change when its stack is permuted or cut down to that set, and nothing
@@ -20,7 +20,7 @@ from uwbrel import chansim, distest, posest
 from uwbrel.errors import AntiparallelDirections, InvalidParams, RankDeficient, UwbrelError
 from uwbrel.evalcli import ExperimentConfig, run_sweep
 from uwbrel.geom import SPEED_OF_LIGHT as C
-from uwbrel.geom import Observations, Stack
+from uwbrel.geom import Observations
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -69,7 +69,7 @@ def _reference(method, obs, cond_limit=posest.COND_LIMIT):
 
 def _stacked(method, sets, cond_limit=posest.COND_LIMIT):
     """Each set's outcome from one stacked solve, in ``_reference``'s form."""
-    stack = Stack.of(sets)
+    stack = Observations.stack(sets)
     if method == "lse_by_tau":
         x, cond, failures = posest.solve_by_tau(stack, cond_limit)
     else:
@@ -142,7 +142,7 @@ def test_failures_are_the_constructed_ones():
     assert delta[at["antiparallel"]] is AntiparallelDirections
     assert not isinstance(pwa[at["antiparallel"]], type)
     assert tau[at["singular"]] is RankDeficient
-    stack = Stack.of([sets[at["singular"]]])
+    stack = Observations.stack([sets[at["singular"]]])
     G, _ = posest._tau_system(stack)
     assert np.linalg.svd(G, compute_uv=False)[0, -1] == 0.0  # exactly singular
     assert delta[at["ill"]] is RankDeficient and tau[at["ill"]] is RankDeficient
@@ -174,7 +174,7 @@ def test_permuted_and_cut_stacks(method):
 
 def test_mvue_stack_matches_each_set():
     sets, _ = _sets(3)
-    d_hat, mid = distest.mvue_async_stack(Stack.of(sets))
+    d_hat, mid = distest.mvue_async_stack(Observations.stack(sets))
     for i, obs in enumerate(sets):
         est = distest.mvue_async(obs)
         delta = obs.tau_b - obs.tau_a
@@ -187,20 +187,34 @@ def test_stack_level_errors():
     rng = np.random.default_rng(4)
     small = _ordinary(rng)[:3]  # 3 MPCs: observers 0 only
     with pytest.raises(RankDeficient, match="K >= 4"):
-        posest.solve_by_delta(Stack.of([small, small]))
+        posest.solve_by_delta(Observations.stack([small, small]))
     with pytest.raises(RankDeficient, match="K >= 4"):
         posest.lse_by_delta(small)
     one = _ordinary(rng)
     with pytest.raises(UwbrelError, match="one observer layout"):
-        Stack.of([one, one[:11]])
+        Observations.stack([one, one[:11]])
     shuffled = Observations(one.tau_a, one.tau_b, one.dir_a, one.dir_b, one.observer[::-1])
     with pytest.raises(UwbrelError, match="one observer layout"):
-        Stack.of([one, shuffled])
+        Observations.stack([one, shuffled])
+    stack = Observations.stack([one, one])
+    for sets in ([stack], [one, stack], [stack, one]):  # a stack is not a set
+        with pytest.raises(InvalidParams, match="one observer layout"):
+            Observations.stack(sets)
+    for rows in (slice(0, 3), np.arange(3), np.ones(12, dtype=bool), 0):
+        with pytest.raises(InvalidParams, match="one set's rows"):
+            stack[rows]
+
+
+@pytest.mark.parametrize("method", ["lse_by_dleta", "lse_by_tau", "LSE_BY_DELTA", ""])
+def test_solve_by_delta_rejects_a_mode_it_does_not_solve(method):
+    stack = Observations.stack([_ordinary(np.random.default_rng(5))])
+    with pytest.raises(InvalidParams, match="lse_by_delta, lse_by_delta_pwa or gls_by_delta"):
+        posest.solve_by_delta(stack, method)
 
 
 def test_an_empty_stack_is_rejected():
     with pytest.raises(InvalidParams, match="one or more sets"):
-        Stack.of([])
+        Observations.stack([])
 
 
 def test_sweep_with_a_point_where_every_closed_form_fails():
