@@ -12,12 +12,13 @@ excess delay and 26 ns RMS delay spread for the default parameters
 (20 ns cluster scale, 10 ns ray scale, 60 ns / 20 ns power decays).
 
 A scenario's ground truth and what the nodes measure are the same
-columnar type, ``geom.Observations`` (re-exported here): five columns, one
-row per MPC, checked where the set enters (scrambling takes rows of a checked
-set).  ``observe`` adds drawn noise and clock offsets to the truth columns.
-Per-observer work (sampling, clock offsets, scrambling) reads them via the set's
-``groups`` (``geom.group_by_observer``'s index arrays), observers in order
-of first appearance.
+columnar type, ``geom.Observations`` (re-exported here), checked where a set
+or a stack of sets enters (scrambling takes rows of a checked set).  Sampling
+and observing have one body each, on a stack: set t makes only its own RNG
+draws, from generator t, and the geometry, noise sums and checks run once for
+all sets; the one-set ``sample_scenario`` and ``observe`` are stacks of one.
+Per-observer work reads the ``groups`` (``geom.group_by_observer``'s index
+arrays), observers in order of first appearance.
 """
 
 from __future__ import annotations
@@ -102,140 +103,162 @@ class NoiseParams:
 
 
 def sample_excess_delays(params: SvParams, count: int, rng_seed) -> np.ndarray:
-    """Draw ``count`` excess delays (seconds, before adding tau_min) for one channel.
-
-    One dominant-cluster onset is drawn per call and most rays sit tightly
-    inside that cluster; the trailing quarter of the rays (none for fewer
-    than four) belong to a follow-up cluster one exponential gap later.
-    Delays within a call are therefore clustered while the marginal over
-    calls reproduces the calibrated profile statistics.  Deterministic for
-    a given seed.
-    """
+    """Draw ``count`` excess delays (seconds, before adding tau_min) for one channel: one
+    cluster onset per call, the trailing quarter of the rays (none for fewer than four)
+    one exponential gap later (the profile above).  Deterministic for a given seed."""
     if count < 1:
         raise InvalidParams("count must be >= 1")
-    rng = _as_rng(rng_seed)
-    onset = params.onset_floor + rng.exponential(params.onset_tail)
-    gap = rng.exponential(params.second_cluster_gap)
-    rays = rng.exponential(params.ray_scale, size=count)
-    return rays + np.where(np.arange(count) < count - count // 4, onset, onset + gap)
+    return _excess_delays(params, count, [np.random.default_rng(rng_seed)])[0]
+
+
+def _excess_delays(params: SvParams, count: int, rngs) -> np.ndarray:
+    """``sample_excess_delays`` on each generator of ``rngs``, one channel per row (T, count):
+    each generator makes the draws of one call, the arithmetic runs once for all."""
+    draws = np.empty((len(rngs), 2 + count))  # each row: onset, gap, rays
+    for rng, row in zip(rngs, draws):
+        row[:2] = rng.exponential(params.onset_tail), rng.exponential(params.second_cluster_gap)
+        row[2:] = rng.exponential(params.ray_scale, size=count)
+    onset, gap = params.onset_floor + draws[:, :1], draws[:, 1:2]
+    return draws[:, 2:] + np.where(np.arange(count) < count - count // 4, onset, onset + gap)
 
 
 def sample_unit_directions(rng, n: int) -> np.ndarray:
     """n unit vectors uniform on the 3D sphere, shape (n, 3)."""
-    v = rng.normal(size=(n, 3))
-    return v / np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))  # np.linalg.norm's bits
+    return _unit(rng.normal(size=(n, 3)))
+
+
+def _unit(v) -> np.ndarray:
+    """The rows of ``v`` (..., 3) over their norms, with np.linalg.norm's bits."""
+    return v / np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
 
 
 def sample_scenario(d: float, params: SvParams, m_observers: int,
                     k_per_observer, rng_seed) -> Scenario:
-    """Draw a full scenario: node A at the origin, node B at (d, 0, 0).
+    """Draw a full scenario: ``sample_stack`` on one generator, as one set."""
+    stack = sample_stack(d, params, m_observers, k_per_observer, [np.random.default_rng(rng_seed)])
+    return Scenario(pos_a=stack.pos_a, pos_b=stack.pos_b, mpcs=stack.mpcs._set(0))
+
+
+def sample_stack(d: float, params: SvParams, m_observers: int, k_per_observer,
+                 rngs) -> Scenario:
+    """Draw a stacked scenario, set t from the generator ``rngs[t]``: node A at
+    the origin, node B at (d, 0, 0).
 
     Per observer, K_o excess delays come from one channel draw and the
     A-side directions are uniform on the sphere; the B-side parameters
     follow from the virtual-source geometry, all rows at once.  A row whose
     virtual source lands on node B is redrawn on its own (one excess delay,
-    one direction), rows in order, up to 100 attempts per MPC.  Counts must
-    be Python or numpy integers.
+    one direction), rows in order, up to 100 attempts per MPC.  Each set's
+    draws are those it makes alone.  Counts must be Python or numpy integers.
     """
     if not 0.0 <= d < np.inf:
         raise InvalidParams("d must be finite and nonnegative")
     m_observers = _count(m_observers, "m_observers")
-    if m_observers < 1:
-        raise InvalidParams("m_observers must be >= 1")
+    if m_observers < 1 or not rngs:
+        raise InvalidParams("m_observers and the generator count must be >= 1")
     if np.isscalar(k_per_observer):
         k_per_observer = [k_per_observer] * m_observers
     k_per_observer = [_count(k, "k_per_observer") for k in k_per_observer]
     if len(k_per_observer) != m_observers or any(k < 1 for k in k_per_observer):
         raise InvalidParams("k_per_observer must give a positive count per observer")
 
-    rng = _as_rng(rng_seed)
     pos_a = np.zeros(3)
     pos_b = np.array([d, 0.0, 0.0])
-    columns = []  # (tau_a, tau_b, dir_a, dir_b) per observer
+    columns = []  # (tau_a, tau_b, dir_a, dir_b) per observer, (T, K_o) and (T, K_o, 3)
     for k_o in k_per_observer:
-        tau_a = params.tau_min + sample_excess_delays(params, k_o, rng)
-        dir_a = sample_unit_directions(rng, k_o)
+        tau_a = params.tau_min + _excess_delays(params, k_o, rngs)
+        dir_a = _unit(np.array([rng.normal(size=(k_o, 3)) for rng in rngs]))
         tau_b, dir_b, degenerate = complete_mpc(pos_a, pos_b, tau_a, dir_a)
-        # redraw the flagged rows in row order; the batch draw was attempt 1 of 100
-        for k in np.flatnonzero(degenerate) if degenerate.any() else ():
+        # redraw the flagged rows, each from its set's generator, in row order;
+        # the batch draw was attempt 1 of 100
+        for t, k in zip(*np.nonzero(degenerate)) if degenerate.any() else ():
             for _ in range(99):
-                tau_a[k] = params.tau_min + sample_excess_delays(params, 1, rng)[0]
-                dir_a[k] = sample_unit_directions(rng, 1)[0]
-                tau_b[k], dir_b[k], flagged = complete_mpc(pos_a, pos_b, tau_a[k], dir_a[k])
+                tau_a[t, k] = params.tau_min + sample_excess_delays(params, 1, rngs[t])[0]
+                dir_a[t, k] = sample_unit_directions(rngs[t], 1)[0]
+                tau_b[t, k], dir_b[t, k], flagged = complete_mpc(pos_a, pos_b, tau_a[t, k],
+                                                                 dir_a[t, k])
                 if not flagged:
                     break
             else:
                 raise DegenerateGeometry("could not draw a non-degenerate MPC")
         columns.append((tau_a, tau_b, dir_a, dir_b))
-    tau_a, tau_b, dir_a, dir_b = (np.concatenate(side) for side in zip(*columns))
+    tau_a, tau_b, dir_a, dir_b = (np.concatenate(side, axis=1) for side in zip(*columns))
     observer = np.repeat(np.arange(m_observers), k_per_observer)
     return Scenario(pos_a=pos_a, pos_b=pos_b, mpcs=Observations(
         tau_a=tau_a, tau_b=tau_b, dir_a=dir_a, dir_b=dir_b, observer=observer))
 
 
 def _cross(a, b) -> np.ndarray:
-    """``np.cross`` of the rows of ``a`` and ``b`` (K, 3): its bits, not its overhead."""
-    return a.take(_NEXT, 1) * b.take(_PREV, 1) - a.take(_PREV, 1) * b.take(_NEXT, 1)
+    """``np.cross`` of the rows of ``a`` and ``b`` (..., 3): its bits, not its overhead."""
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
 def perturb_direction(directions, alpha, phi) -> np.ndarray:
-    """Rotate every row of ``directions`` (K, 3) by the angle ``alpha[k]``
-    about the in-plane axis at azimuth ``phi[k]``; with alpha ~ N(0,
+    """Rotate every row of ``directions`` (..., 3) by the angle ``alpha[...]``
+    about the in-plane axis at azimuth ``phi[...]``; with alpha ~ N(0,
     sigma_dir^2) and phi ~ U(0, 2 pi) the result is uniform on the error cone."""
     u = np.asarray(directions, dtype=float)
-    helper = np.where(np.abs(u[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    helper = np.where(np.abs(u[..., :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     e1 = _cross(u, helper)
-    e1 /= norms(e1)[:, None]
+    e1 /= norms(e1)[..., None]
     e2 = _cross(u, e1)
-    axis = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
-    out = np.cos(alpha)[:, None] * u + np.sin(alpha)[:, None] * axis
-    return out / norms(out)[:, None]
+    axis = np.cos(phi)[..., None] * e1 + np.sin(phi)[..., None] * e2
+    out = np.cos(alpha)[..., None] * u + np.sin(alpha)[..., None] * axis
+    return out / norms(out)[..., None]
 
 
 def observe(scenario: Scenario, noise: NoiseParams, rng_seed) -> Observations:
-    """Apply the measurement model to a scenario.
+    """``observe_stack`` on a scenario's set, as one set, with ``noise.eps_a_per_observer``."""
+    offsets = noise.eps_a_per_observer or (0.0,) * len(scenario.mpcs.groups)
+    return observe_stack(Observations.stack([scenario.mpcs]), noise, [offsets],
+                         [np.random.default_rng(rng_seed)])._set(0)
+
+
+def observe_stack(truth: Observations, noise: NoiseParams, offsets, rngs) -> Observations:
+    """Apply the measurement model to each set t of the stack ``truth``, with noise
+    drawn from ``rngs[t]`` and the A-side clock offsets ``offsets[t]``, one per observer.
 
     Per side, delays get N(0, sigma^2/2) noise plus the relevant clock
     offset (A side: eps_a of its observer; B side: eps_a + eps).  Directions
     are cone-perturbed by sigma_dir.  Association order is preserved.
     """
-    rng = _as_rng(rng_seed)
-    truth = scenario.mpcs
-    groups = truth.groups
-    eps_a = noise.eps_a_per_observer or (0.0,) * len(groups)
-    if len(eps_a) != len(groups):
-        raise InvalidParams("eps_a_per_observer length must equal the observer count")
-    e_a = np.empty(len(truth))
-    for e, rows in zip(eps_a, groups.values()):
-        e_a[rows] = e
+    offsets = np.asarray(offsets, dtype=float)
+    t_sets = truth.tau_a.shape[:-1] or (-1,)  # a stack's (T,); a set matches no count
+    if offsets.shape != t_sets + (len(truth.groups),) or (len(rngs),) != t_sets:
+        raise InvalidParams("a stack of T sets needs T generators and T rows of offsets, one per"
+                            " observer (eps_a_per_observer length must equal the observer count)")
+    e_a = np.empty(truth.tau_a.shape)  # offsets[t, i] on the rows of the i-th observer group
+    for i, rows in enumerate(truth.groups.values()):
+        e_a[:, rows] = offsets[:, i, None]
 
     # the scalars are drawn MPC by MPC in the stream's fixed order: tau_a
     # noise, tau_b noise, then (alpha, phi) for dir_a and for dir_b; with
     # direction noise the normal and uniform draws interleave, so a loop draws them
     side_sigma = noise.sigma / np.sqrt(2.0)
-    draws = np.zeros((len(truth), 6))
-    if noise.sigma_dir > 0:
-        for row in draws:
-            if side_sigma > 0:
-                row[:2] = rng.normal(0.0, side_sigma), rng.normal(0.0, side_sigma)
-            for j in (2, 4):
-                row[j:j + 2] = rng.normal(0.0, noise.sigma_dir), rng.uniform(0.0, 2.0 * np.pi)
-    elif side_sigma > 0:  # normals only: one batch draw is the same stream
-        draws[:, :2] = rng.normal(0.0, side_sigma, size=(len(truth), 2))
+    draws = np.zeros(truth.tau_a.shape + (6,))
+    for rng, rows in zip(rngs, draws):
+        if noise.sigma_dir > 0:
+            for row in rows:
+                if side_sigma > 0:
+                    row[:2] = rng.normal(0.0, side_sigma), rng.normal(0.0, side_sigma)
+                for j in (2, 4):
+                    row[j:j + 2] = rng.normal(0.0, noise.sigma_dir), rng.uniform(0.0, 2.0 * np.pi)
+        elif side_sigma > 0:  # normals only: one batch draw is the same stream
+            rows[:, :2] = rng.normal(0.0, side_sigma, size=(len(rows), 2))
 
     dir_a, dir_b = truth.dir_a, truth.dir_b
     if noise.sigma_dir > 0:
-        dir_a = perturb_direction(dir_a, draws[:, 2], draws[:, 3])
-        dir_b = perturb_direction(dir_b, draws[:, 4], draws[:, 5])
-    return Observations(tau_a=truth.tau_a + draws[:, 0] + e_a,
-                        tau_b=truth.tau_b + draws[:, 1] + (e_a + noise.eps),
+        dir_a = perturb_direction(dir_a, draws[..., 2], draws[..., 3])
+        dir_b = perturb_direction(dir_b, draws[..., 4], draws[..., 5])
+    return Observations(tau_a=truth.tau_a + draws[..., 0] + e_a,
+                        tau_b=truth.tau_b + draws[..., 1] + (e_a + noise.eps),
                         dir_a=dir_a, dir_b=dir_b, observer=truth.observer)
 
 
 def scramble_sources(groups, rng_seed):
     """The draw of ``scramble_association`` for a set of observer ``groups``:
     ``(source, perms)``, scrambled row i taking its B side from row ``source[i]``."""
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     source = np.arange(sum(rows.size for rows in groups.values()))
     perms = {}
     for o, rows in groups.items():
@@ -252,7 +275,7 @@ def scramble_association(observations: Observations, rng_seed):
     scoring reconstructed associations against the truth.
     """
     source, perms = scramble_sources(observations.groups, rng_seed)
-    return observations._with_b(source, observations.groups), perms
+    return observations.paired(source), perms
 
 
 _CSV_COLUMNS = [
@@ -287,9 +310,3 @@ def _count(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidParams(f"{name}: {value!r} is not an integer count") from None
-
-
-def _as_rng(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)

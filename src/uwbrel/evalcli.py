@@ -6,12 +6,14 @@ sampled scenario as CSV).  All output is CSV with SI units; a run is fully deter
 configuration and seed, with per-trial RNG streams derived from (seed, sweep point, trial).
 The channel profile (``chansim.SvParams()``) and the per-observer clock offsets' range,
 U(0, ``EPS_A_MAX``), are fixed values, not settings.
-Each sweep tag is one row of ``_ESTIMATORS``.  A sweep point runs in two passes.  Pass 1
-draws per trial; each pairing is then a gather of the point's stack of observations.  Pass 2
-runs each tag once on its pairing's sets of the trials below its cap (NA set by set, the
-others on a stack, with ``cfg.cond_gate`` as their condition limit): each trial keeps
-its own failures and the bits it has alone.  A reducer adds the outcomes up per tag in
-trial order.  Config-file keys are the long flags' names.
+Each sweep tag is one row of ``_ESTIMATORS``.  A sweep point runs in two passes.  In pass 1
+each trial makes only its RNG draws, from its own three streams; the sampling geometry, the
+observation noise and the set checks run once on the point's stack of trials
+(``chansim.sample_stack``, ``chansim.observe_stack``), and each pairing is a gather of the
+observed stack.  Pass 2 runs each tag once on its pairing's sets of the trials below its cap
+(NA set by set, the others on the stack, with ``cfg.cond_gate`` as their condition limit):
+each trial keeps its own failures and the bits it has alone.  A reducer adds the outcomes up
+per tag in trial order.  Config-file keys are the long flags' names.
 """
 
 from __future__ import annotations
@@ -138,14 +140,14 @@ def _error_model(sigma: float) -> ErrorModel:
 
 
 def _solve(method: str, sets, cfg: ExperimentConfig) -> tuple:
-    """One-set estimator ``method`` on every set: (values, ..., failures), the distances (T,)
-    or solutions (T, p) and each set's UwbrelError or None.  NA runs on each of a list of
-    sets alone, the others once on a stack, with ``cfg.cond_gate`` as the condition limit."""
+    """One-set estimator ``method`` on every set of the stack ``sets``: (values, ..., failures),
+    the distances (T,) or solutions (T, p) and each set's UwbrelError or None.  NA runs on
+    each set alone, the others once on the stack, with ``cfg.cond_gate`` as the condition limit."""
     if method == "mle_async_noassoc":
-        d, failures = np.full(len(sets), np.nan), [None] * len(sets)
-        for i, obs in enumerate(sets):
+        d, failures = np.full(len(sets.tau_a), np.nan), [None] * len(sets.tau_a)
+        for i in range(len(d)):
             try:
-                d[i] = distest.mle_async_noassoc(obs, _error_model(cfg.sigma)).d_hat
+                d[i] = distest.mle_async_noassoc(sets._set(i), _error_model(cfg.sigma)).d_hat
             except UwbrelError as exc:
                 failures[i] = exc
         return d, failures
@@ -183,17 +185,13 @@ def _run_point(cfg: ExperimentConfig, point: int, trials) -> list:
     swept = _SWEEP_FIELDS[cfg.sweep]
     d, sigma_dir, k_per = (getattr(cfg, name)[point] if name == swept else _single(cfg, name)
                            for name in ("d", "sigma_dir", "k_per_observer"))
-    drawn = []  # (scenario, observations) of each trial
-    for trial in trials:
-        scenario = chansim.sample_scenario(d, _CHANNEL, cfg.m_observers, [k_per] * cfg.m_observers,
-                                           _trial_rng(cfg.seed, point, trial, 0))
-        noise_rng = _trial_rng(cfg.seed, point, trial, 1)
-        offsets = tuple(noise_rng.uniform(0.0, EPS_A_MAX, cfg.m_observers))
-        drawn.append((scenario, chansim.observe(scenario, chansim.NoiseParams(
-            sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps, eps_a_per_observer=offsets),
-            noise_rng)))
-    scenarios, observed = zip(*drawn)
-    groups = observed[0].groups  # the observer layout every trial shares
+    scenario = chansim.sample_stack(d, _CHANNEL, cfg.m_observers, k_per,
+                                    [_trial_rng(cfg.seed, point, trial, 0) for trial in trials])
+    noise_rngs = [_trial_rng(cfg.seed, point, trial, 1) for trial in trials]
+    offsets = [rng.uniform(0.0, EPS_A_MAX, cfg.m_observers) for rng in noise_rngs]
+    observed = chansim.observe_stack(scenario.mpcs, chansim.NoiseParams(
+        sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps), offsets, noise_rngs)
+    groups = observed.groups  # the observer layout every trial shares
     scrambled = any(_ESTIMATORS[tag][0] != "observed" for tag in cfg.estimators)
     sources, perms = zip(*(chansim.scramble_sources(groups, _trial_rng(cfg.seed, point, trial, 2))
                            if scrambled else (None, None) for trial in trials))
@@ -202,28 +200,25 @@ def _run_point(cfg: ExperimentConfig, point: int, trials) -> list:
 
     def paired(pairing, n):
         """The pairing's stack of the first n trials, a gather of their observed stack."""
-        if (pairing, n) not in stacks and pairing == "observed":
-            stacks[pairing, n] = Observations.stack(observed[:n])
-        elif (pairing, n) not in stacks:
-            stack, scrambles = paired("observed", n), sources[:n]
+        stack = observed if n == len(trials) else observed._set(slice(n))
+        if pairing != "observed" and (pairing, n) not in stacks:
+            scrambles = sources[:n]
             if pairing != "scrambled":  # re-paired on the scrambled stack
                 found = assoc.associate_stack(paired("scrambled", n), pairing == "sorted")
                 scrambles = np.take_along_axis(scrambles, found, 1)
             stacks[pairing, n] = stack.paired(scrambles)
-        return stacks[pairing, n]
+        return stack if pairing == "observed" else stacks[pairing, n]
 
     outcomes = [{} for _ in trials]
     for tag in cfg.estimators:
         pairing, method, cap = _ESTIMATORS[tag]
         n = sum(trial < getattr(cfg, cap) for trial in trials)  # the trials below the cap
-        sets = ([obs._with_b(source, groups) for obs, source in zip(observed, sources[:n])]
-                if method == "mle_async_noassoc" else paired(pairing, n))
         try:
-            values, *_, failures = _solve(method, sets, cfg)
+            values, *_, failures = _solve(method, paired(pairing, n), cfg)
         except UwbrelError as exc:
             values, failures = np.full(n, np.nan), [exc] * n
-        truth = [s.d if values.ndim == 1 else s.d_vec for s in scenarios[:n]]
-        errors = values - truth if values.ndim == 1 else norms(values[:, :3] - truth)
+        errors = (values - scenario.d if values.ndim == 1
+                  else norms(values[:, :3] - scenario.d_vec))
         for out, failure, error in zip(outcomes, failures, errors.tolist()):
             out[tag] = error if failure is None else type(failure)
     return list(zip(outcomes, perms))
@@ -352,11 +347,9 @@ def calibrate(cfg: ExperimentConfig) -> dict:
     checked against the target indoor statistics with 10% bands."""
     cfg.validate()
     rng = np.random.default_rng([cfg.seed, 99])
-    per_call = 4
-    n_calls = int(np.ceil(cfg.calib_samples / per_call))
-    chunks = [chansim.sample_excess_delays(_CHANNEL, per_call, rng)
-              for _ in range(n_calls)]
-    delays = np.concatenate(chunks)[: cfg.calib_samples]
+    # 4-ray channels, drawn from one generator as repeated sample_excess_delays calls draw them
+    n_calls = int(np.ceil(cfg.calib_samples / 4))
+    delays = chansim._excess_delays(_CHANNEL, 4, [rng] * n_calls).ravel()[: cfg.calib_samples]
     mean = float(delays.mean())
     rms = float(delays.std())
     report = {
@@ -396,9 +389,10 @@ def _count(value: float) -> int:
 
 
 def _load_config_file(path: str) -> dict:
-    """A UTF-8 file's ``key = value`` lines by key ('-' read as '_'), else ConfigError."""
+    """A UTF-8 file's ``key = value`` lines by key ('-' read as '_'), else ConfigError; a
+    leading byte-order mark is not part of the first key."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = [line.split("#", 1)[0].strip() for line in fh]
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not UTF-8: {exc}") from None

@@ -13,9 +13,9 @@ A set of MPCs is one ``Observations``: five columns, one row per MPC,
 checked where the set enters; rows taken from a checked set are not checked
 again.  The same type holds the ground truth of a ``Scenario``, what the
 nodes measure (so the noise-free measurement is the truth) and a stack of
-many sets of one observer layout.  Every geometric function here works on
-such columns, row by row: ``complete_mpc`` fills in the B side,
-``vector_identity_terms`` and the residuals return one value per row.
+sets of one observer layout, checked once for all its sets.  Every geometric
+function here works on such columns, row by row: ``complete_mpc`` fills in
+the B side, ``vector_identity_terms`` and the residuals return one value per row.
 
 MPCs are grouped by observer in one place, ``group_by_observer``: it takes
 the observer id of every row and returns each observer's row indices,
@@ -77,8 +77,8 @@ class Observations:
     columns and keep read-only copies: delays must be finite (zero and negative
     values are accepted, since a measured delay carries an arbitrary clock offset)
     and directions unit vectors.  A slice, index array or mask selects rows.
-    A stack of T sets (``stack``) has (T, K) delays and (T, K, 3) directions and
-    shares one ``observer`` column and its ``groups``.
+    A stack of T sets (``stack``, or stacked columns) has (T, K) delays and
+    (T, K, 3) directions and shares one ``observer`` column and its ``groups``.
     """
 
     tau_a: np.ndarray
@@ -95,10 +95,11 @@ class Observations:
             column = np.array(getattr(self, name), int if name == "observer" else float, order="C")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        k = self.observer.shape
-        if (len(k) != 1 or self.tau_a.shape != k or self.tau_b.shape != k
-                or self.dir_a.shape != k + (3,) or self.dir_b.shape != k + (3,)):
-            raise InvalidParams("delays and observer ids need shape (K,), directions (K, 3)")
+        k = self.tau_a.shape[:-1] + self.observer.shape  # (K,) or a stack's (T, K)
+        shapes = (self.tau_a.shape, self.tau_b.shape, self.dir_a.shape, self.dir_b.shape)
+        if self.observer.ndim != 1 or len(k) > 2 or shapes != (k, k, k + (3,), k + (3,)):
+            raise InvalidParams("delays and observer ids need shape (K,), directions (K, 3); "
+                                "a stack's delays (T, K), directions (T, K, 3)")
         if not (np.isfinite(self.tau_a).all() and np.isfinite(self.tau_b).all()):
             raise InvalidParams("MPC delays must be finite")
         if not (np.abs(norms(np.concatenate([self.dir_a, self.dir_b])) - 1.0) <= UNIT_TOL).all():
@@ -145,26 +146,26 @@ class Observations:
     def paired(self, sources) -> "Observations":
         """This set or stack with A row k paired to B row ``sources[..., k]``; the integer
         ``sources``, shaped as ``tau_b``, must permute each observer's rows, else InvalidParams."""
-        sources = np.asarray(sources)
-        if sources.dtype.kind not in "iu" or sources.shape != self.tau_b.shape or any(
-                (np.sort(sources[..., rows], -1) != rows).any() for rows in self.groups.values()):
+        sources = np.asarray(sources)  # a permutation of all rows that keeps each row's observer
+        if (sources.dtype.kind not in "iu" or sources.shape != self.tau_b.shape
+                or (np.sort(sources, -1) != np.arange(len(self))).any()
+                or (self.observer[sources] != self.observer).any()):
             raise InvalidParams("each row of sources must permute every observer's rows")
-        return Observations._of_rows(
-            self.tau_a, np.take_along_axis(self.tau_b, sources, -1), self.dir_a,
-            np.take_along_axis(self.dir_b, sources[..., None], -2), self.observer,
-            groups=self.groups)
+        rows = (np.arange(len(sources))[:, None], sources) if sources.ndim == 2 else sources
+        return Observations._of_rows(self.tau_a, self.tau_b[rows], self.dir_a, self.dir_b[rows],
+                                     self.observer, groups=self.groups)
 
-    def _with_b(self, source, groups) -> "Observations":
-        """This set (``groups`` its own) with B row ``source[k]`` paired to A row k, unchecked."""
-        return Observations._of_rows(self.tau_a, self.tau_b[source], self.dir_a,
-                                     self.dir_b[source], self.observer, groups=groups)
+    def _set(self, t) -> "Observations":
+        """Set ``t`` (an int) or the stack of sets ``t`` (a slice) of this stack, unchecked."""
+        return Observations._of_rows(self.tau_a[t], self.tau_b[t], self.dir_a[t], self.dir_b[t],
+                                     self.observer, groups=self.groups)
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Ground-truth geometry: node positions plus a consistent MPC set.
 
-    ``mpcs`` is one ``Observations`` set whose delays must be positive;
+    ``mpcs`` is one ``Observations`` set or stack whose delays must be positive;
     ``k_per_observer`` recovers the per-observer group sizes K_1..K_M.
     """
 
@@ -194,16 +195,16 @@ class Scenario:
         return {o: rows.size for o, rows in self.mpcs.groups.items()}
 
     def validate(self) -> None:
-        """Check every MPC against the vector identity and the delay bound, each to 1e-9 m;
-        the first bad row is named as (observer, position in its group)."""
+        """Check every MPC of the set or stack against the vector identity and the delay bound,
+        each to 1e-9 m; the first bad row is named as (observer, position in its group)."""
         m = self.mpcs
         off_identity = norms(vector_identity_terms(m) - self.d_vec) > _VALIDATE_TOL
         off_bound = np.abs(_C * (m.tau_b - m.tau_a)) > self.d + _VALIDATE_TOL
         bad = np.flatnonzero(off_identity | off_bound)
         if bad.size:
-            row = bad[0]
+            row = bad[0] % len(m)  # its row within its set
             name = f"MPC ({m.observer[row]},{positions_in_group(m.observer)[row]})"
-            if off_identity[row]:
+            if off_identity.flat[bad[0]]:
                 raise DegenerateGeometry(f"{name} violates the vector identity")
             raise DegenerateGeometry(f"{name} violates the delay-difference bound")
 
@@ -211,8 +212,8 @@ class Scenario:
 def complete_mpc(pos_a, pos_b, tau_a, dir_a):
     """Fill in the B-side delays and directions from the A-side ones, row by row.
 
-    ``tau_a`` (K,) and ``dir_a`` (K, 3) in; ``(tau_b, dir_b, degenerate)``
-    out, with ``degenerate`` (K,) flagging the rows whose virtual source
+    ``tau_a`` (K,) or (T, K) and ``dir_a`` (K, 3) or (T, K, 3) in; ``(tau_b,
+    dir_b, degenerate)`` out, with ``degenerate`` flagging the rows whose virtual source
     coincides with node B (their B side is meaningless).  The virtual source
     sits at ``pos_a - c*tau_a*dir_a``; the B-side leg is the vector from
     there to ``pos_b``, i.e. ``d + c*tau_a*dir_a``.

@@ -286,25 +286,31 @@ def _columns(k=2, **changes):
     return cols
 
 
+_SET_CASES = [
+    *(pytest.param({side: np.array([20e-9, bad])}, False, id=f"{bad}-{side}")
+      for side in ("tau_a", "tau_b") for bad in (np.nan, np.inf, -np.inf)),
+    pytest.param(dict(dir_a=np.tile([1.0, 0.0], (2, 1))), False, id="k-by-2-directions"),
+    pytest.param(dict(dir_b=np.array([[0.0, 1.0, 0.0]])), False, id="short-dir_b"),
+    pytest.param(dict(tau_a=np.full(3, 20e-9)), False, id="long-tau_a"),
+    pytest.param(dict(observer=[0]), False, id="short-observer"),
+    pytest.param(dict(dir_a=np.array([[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]])), False,
+                 id="non-unit-dir_a"),
+    pytest.param(dict(dir_b=np.array([[0.0, 1.0, 0.0], [0.0, 1.0 + 1e-11, 0.0]])), False,
+                 id="non-unit-dir_b"),
+    pytest.param(dict(observer=[0.0, 1.0]), False, id="float-observer"),
+    pytest.param(dict(tau_a=np.zeros(2), tau_b=np.zeros(2)), True, id="zero-delays"),
+    pytest.param(dict(tau_a=np.full(2, -35e-9), tau_b=np.full(2, -35e-9)), True,
+                 id="negative-delays"),
+    pytest.param(dict(dir_a=np.array([[1.0, 0.0, 0.0], [0.0, 1.0 + 1e-13, 0.0]])), True,
+                 id="unit-within-tolerance"),
+]
+# the cases above that change values, not shapes: each holds in every set of a stack
+_VALUE_CASES = [case for case in _SET_CASES if "observer" not in case.values[0] and all(
+    np.shape(v) == np.shape(_columns()[k]) for k, v in case.values[0].items())]
+
+
 class TestObservations:
-    @pytest.mark.parametrize("changes, accepted", [
-        *(pytest.param({side: np.array([20e-9, bad])}, False, id=f"{bad}-{side}")
-          for side in ("tau_a", "tau_b") for bad in (np.nan, np.inf, -np.inf)),
-        pytest.param(dict(dir_a=np.tile([1.0, 0.0], (2, 1))), False, id="k-by-2-directions"),
-        pytest.param(dict(dir_b=np.array([[0.0, 1.0, 0.0]])), False, id="short-dir_b"),
-        pytest.param(dict(tau_a=np.full(3, 20e-9)), False, id="long-tau_a"),
-        pytest.param(dict(observer=[0]), False, id="short-observer"),
-        pytest.param(dict(dir_a=np.array([[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]])), False,
-                     id="non-unit-dir_a"),
-        pytest.param(dict(dir_b=np.array([[0.0, 1.0, 0.0], [0.0, 1.0 + 1e-11, 0.0]])), False,
-                     id="non-unit-dir_b"),
-        pytest.param(dict(observer=[0.0, 1.0]), False, id="float-observer"),
-        pytest.param(dict(tau_a=np.zeros(2), tau_b=np.zeros(2)), True, id="zero-delays"),
-        pytest.param(dict(tau_a=np.full(2, -35e-9), tau_b=np.full(2, -35e-9)), True,
-                     id="negative-delays"),
-        pytest.param(dict(dir_a=np.array([[1.0, 0.0, 0.0], [0.0, 1.0 + 1e-13, 0.0]])), True,
-                     id="unit-within-tolerance"),
-    ])
+    @pytest.mark.parametrize("changes, accepted", _SET_CASES)
     def test_columns_checked_on_construction(self, changes, accepted):
         if not accepted:
             with pytest.raises(InvalidParams):
@@ -315,6 +321,46 @@ class TestObservations:
         np.testing.assert_array_equal(obs.tau_a, changes.get("tau_a", obs.tau_a))
         with pytest.raises(ValueError):
             obs.tau_a[0] = 1.0  # stored read-only
+
+    @pytest.mark.parametrize("changes, accepted", _VALUE_CASES)
+    def test_stack_checked_in_every_set(self, changes, accepted):
+        # a stack built by the constructor is checked once, for all its sets: a case
+        # in any one set is rejected or accepted as that set alone is
+        assert len(_VALUE_CASES) == 11
+        for t in range(3):
+            cols = _columns()
+            stacked = {k: np.stack([changes.get(k, v) if i == t else v for i in range(3)])
+                       for k, v in cols.items() if k != "observer"}
+            if not accepted:
+                with pytest.raises(InvalidParams):
+                    Observations(**stacked, observer=cols["observer"])
+                continue
+            stack = Observations(**stacked, observer=cols["observer"])
+            assert stack.tau_a.shape == (3, 2) and len(stack) == 2
+            np.testing.assert_array_equal(stack.tau_a[t], changes.get("tau_a", cols["tau_a"]))
+            with pytest.raises(ValueError):
+                stack.dir_b[t, 0, 0] = 1.0  # stored read-only
+
+    @pytest.mark.parametrize("changes", [
+        pytest.param(dict(tau_a=np.full((3, 3), 20e-9)), id="tau_a-K-not-observer-K"),
+        pytest.param(dict(tau_b=np.full((3, 3), 21e-9)), id="tau_b-K-not-observer-K"),
+        pytest.param(dict(tau_a=np.full((3, 3), 20e-9), tau_b=np.full((3, 3), 21e-9),
+                          dir_a=np.tile([1.0, 0.0, 0.0], (3, 3, 1)),
+                          dir_b=np.tile([0.0, 1.0, 0.0], (3, 3, 1))), id="every-K-not-observer-K"),
+        pytest.param(dict(tau_b=np.full((2, 2), 21e-9)), id="tau_b-other-T"),
+        pytest.param(dict(tau_a=np.full(2, 20e-9), tau_b=np.full(2, 21e-9)), id="set-delays"),
+        pytest.param(dict(dir_a=np.tile([1.0, 0.0, 0.0], (2, 1))), id="set-dir_a"),
+        pytest.param(dict(dir_b=np.tile([0.0, 1.0], (3, 2, 1))), id="T-by-K-by-2-dir_b"),
+        pytest.param(dict(tau_a=np.full((1, 3, 2), 20e-9), tau_b=np.full((1, 3, 2), 21e-9),
+                          dir_a=np.tile([1.0, 0.0, 0.0], (1, 3, 2, 1)),
+                          dir_b=np.tile([0.0, 1.0, 0.0], (1, 3, 2, 1))), id="three-axis-delays"),
+        pytest.param(dict(observer=np.zeros((3, 2), dtype=int)), id="stacked-observer"),
+    ])
+    def test_stack_shapes_checked(self, changes):
+        cols = {k: v if k == "observer" else np.stack([v] * 3) for k, v in _columns().items()}
+        cols.update(changes)
+        with pytest.raises(InvalidParams, match="need shape"):
+            Observations(**cols)
 
     def test_rows_of_a_set_are_a_set(self):
         obs = Observations(**_columns(k=4))

@@ -275,6 +275,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not UTF-8" in err
 
+    def test_config_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        # as some editors save UTF-8; the mark was read as part of the first key
+        text = "trials = 2\nestimators = MV\n"
+        for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+            cfgfile = tmp_path / f"{name}.cfg"
+            cfgfile.write_bytes(data)
+            assert main(["sweep", "--config", str(cfgfile)]) == 0
+        plain, bom = capsys.readouterr().out.split("sweep_param,")[1:]
+        assert bom == plain and ",MV,2," in bom
+
     @pytest.mark.parametrize("text, key", [("trials = 1\ntrials = 2\n", "trials"),
                                            ("trials_na = 1\ntrials-na = 2\n", "trials_na")])
     def test_config_key_given_twice_exits_2(self, tmp_path, capsys, text, key):

@@ -164,6 +164,18 @@ class TestScenario:
         with pytest.raises(DegenerateGeometry, match=name + " violates the vector identity"):
             tampered.validate()
 
+    @pytest.mark.parametrize("t, row, name", [(0, 4, r"\(1,1\)"), (2, 5, r"\(0,3\)")])
+    def test_validate_checks_every_set_of_a_stack(self, t, row, name):
+        # a bad row in any one set is named by its row within that set
+        s = random_scenario(np.random.default_rng(1), observer=[0, 0, 1, 0, 1, 0])
+        stack = replace(s, mpcs=Observations.stack([s.mpcs] * 3))
+        stack.validate()
+        tau_b = stack.mpcs.tau_b.copy()
+        tau_b[t, row] *= 1.5
+        tampered = replace(stack, mpcs=replace(stack.mpcs, tau_b=tau_b))
+        with pytest.raises(DegenerateGeometry, match=name + " violates the vector identity"):
+            tampered.validate()
+
     def test_counts(self):
         s = random_scenario(np.random.default_rng(2), k=5)
         assert s.k_total == 5

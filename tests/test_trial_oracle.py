@@ -1,8 +1,9 @@
 """``run_trial`` against an independent per-tag recomputation, bit for bit.
 
-A sweep point runs in two passes: pass 1 draws per trial (scenario,
-observations, the scramble's permutations), and each pairing is a gather of
-the point's stack of observations; then each tag runs once on its pairing's
+A sweep point runs in two passes: pass 1 makes each trial's draws from its
+own streams and samples, observes and checks the point's trials as one stack
+(the scramble's permutations drawn per trial), and each pairing is a gather of
+that stack of observations; then each tag runs once on its pairing's
 sets of all the point's trials, NA set by set and the closed-form tags on
 their pairing's stack, whose condition limit is the harness's gate.  The oracle
 here does none of that: for every tag on its own it samples, observes and
@@ -12,7 +13,8 @@ bit and failures by exception class.  Closed-form-shaped configurations
 (no direction noise: the assignment nearly always recovers the
 observations, so DDN's input set equals DD's) and direction-noise ones (the
 assignment often errs, so it does not) cover both cases, and the tests
-assert that each ran.
+assert that each ran.  Under a coincidence radius that makes the sampler
+redraw many rows, trial t alone must also be trial t of its whole point.
 """
 
 import math
@@ -20,9 +22,10 @@ import math
 import numpy as np
 import pytest
 
-from uwbrel import assoc, chansim, distest, posest
+from uwbrel import assoc, chansim, distest, geom, posest
 from uwbrel.errors import UwbrelError
-from uwbrel.evalcli import DEFAULT_COND_GATE, ExperimentConfig, run_sweep, run_trial
+from uwbrel.evalcli import (DEFAULT_COND_GATE, ExperimentConfig, _run_point, run_sweep,
+                            run_trial)
 from uwbrel.likelihood import ErrorModel
 
 CLOSED_FORM = dict(sweep="distance", d=(0.0, 2.0, 8.0), sigma=0.2e-9, m_observers=3,
@@ -171,3 +174,28 @@ def test_shared_estimates_run_once(monkeypatch):
                                    for _ in range(n * len(cfg.sigma_dir)))
     shared, unshared = _check(cfg)
     assert shared > 0 and unshared > 0
+
+
+@pytest.mark.parametrize("config", [CLOSED_FORM, DIRECTION_NOISE])
+def test_run_trial_is_its_trial_of_the_point_under_redraws(monkeypatch, config):
+    # a 15 m coincidence radius makes the sampler redraw many rows, in many trials;
+    # trial t alone must be trial t of the whole point: its streams do not depend on T
+    monkeypatch.setattr(geom, "_COINCIDENCE_EPS", 15.0)
+    redraws = []
+    def counted(pos_a, pos_b, tau_a, dir_a, original=chansim.complete_mpc):
+        redraws.append(np.ndim(tau_a) == 0)
+        return original(pos_a, pos_b, tau_a, dir_a)
+    monkeypatch.setattr(chansim, "complete_mpc", counted)
+    cfg = ExperimentConfig(seed=3, **dict(config, estimators=(*config["estimators"], "NA"),
+                                          trials=8, trials_na=3))
+    for point in range(3):
+        whole = _run_point(cfg, point, range(cfg.trials))
+        for trial in range(cfg.trials):
+            outcomes, perms = run_trial(cfg, point, trial)
+            want_outcomes, want_perms = whole[trial]
+            assert list(outcomes) == list(want_outcomes)
+            for tag, want in want_outcomes.items():
+                assert _same(outcomes[tag], want), (point, trial, tag)
+            assert all(np.array_equal(perms[o], want_perms[o]) for o in want_perms)
+    assert sum(redraws) > 100
+    _check(cfg)
