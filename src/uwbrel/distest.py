@@ -358,11 +358,19 @@ def loglik_no_assoc(obs, model: ErrorModel, d, eps):
     return _noassoc_kernel(*_cross_diffs(obs), model)(d, eps)
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    """``np.triu_indices(n, 1)``, computed once per n, as read-only arrays."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _noassoc_candidates(cross):
     """Candidate (d, eps) values for the hard-indicator likelihood: wedge
     apexes at every cross difference and border intersections of pairs."""
     deltas = np.concatenate([m.ravel() for m in cross])
-    iu = np.triu_indices(deltas.size, 1)
+    iu = _pairs(deltas.size)
     d_cand = np.concatenate([
         np.full(deltas.size, _D_FLOOR),
         (_C / 2.0) * np.abs(deltas[iu[0]] - deltas[iu[1]]),

@@ -6,19 +6,22 @@ sampled scenario as CSV).  All output is CSV with SI units; a run is fully deter
 configuration and seed, with per-trial RNG streams derived from (seed, sweep point, trial).
 The channel profile (``chansim.SvParams()``) and the per-observer clock offsets' range,
 U(0, ``EPS_A_MAX``), are fixed values, not settings.
-Each sweep tag is one row of ``_ESTIMATORS``.  A sweep point runs in two passes.  In pass 1
-each trial makes only its RNG draws, from its own three streams; the sampling geometry, the
-observation noise and the set checks run once on the point's stack of trials
-(``chansim.sample_stack``, ``chansim.observe_stack``), and each pairing is a gather of the
-observed stack.  Pass 2 runs each tag once on its pairing's sets of the trials below its cap
-(NA set by set, the others on the stack, with ``cfg.cond_gate`` as their condition limit):
-each trial keeps its own failures and the bits it has alone.  A reducer adds the outcomes up
-per tag in trial order.  Config-file keys are the long flags' names.
+Each sweep tag is one row of ``_ESTIMATORS``.  A sweep point seeds all its trials' three
+streams in one batch and runs in two passes.  In pass 1 each trial makes only its RNG draws,
+from its own streams; the sampling geometry, the observation noise and the set checks run once
+on the point's stack of trials (``chansim.sample_stack``, ``chansim.observe_stack``), and each
+pairing is a gather of the observed stack.  Pass 2 solves each distinct set once, on the trials
+below each tag's cap (NA set by set, the others on the stack, with ``cfg.cond_gate`` as their
+condition limit): a re-pairing solves only the trials it re-pairs when its solver also runs on
+the observed stack.  Each trial keeps its own failures and the bits it has alone.  A reducer
+adds the outcomes up per tag in trial order.  Config-file keys are the long flags' names.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import numbers
 import sys
 from dataclasses import dataclass, replace
@@ -124,13 +127,60 @@ class SweepResult:
         raise KeyError((value, estimator))
 
 
-def _trial_rng(seed: int, point: int, trial: int, stream: int) -> np.random.Generator:
-    """``np.random.default_rng([seed, point, trial, stream])``, given as the uint32 words
-    (low first, at least one per int) that SeedSequence would coerce that list to."""
-    ints = (seed, point, trial, stream)
-    words = ints if max(ints) >> 32 == 0 else [
-        n >> shift & 0xFFFFFFFF for n in ints for shift in range(0, max(n.bit_length(), 1), 32)]
-    return np.random.default_rng(np.array(words, dtype=np.uint32))
+@functools.lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, steps: int) -> np.ndarray:
+    """SeedSequence's hash constants init * mult**i mod 2**32 for i = 0..steps."""
+    return np.array([init * pow(mult, i, 2**32) % 2**32 for i in range(steps + 1)], np.uint32)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of the (N, L >= 4) uint32
+    ``entropy``: O'Neill's seed_seq as numpy runs it, the pool's four words as columns."""
+    def hashmix(words, consts):  # each column: xor consts[i], times consts[i + 1], fold
+        words = (words ^ consts[:-1]) * consts[1:]
+        return words ^ words >> 16
+
+    consts, at = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * entropy.shape[1]), 4
+    pool = hashmix(entropy[:, :4], consts[:5])
+    for src in range(entropy.shape[1]):  # each pool word into the others, then each later word
+        dst = [i for i in range(4) if i != src]
+        mixed = hashmix((pool if src < 4 else entropy)[:, src, None], consts[at:at + len(dst) + 1])
+        mixed = 0xCA01F9DD * pool[:, dst] - 0x4973F715 * mixed
+        pool[:, dst], at = mixed ^ mixed >> 16, at + len(dst)
+    state = hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(0x8B51F9DD, 0x58F38DED, 8))
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _words(n: int) -> list:
+    """SeedSequence's uint32 words of a nonnegative int: low first, at least one."""
+    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(int(n).bit_length(), 1), 32)]
+
+
+@functools.lru_cache(maxsize=None)
+def _generator():
+    """``Generator(PCG64(s))`` of a ``_seed_states`` row, where ``s`` hands that row to PCG64
+    as its seed sequence's state; numpy.random loads at the first call, not with this module."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Known(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64's one call: (4, uint64)
+            return self.state
+    return lambda state: Generator(PCG64(Known(state)))
+
+
+def _trial_rngs(seed: int, point: int, trials) -> list:
+    """Each of ``trials``' streams 0, 1 and 2, ``np.random.default_rng([seed, point, trial,
+    stream])`` bit for bit: one ``_seed_states`` per run of keys of one word count."""
+    prefix, streams = _words(seed) + _words(point), []
+    for _, keys in itertools.groupby((prefix + _words(trial) for trial in trials), len):
+        keys = np.repeat(np.array(list(keys), dtype=np.uint32), 3, axis=0)  # a row per stream
+        entropy = np.column_stack([keys, np.tile(np.arange(3, dtype=np.uint32), len(keys) // 3)])
+        streams += zip(*[map(_generator(), _seed_states(entropy))] * 3)  # in threes
+    return streams
 
 
 def _error_model(sigma: float) -> ErrorModel:
@@ -139,29 +189,37 @@ def _error_model(sigma: float) -> ErrorModel:
             if sigma > 0 else ErrorModel(kind="none"))
 
 
-def _solve(method: str, sets, cfg: ExperimentConfig) -> tuple:
-    """One-set estimator ``method`` on every set of the stack ``sets``: (values, ..., failures),
-    the distances (T,) or solutions (T, p) and each set's UwbrelError or None.  NA runs on
-    each set alone, the others once on the stack, with ``cfg.cond_gate`` as the condition limit."""
-    if method == "mle_async_noassoc":
-        d, failures = np.full(len(sets.tau_a), np.nan), [None] * len(sets.tau_a)
-        for i in range(len(d)):
-            try:
-                d[i] = distest.mle_async_noassoc(sets._set(i), _error_model(cfg.sigma)).d_hat
-            except UwbrelError as exc:
-                failures[i] = exc
-        return d, failures
-    if method == "mvue_async":
-        return distest.mvue_async_stack(sets)[0], [None] * len(sets.tau_a)
-    limit = min(cfg.cond_gate, posest.COND_LIMIT)
-    return (posest.solve_by_tau(sets, limit) if method == "lse_by_tau"
-            else posest.solve_by_delta(sets, method, limit))
+def _solve(method: str, sets, scenario: Scenario, cfg: ExperimentConfig) -> list:
+    """One-set estimator ``method`` on every set of the stack ``sets``: each set's error against
+    ``scenario`` or the class of the UwbrelError it raised.  NA runs on each set alone, the
+    others once on the stack, with ``cfg.cond_gate`` as the condition limit."""
+    n = len(sets.tau_a)
+    try:
+        if method == "mle_async_noassoc":
+            values, failures, model = np.full(n, np.nan), [None] * n, _error_model(cfg.sigma)
+            for i in range(n):
+                try:
+                    values[i] = distest.mle_async_noassoc(sets._set(i), model).d_hat
+                except UwbrelError as exc:
+                    failures[i] = exc
+        elif method == "mvue_async":
+            values, failures = distest.mvue_async_stack(sets)[0], [None] * n
+        else:
+            limit = min(cfg.cond_gate, posest.COND_LIMIT)
+            values, _, failures = (posest.solve_by_tau(sets, limit) if method == "lse_by_tau"
+                                   else posest.solve_by_delta(sets, method, limit))
+    except UwbrelError as exc:
+        return [type(exc)] * n
+    errors = values - scenario.d if values.ndim == 1 else norms(values[:, :3] - scenario.d_vec)
+    return [error if failure is None else type(failure)
+            for failure, error in zip(failures, errors.tolist())]
 
 
 # One row per sweep tag (the estimator's name in the CSV): the pairing it reads (a complete
 # assignment keeps its gated pairs: their errors are part of the association-quality
 # measurement, not excluded trials), the one-set estimator that ``_solve`` runs on it, and
-# the ExperimentConfig field that caps its trials.  NA reads each scrambled set alone.
+# the ExperimentConfig field that caps its trials.  NA reads each scrambled set alone.  A
+# sorted or assigned trial that pairs each row to itself takes its estimator's observed solve.
 # Solvers and ``assoc.associate_stack`` are looked up on their modules at every call, so a
 # patched module attribute (as a tracer installs) is what runs.
 _ESTIMATORS = {
@@ -185,43 +243,37 @@ def _run_point(cfg: ExperimentConfig, point: int, trials) -> list:
     swept = _SWEEP_FIELDS[cfg.sweep]
     d, sigma_dir, k_per = (getattr(cfg, name)[point] if name == swept else _single(cfg, name)
                            for name in ("d", "sigma_dir", "k_per_observer"))
-    scenario = chansim.sample_stack(d, _CHANNEL, cfg.m_observers, k_per,
-                                    [_trial_rng(cfg.seed, point, trial, 0) for trial in trials])
-    noise_rngs = [_trial_rng(cfg.seed, point, trial, 1) for trial in trials]
-    offsets = [rng.uniform(0.0, EPS_A_MAX, cfg.m_observers) for rng in noise_rngs]
+    sampling, noise, scrambling = zip(*_trial_rngs(cfg.seed, point, trials))
+    scenario = chansim.sample_stack(d, _CHANNEL, cfg.m_observers, k_per, sampling)
+    offsets = [rng.uniform(0.0, EPS_A_MAX, cfg.m_observers) for rng in noise]
     observed = chansim.observe_stack(scenario.mpcs, chansim.NoiseParams(
-        sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps), offsets, noise_rngs)
-    groups = observed.groups  # the observer layout every trial shares
-    scrambled = any(_ESTIMATORS[tag][0] != "observed" for tag in cfg.estimators)
-    sources, perms = zip(*(chansim.scramble_sources(groups, _trial_rng(cfg.seed, point, trial, 2))
-                           if scrambled else (None, None) for trial in trials))
+        sigma=cfg.sigma, sigma_dir=sigma_dir, eps=cfg.eps), offsets, noise)
+    pairings = {_ESTIMATORS[tag][0] for tag in cfg.estimators} - {"observed"}
+    sources, perms = zip(*(chansim.scramble_sources(observed.groups, rng) if pairings
+                           else (None, None) for rng in scrambling))
     sources = np.array(sources)  # (T, K) when scrambled
-    stacks = {}  # each pairing's stack of the first n trials, by (pairing, n)
-
-    def paired(pairing, n):
-        """The pairing's stack of the first n trials, a gather of their observed stack."""
-        stack = observed if n == len(trials) else observed._set(slice(n))
-        if pairing != "observed" and (pairing, n) not in stacks:
-            scrambles = sources[:n]
-            if pairing != "scrambled":  # re-paired on the scrambled stack
-                found = assoc.associate_stack(paired("scrambled", n), pairing == "sorted")
-                scrambles = np.take_along_axis(scrambles, found, 1)
-            stacks[pairing, n] = stack.paired(scrambles)
-        return stack if pairing == "observed" else stacks[pairing, n]
-
-    outcomes = [{} for _ in trials]
-    for tag in cfg.estimators:
+    scrambled = observed.paired(sources) if pairings else None
+    stacks = {"observed": (observed, None), "scrambled": (scrambled, sources)}  # stack, sources
+    for pairing in sorted(pairings - {"scrambled"}):  # re-paired on the scrambled stack
+        found = assoc.associate_stack(scrambled, pairing == "sorted")
+        scrambles = np.take_along_axis(sources, found, 1)
+        stacks[pairing] = observed.paired(scrambles), scrambles
+    by_tag, solved = {}, {}  # outcomes by tag and by solve; observed tags solve first
+    for tag in sorted(cfg.estimators, key=lambda tag: _ESTIMATORS[tag][0] != "observed"):
         pairing, method, cap = _ESTIMATORS[tag]
         n = sum(trial < getattr(cfg, cap) for trial in trials)  # the trials below the cap
-        try:
-            values, *_, failures = _solve(method, paired(pairing, n), cfg)
-        except UwbrelError as exc:
-            values, failures = np.full(n, np.nan), [exc] * n
-        errors = (values - scenario.d if values.ndim == 1
-                  else norms(values[:, :3] - scenario.d_vec))
-        for out, failure, error in zip(outcomes, failures, errors.tolist()):
-            out[tag] = error if failure is None else type(failure)
-    return list(zip(outcomes, perms))
+        stack, scrambles = stacks[pairing]
+        if pairing != "observed" and (method, "observed", n) in solved:
+            got = by_tag[tag] = list(solved[method, "observed", n])
+            redo = np.flatnonzero((scrambles[:n] != np.arange(scrambles.shape[1])).any(1))
+            if redo.size:
+                for i, out in zip(redo.tolist(), _solve(method, stack._set(redo), scenario, cfg)):
+                    got[i] = out
+        else:
+            by_tag[tag] = solved[method, pairing, n] = _solve(method, stack._set(slice(n)),
+                                                              scenario, cfg)
+    return [({tag: by_tag[tag][i] for tag in cfg.estimators if i < len(by_tag[tag])}, perm)
+            for i, perm in enumerate(perms)]
 
 
 def _sweep_values(cfg: ExperimentConfig) -> tuple:

@@ -156,7 +156,7 @@ class Observations:
                                      self.observer, groups=self.groups)
 
     def _set(self, t) -> "Observations":
-        """Set ``t`` (an int) or the stack of sets ``t`` (a slice) of this stack, unchecked."""
+        """Set ``t`` (an int) or the stack of sets ``t`` (a slice or an index array), unchecked."""
         return Observations._of_rows(self.tau_a[t], self.tau_b[t], self.dir_a[t], self.dir_b[t],
                                      self.observer, groups=self.groups)
 

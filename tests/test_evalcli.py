@@ -1,9 +1,16 @@
 import argparse
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_trial_oracle import repaired_counts
 
 from uwbrel import assoc, distest, posest
 from uwbrel.errors import ConfigError
@@ -12,7 +19,8 @@ from uwbrel.evalcli import (
     SURFACE_SCENARIOS,
     ExperimentConfig,
     _build_parser,
-    _trial_rng,
+    _seed_states,
+    _trial_rngs,
     calibrate,
     canonical_scenario,
     dump_surface,
@@ -96,25 +104,49 @@ class TestRunSweep:
 
 
     def test_trial_streams_are_the_list_seeded_generators(self):
-        # the seed goes in as uint32 words; a seed of 2**32 or more takes two
+        # the seed goes in as uint32 words; a seed of 2**32 or more takes two.  One batch
+        # holds trials of one and of two words, and each trial is also a batch of one
         for seed in (0, 2**32 - 1, 2**32, 2**40 + 3, 2**70 + 5):
-            for point, trial, stream in ((0, 0, 0), (3, 17, 2), (1, 2**33, 1)):
-                got = _trial_rng(seed, point, trial, stream)
-                want = np.random.default_rng([seed, point, trial, stream])
-                assert got.bit_generator.state == want.bit_generator.state
-                np.testing.assert_array_equal(got.random(8), want.random(8))
+            for point in (0, 3, 1):
+                trials = [0, 17, 2**33]
+                batches = [(trials, _trial_rngs(seed, point, trials))]
+                batches += [([trial], _trial_rngs(seed, point, [trial])) for trial in trials]
+                for batch, streams in batches:
+                    assert len(streams) == len(batch)
+                    for trial, rngs in zip(batch, streams):
+                        assert len(rngs) == 3
+                        for stream, got in enumerate(rngs):
+                            want = np.random.default_rng([seed, point, trial, stream])
+                            assert got.bit_generator.state == want.bit_generator.state
+                            np.testing.assert_array_equal(got.random(8), want.random(8))
+
+    @given(st.integers(4, 8).flatmap(lambda length: st.lists(
+        st.lists(st.integers(0, 2**32 - 1), min_size=length, max_size=length),
+        min_size=1, max_size=6)))
+    def test_batched_seed_states_are_seed_sequences(self, rows):
+        entropy = np.array(rows, dtype=np.uint32)
+        want = [np.random.SeedSequence(row).generate_state(4, np.uint64) for row in entropy]
+        np.testing.assert_array_equal(_seed_states(entropy), want)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # a fresh interpreter, so that no other test has loaded numpy.random already
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = "import sys, uwbrel.evalcli; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=300)
+        assert out.stdout.strip() == "False"
 
     def test_estimators_looked_up_at_each_call(self, monkeypatch):
         # a tracer patches module attributes: the sweep must call whatever
         # the attribute holds when the trial runs, not a function bound at import
-        calls = {}
+        calls = []
 
         def counting(module, name):
             original = getattr(module, name)
 
-            def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return original(*args, **kwargs)
+            def wrapper(sets, *args, **kwargs):
+                calls.append((name, sets.tau_a.shape))
+                return original(sets, *args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
         counting(posest, "solve_by_delta")
@@ -122,15 +154,25 @@ class TestRunSweep:
         counting(distest, "mvue_async_stack")
         counting(distest, "mle_async_noassoc")
         counting(assoc, "associate_stack")
-        run_sweep(tiny_cfg(trials=3, estimators=("MV", "SO", "DD", "DDN", "TAU", "TNA")))
-        # each closed-form tag runs its stacked solver once at the one sweep point, and
-        # the sorted and assigned pairings are each found once, DDN and TNA sharing one
-        assert calls == {"mvue_async_stack": 2, "solve_by_delta": 2, "solve_by_tau": 2,
-                         "associate_stack": 2}
+        cfg = tiny_cfg(trials=4, sigma_dir=(np.radians(24.0),),
+                       estimators=("MV", "SO", "DD", "DDN", "TAU", "TNA"))
+        run_sweep(cfg)
+        # MV, DD and TAU each solve the stack of the point's trials once; SO, DDN and TNA
+        # solve only the trials that the sorting or the assignment re-pairs, as counted
+        # trial by trial; each pairing is found once, DDN and TNA sharing one
+        assigned, by_sorting = repaired_counts(cfg, 0)
+        assert 0 < assigned < cfg.trials and by_sorting > 0
+        stack = (cfg.trials, 12)
+        assert sorted(calls) == sorted([
+            ("mvue_async_stack", stack), ("mvue_async_stack", (by_sorting, 12)),
+            ("solve_by_delta", stack), ("solve_by_delta", (assigned, 12)),
+            ("solve_by_tau", stack), ("solve_by_tau", (assigned, 12)),
+            ("associate_stack", stack), ("associate_stack", stack)])
         calls.clear()
         run_sweep(tiny_cfg(trials=3, trials_na=2, estimators=("NA", "MV")))
         # NA runs on each set alone, and only on the trials below its cap
-        assert calls == {"mle_async_noassoc": 2, "mvue_async_stack": 1}
+        assert sorted(calls) == [("mle_async_noassoc", (12,))] * 2 + [
+            ("mvue_async_stack", (3, 12))]
 
     @pytest.mark.parametrize("point, trial", [(1, 0), (-1, 0), (0, -1), (0, 7)])
     def test_run_trial_outside_the_sweep(self, point, trial):

@@ -3,9 +3,11 @@
 A sweep point runs in two passes: pass 1 makes each trial's draws from its
 own streams and samples, observes and checks the point's trials as one stack
 (the scramble's permutations drawn per trial), and each pairing is a gather of
-that stack of observations; then each tag runs once on its pairing's
+that stack of observations; then each solver runs once on its pairing's
 sets of all the point's trials, NA set by set and the closed-form tags on
-their pairing's stack, whose condition limit is the harness's gate.  The oracle
+their pairing's stack, whose condition limit is the harness's gate, and a
+re-pairing whose solver also reads the observations solves only the trials
+it re-pairs.  The oracle
 here does none of that: for every tag on its own it samples, observes and
 scrambles the trial from the per-trial RNG streams, pairs the scrambled
 set, runs the one-set estimator and scores it.  Errors must agree to the
@@ -114,14 +116,28 @@ def _check(cfg):
             for tag in tags:
                 want = _oracle(tag, cfg, scenario, observations, scrambled)
                 assert _same(outcomes[tag], want), (point, trial, tag, outcomes[tag], want)
-            applied = assoc.apply_assignment(
-                scrambled, scrambled, assoc.associate(scrambled, scrambled, force_full=True))
-            if all(np.array_equal(getattr(applied, c), getattr(observations, c))
-                   for c in COLUMNS):
-                shared += 1
-            else:
+            if _repaired(observations, scrambled):
                 unshared += 1
+            else:
+                shared += 1
     return shared, unshared
+
+
+def _repaired(observations, scrambled, by_sorting=False):
+    """Whether the scrambled set, paired by the assignment (by sorting if ``by_sorting``),
+    differs from the observations in any column."""
+    found = (assoc.associate_by_sorting(scrambled, scrambled) if by_sorting
+             else assoc.associate(scrambled, scrambled, force_full=True))
+    applied = assoc.apply_assignment(scrambled, scrambled, found)
+    return not all(np.array_equal(getattr(applied, c), getattr(observations, c))
+                   for c in COLUMNS)
+
+
+def repaired_counts(cfg, point):
+    """How many of the point's trials the assignment and the sorting each re-pair, computed
+    trial by trial with nothing shared."""
+    drawn = [_trial(cfg, point, trial)[1:3] for trial in range(cfg.trials)]
+    return tuple(sum(_repaired(*sets, by_sorting) for sets in drawn) for by_sorting in (False, True))
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
@@ -155,10 +171,8 @@ def test_na_and_its_trial_cap():
     _check(cfg)
 
 
-def test_shared_estimates_run_once(monkeypatch):
-    # each stacked solver runs once per tag and sweep point, on the stack of
-    # all the point's trials; the one-set estimators are not reached
-    cfg = ExperimentConfig(seed=7, **DIRECTION_NOISE)
+def _count_solves(monkeypatch, cfg):
+    """The (solver, stack size) of each stacked solve and one-set DD a sweep runs."""
     calls = []
     for module, name in ((posest, "solve_by_delta"), (posest, "solve_by_tau"),
                          (distest, "mvue_async_stack"), (posest, "lse_by_delta")):
@@ -166,14 +180,40 @@ def test_shared_estimates_run_once(monkeypatch):
             calls.append((name, len(stack.tau_a)))
             return original(stack, *args)
         monkeypatch.setattr(module, name, counted)
-    run_sweep(cfg)
+    result = run_sweep(cfg)
     monkeypatch.undo()
-    # DD, PWA and DDN; TAU and TNA; MV and SO
-    per_point = {"solve_by_delta": 3, "solve_by_tau": 2, "mvue_async_stack": 2}
-    assert sorted(calls) == sorted((name, cfg.trials) for name, n in per_point.items()
-                                   for _ in range(n * len(cfg.sigma_dir)))
+    return calls, result
+
+
+def test_shared_estimates_run_once(monkeypatch):
+    # per sweep point, DD, PWA, TAU and MV each solve the stack of all the point's trials
+    # once; DDN and TNA solve only the trials the assignment re-pairs, and SO only those
+    # the sorting re-pairs, the others taking the observed solve; the one-set estimators
+    # are not reached
+    cfg = ExperimentConfig(seed=7, **DIRECTION_NOISE)
+    calls, _ = _count_solves(monkeypatch, cfg)
+    want = []
+    for point in range(len(cfg.sigma_dir)):
+        assigned, by_sorting = repaired_counts(cfg, point)
+        want += [("solve_by_delta", cfg.trials)] * 2 + [("solve_by_tau", cfg.trials),
+                                                        ("mvue_async_stack", cfg.trials)]
+        want += [(name, assigned) for name in ("solve_by_delta", "solve_by_tau") if assigned]
+        want += [("mvue_async_stack", by_sorting)] if by_sorting else []
+    assert sorted(calls) == sorted(want)
     shared, unshared = _check(cfg)
     assert shared > 0 and unshared > 0
+
+
+def test_repairings_alone_solve_every_trial(monkeypatch):
+    # with no tag reading the observed stack, DDN and TNA solve the whole stack of their
+    # pairing, and no observed stack besides; their rows are those of the full sweep
+    cfg = ExperimentConfig(seed=7, **dict(DIRECTION_NOISE, estimators=("DDN", "TNA")))
+    calls, alone = _count_solves(monkeypatch, cfg)
+    assert sorted(calls) == sorted([("solve_by_delta", cfg.trials), ("solve_by_tau", cfg.trials)]
+                                   * len(cfg.sigma_dir))
+    full = run_sweep(ExperimentConfig(seed=7, **DIRECTION_NOISE)).to_csv().splitlines()
+    assert alone.to_csv().splitlines() == [line for line in full
+                                           if line.split(",")[2] in ("estimator", "DDN", "TNA")]
 
 
 @pytest.mark.parametrize("config", [CLOSED_FORM, DIRECTION_NOISE])
